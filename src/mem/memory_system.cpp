@@ -86,6 +86,9 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   u64 evictions = 0, writebacks = 0;
   const bool dram_limited = !dram_bw_.is_unlimited();
 
+  // Misses fill consecutive lines and a streamed buffer's LRU victims leave
+  // in address order, so each stream keeps its own directory page hint.
+  OwnerDirectory::Cursor fill_at, evict_at;
   LineAddr line = first;
   while (line <= last) {
     // Batched walk: consume a run of consecutive hits in one cache scan
@@ -104,11 +107,6 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // drain clock advances with the access's own progression (latency
     // cycles spent so far plus accrued queueing).
     cycles += reuse_cycles;
-    // Both directory slots this miss will touch are random probes into a
-    // multi-megabyte table; start their loads now so the cost
-    // classification below covers the latency.
-    owner_.prefetch(line);
-    if (pending.evicted) owner_.prefetch(pending.evicted->line);
     // The drain clock sees the access's own progression — latency cycles
     // and queueing accrued up to this miss. Materialising that Time costs
     // a 128-bit division, so it is computed at most once per miss, and
@@ -126,7 +124,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
       return progressed;
     };
     // One directory probe settles both the lookup and the ownership move.
-    const CoreId prev = owner_.assign(line, core);
+    const CoreId prev = owner_.assign(fill_at, line, core);
     if (prev != kNoCore) {
       SAISIM_CHECK_MSG(prev != core, "owner map out of sync with cache");
       const auto inv = caches_[static_cast<u64>(prev)].invalidate(line);
@@ -146,7 +144,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     cache.commit_insert(pending, line, is_write);
     if (pending.evicted) {
       ++evictions;
-      owner_.erase(pending.evicted->line);
+      owner_.erase(evict_at, pending.evicted->line);
       if (pending.evicted->dirty) {
         ++writebacks;
         ++dram_line_writes_;
@@ -190,18 +188,15 @@ Time MemorySystem::dma_write(Address addr, u64 bytes, Time now) {
   const LineAddr first = addr / line_bytes;
   const LineAddr last = (addr + bytes - 1) / line_bytes;
 
-  // Invalidate any stale cached copies (coherent DMA). erase() reports the
-  // previous owner, so one directory probe per line settles both the
-  // lookup and the removal.
-  i64 invalidated = 0;
-  for (LineAddr line = first; line <= last; ++line) {
-    const CoreId prev = owner_.erase(line);
-    if (prev == kNoCore) continue;
-    caches_[static_cast<u64>(prev)].invalidate(line);
-    ++invalidated;
-  }
+  // Invalidate any stale cached copies (coherent DMA). The directory sweeps
+  // the range a page at a time and reports only the lines some cache holds.
+  const u64 invalidated = owner_.erase_range(
+      first, last, [this](LineAddr line, CoreId prev) {
+        caches_[static_cast<u64>(prev)].invalidate(line);
+      });
   SAISIM_TRACE_EVENT(util::Subsystem::kMem, trace::EventType::kDmaWrite, now,
-                     -1, -1, -1, static_cast<i64>(bytes), invalidated);
+                     -1, -1, -1, static_cast<i64>(bytes),
+                     static_cast<i64>(invalidated));
   return dram_occupy(bytes, now);
 }
 

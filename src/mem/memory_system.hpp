@@ -133,8 +133,8 @@ class MemorySystem {
   std::vector<Cache> caches_;
   std::vector<CoreCacheStats> stats_;
   /// line -> owning core, for lines resident in some private cache.
-  /// Pre-sized to the machine's total line count, so it never rehashes on
-  /// the access path.
+  /// Reserved for the machine's total line count; its pages are recycled,
+  /// so the access path allocates only while the pool first fills.
   OwnerDirectory owner_;
 
   /// Serialization time of one cache line (precomputed; zero if unlimited).

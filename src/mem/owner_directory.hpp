@@ -1,140 +1,195 @@
-// Flat open-addressing directory mapping resident cache lines to their
-// owning core.
+// Page-indexed directory mapping resident cache lines to their owning core.
 //
 // The coherence model is single-owner (MESI-lite with migratory sharing),
-// so the directory is a LineAddr -> CoreId map that the memory walk hits
-// once per missing line. A std::unordered_map spends the walk chasing
-// buckets and allocating nodes; this table is a single contiguous array
-// with power-of-two capacity, multiplicative hashing and linear probing,
-// and erases use backward-shift deletion instead of tombstones, so probe
-// chains never degrade over the billions of insert/erase cycles a sweep
-// performs. Entries pack line and owner into one 64-bit word (the probes
-// are random touches into a multi-megabyte table, so halving the entry
-// doubles the slots per hardware cache line). The population is bounded by
-// the total number of cache lines in the machine, so MemorySystem pre-sizes
-// the table and it never rehashes on the hot path.
+// so the directory is a LineAddr -> CoreId map. The memory walk updates it
+// once per missing line and once per evicted line, and every DMA landing
+// sweeps it over the whole landed range. All three streams run in address
+// order: a miss run fills consecutive lines, the LRU victims of a streamed
+// buffer leave in the order they arrived, and a DMA covers one contiguous
+// buffer. So the directory is indexed by page (kPageLines consecutive
+// lines), not by line: a FlatIdMap sends a page number to a pooled Page
+// that holds one owner byte per line and a presence mask. A walk carries a
+// Cursor (the page it touched last), so consecutive lines cost one mask
+// test and one byte access, and the hash is probed once per page instead of
+// once per line. A range erase tests a page's lines one mask word at a time
+// and skips an absent page after one probe.
+//
+// A page whose last line leaves returns to the pool, so the population is
+// bounded by the resident lines, not by the bump allocator's ever-growing
+// address space. Pool pages and index slots are retained, so once the pool
+// has grown to the working set the directory allocates nothing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <vector>
 
 #include "mem/cache.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace saisim::mem {
 
 class OwnerDirectory {
  public:
+  /// Lines per directory page: one presence-mask word.
+  static constexpr u64 kPageLines = 64;
+
+  /// A walk's page hint: the pool slot of the page it touched last. Any
+  /// hint is safe. A stale one (page released, slot reused) fails the key
+  /// check and falls back to the index probe.
+  struct Cursor {
+    u32 slot = kNoSlot;
+  };
+
   /// `expected_lines` bounds the live population (e.g. the machine's total
-  /// cache lines); capacity is the next power of two giving load <= 0.5.
-  explicit OwnerDirectory(u64 expected_lines = 256) {
-    u64 cap = std::bit_ceil(expected_lines < 8 ? u64{16} : expected_lines * 2);
-    table_.assign(cap, 0);
-    mask_ = cap - 1;
+  /// cache lines). The pool is reserved with 2x slack for partly filled
+  /// pages; it grows past that if the population is sparser.
+  explicit OwnerDirectory(u64 expected_lines = 256)
+      : index_(pages_for(expected_lines)) {
+    pages_.reserve(pages_for(expected_lines));
   }
 
   u64 size() const { return size_; }
-  u64 capacity() const { return table_.size(); }
-
-  /// Hint that `line`'s slot is about to be probed. The table is a random
-  /// touch into megabytes; the access path issues this for line N+1 while
-  /// the miss handling of line N covers the latency.
-  void prefetch(LineAddr line) const {
-    __builtin_prefetch(&table_[home(line)]);
-  }
+  /// Lines the page pool holds before it has to grow.
+  u64 capacity() const { return pages_.capacity() * kPageLines; }
 
   /// Owning core of `line`, or kNoCore if the line is only in memory.
   CoreId find(LineAddr line) const {
-    for (u64 i = home(line);; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) return kNoCore;
-      if ((w >> kOwnerBits) == line) return owner_of(w);
-    }
+    const u32* slot = index_.find(page_key(line));
+    if (slot == nullptr) return kNoCore;
+    const Page& p = pages_[*slot];
+    return (p.present & bit(line)) != 0 ? p.owner[offset(line)] : kNoCore;
   }
 
   /// Set the owner of `line`, inserting it if absent. Returns the previous
-  /// owner (kNoCore if the line was not present) — the access path uses
-  /// this to fold its find/erase/insert triple into one probe.
-  CoreId assign(LineAddr line, CoreId owner) {
-    const u64 packed = pack(line, owner);
-    if (size_ * 2 >= table_.size()) grow();
-    for (u64 i = home(line);; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) {
-        table_[i] = packed;
-        ++size_;
-        return kNoCore;
-      }
-      if ((w >> kOwnerBits) == line) {
-        table_[i] = packed;
-        return owner_of(w);
-      }
+  /// owner (kNoCore if the line was not present), so the access path settles
+  /// lookup and ownership move in one call.
+  CoreId assign(Cursor& at, LineAddr line, CoreId owner) {
+    SAISIM_CHECK(owner >= 0 && owner < kMaxOwners);
+    if (!seek(at, line)) at.slot = acquire(page_key(line));
+    Page& p = pages_[at.slot];
+    const u64 b = bit(line);
+    u8& slot = p.owner[offset(line)];
+    CoreId prev = kNoCore;
+    if ((p.present & b) != 0) {
+      prev = slot;
+    } else {
+      p.present |= b;
+      ++size_;
     }
+    slot = static_cast<u8>(owner);
+    return prev;
+  }
+  CoreId assign(LineAddr line, CoreId owner) {
+    Cursor at;
+    return assign(at, line, owner);
   }
 
   /// Remove `line`. Returns its owner, or kNoCore if it was absent.
-  /// Deletion backshifts the tail of the probe chain (no tombstones).
-  CoreId erase(LineAddr line) {
-    u64 i = home(line);
-    for (;; i = (i + 1) & mask_) {
-      const u64 w = table_[i];
-      if (w == 0) return kNoCore;
-      if ((w >> kOwnerBits) == line) break;
-    }
-    const CoreId owner = owner_of(table_[i]);
-    // Backward-shift: pull every displaced entry after the hole one step
-    // back unless that would move it before its home slot.
-    u64 hole = i;
-    for (u64 j = (hole + 1) & mask_;; j = (j + 1) & mask_) {
-      const u64 w = table_[j];
-      if (w == 0) break;
-      const u64 h = home(w >> kOwnerBits);
-      // w may fill the hole iff its home precedes-or-equals the hole in
-      // cyclic probe order, i.e. the hole lies within w's probe chain.
-      if (((j - h) & mask_) >= ((j - hole) & mask_)) {
-        table_[hole] = w;
-        hole = j;
-      }
-    }
-    table_[hole] = 0;
+  CoreId erase(Cursor& at, LineAddr line) {
+    if (!seek(at, line)) return kNoCore;
+    Page& p = pages_[at.slot];
+    const u64 b = bit(line);
+    if ((p.present & b) == 0) return kNoCore;
+    const CoreId owner = p.owner[offset(line)];
+    p.present &= ~b;
     --size_;
+    if (p.present == 0) release(at.slot);
     return owner;
+  }
+  CoreId erase(LineAddr line) {
+    Cursor at;
+    return erase(at, line);
+  }
+
+  /// Remove every line of [first, last], calling `on_erase(line, owner)`
+  /// for each present one in ascending line order. `on_erase` must not use
+  /// the directory. Returns the number of lines removed.
+  template <class F>
+  u64 erase_range(LineAddr first, LineAddr last, F&& on_erase) {
+    u64 erased = 0;
+    for (u64 page = first / kPageLines; page <= last / kPageLines; ++page) {
+      const u32* found = index_.find(page + 1);
+      if (found == nullptr) continue;
+      const u32 slot = *found;
+      Page& p = pages_[slot];
+      const LineAddr base = page * kPageLines;
+      const u64 lo = first > base ? first - base : 0;
+      const u64 hi = std::min(last - base, kPageLines - 1);
+      u64 hits = p.present & (~u64{0} >> (kPageLines - 1 - hi)) &
+                 (~u64{0} << lo);
+      if (hits == 0) continue;
+      p.present &= ~hits;
+      const u64 n = static_cast<u64>(std::popcount(hits));
+      size_ -= n;
+      erased += n;
+      for (; hits != 0; hits &= hits - 1) {
+        const u64 i = static_cast<u64>(std::countr_zero(hits));
+        on_erase(base + i, CoreId{p.owner[i]});
+      }
+      if (p.present == 0) release(slot);
+    }
+    return erased;
   }
 
  private:
-  /// Slot word: bits [63:8] line address, bits [7:0] owner + 1 (0 == empty).
-  static constexpr u64 kOwnerBits = 8;
+  static constexpr u32 kNoSlot = ~u32{0};
+  /// Owners are stored in one byte.
+  static constexpr CoreId kMaxOwners = 256;
 
-  static u64 pack(LineAddr line, CoreId owner) {
-    SAISIM_CHECK(owner != kNoCore);
-    SAISIM_CHECK(owner >= 0 && owner < (1 << kOwnerBits) - 1);
-    SAISIM_CHECK(line < (u64{1} << (64 - kOwnerBits)));
-    return (line << kOwnerBits) | (static_cast<u64>(owner) + 1);
+  /// Bit i of `present` says line i of the page has an owner, `owner[i]`.
+  /// A pooled page has key 0 and links the free list through `present`.
+  struct Page {
+    u64 key = 0;  // page number + 1
+    u64 present = 0;
+    std::array<u8, kPageLines> owner{};
+  };
+
+  static u64 pages_for(u64 lines) {
+    return std::max<u64>(2, (lines + kPageLines - 1) / kPageLines * 2);
+  }
+  static u64 page_key(LineAddr line) { return line / kPageLines + 1; }
+  static u64 offset(LineAddr line) { return line % kPageLines; }
+  static u64 bit(LineAddr line) { return u64{1} << offset(line); }
+
+  /// Point `at` at `line`'s page; false if that page is absent.
+  bool seek(Cursor& at, LineAddr line) const {
+    const u64 key = page_key(line);
+    if (at.slot < pages_.size() && pages_[at.slot].key == key) return true;
+    const u32* found = index_.find(key);
+    if (found == nullptr) return false;
+    at.slot = *found;
+    return true;
   }
 
-  static CoreId owner_of(u64 w) {
-    return static_cast<CoreId>(w & ((u64{1} << kOwnerBits) - 1)) - 1;
-  }
-
-  u64 home(LineAddr line) const {
-    // Fibonacci hashing: one multiply spreads the low-entropy, mostly
-    // sequential line addresses across the table.
-    return (line * 0x9E3779B97F4A7C15ull >> 17) & mask_;
-  }
-
-  void grow() {
-    std::vector<u64> old = std::move(table_);
-    table_.assign(old.size() * 2, 0);
-    mask_ = table_.size() - 1;
-    size_ = 0;
-    for (const u64 w : old) {
-      if (w != 0) assign(w >> kOwnerBits, owner_of(w));
+  u32 acquire(u64 key) {
+    u32 slot = free_;
+    if (slot != kNoSlot) {
+      free_ = static_cast<u32>(pages_[slot].present);
+    } else {
+      slot = static_cast<u32>(pages_.size());
+      pages_.emplace_back();
     }
+    pages_[slot].key = key;
+    pages_[slot].present = 0;
+    index_.emplace(key, u32{slot});
+    return slot;
   }
 
-  std::vector<u64> table_;
-  u64 mask_ = 0;
+  void release(u32 slot) {
+    Page& p = pages_[slot];
+    index_.erase(p.key);
+    p.key = 0;
+    p.present = free_;
+    free_ = slot;
+  }
+
+  std::vector<Page> pages_;
+  util::FlatIdMap<u32> index_;
+  u32 free_ = kNoSlot;
   u64 size_ = 0;
 };
 

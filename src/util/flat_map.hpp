@@ -3,7 +3,7 @@
 // The PFS client's pending-request tables (RequestId -> request state) were
 // std::unordered_map: one heap node per in-flight request plus bucket
 // chasing on every strip arrival — on the hot path of every interrupt. This
-// table is mem::OwnerDirectory's scheme generalised to a mapped value: one
+// table is one
 // contiguous slot array with power-of-two capacity, Fibonacci hashing,
 // linear probing, and backward-shift deletion (no tombstones, so probe
 // chains never degrade over millions of issue/complete cycles). Capacity is
@@ -40,9 +40,12 @@ class FlatIdMap {
 
   /// Value stored under `key`, or nullptr. Valid until the next mutation.
   V* find(u64 key) {
+    return const_cast<V*>(static_cast<const FlatIdMap*>(this)->find(key));
+  }
+  const V* find(u64 key) const {
     SAISIM_CHECK(key != 0);
     for (u64 i = home(key);; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
+      const Slot& s = slots_[i];
       if (s.key == 0) return nullptr;
       if (s.key == key) return &s.value;
     }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace saisim::mem {
 namespace {
@@ -103,6 +107,109 @@ TEST(OwnerDirectory, EraseHeadOfChainThenReassign) {
   for (LineAddr line = 0; line < 12; ++line) {
     EXPECT_EQ(dir.find(line), line % 2 == 0 ? 2 : 1);
   }
+}
+
+// A cursor is only a hint. After its page is released and the pool slot is
+// reused for another page, a walk through the stale cursor must still see
+// the right lines.
+TEST(OwnerDirectory, StaleCursorFallsBackToIndex) {
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  EXPECT_EQ(dir.assign(at, 5, 1), kNoCore);
+  EXPECT_EQ(dir.erase(at, 5), 1);  // page 0 empties and is released
+  // Page 10 takes page 0's pool slot, which `at` still names.
+  const LineAddr far = 10 * OwnerDirectory::kPageLines + 5;
+  EXPECT_EQ(dir.assign(far, 2), kNoCore);
+  EXPECT_EQ(dir.erase(at, 5), kNoCore);
+  EXPECT_EQ(dir.assign(at, 5, 3), kNoCore);
+  EXPECT_EQ(dir.find(5), 3);
+  EXPECT_EQ(dir.find(far), 2);
+  EXPECT_EQ(dir.size(), 2u);
+}
+
+// The DMA sweep: partial first and last pages, an absent page inside the
+// range, lines outside it untouched, callbacks in ascending line order.
+TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  const auto owner_of = [](LineAddr l) { return static_cast<CoreId>(l % 7); };
+  for (const LineAddr l : {P - 2, P - 1, P, 3 * P + 3, 4 * P - 1, 4 * P,
+                           4 * P + 1}) {
+    dir.assign(l, owner_of(l));
+  }
+  std::vector<std::pair<LineAddr, CoreId>> seen;
+  const u64 erased = dir.erase_range(P - 1, 4 * P, [&](LineAddr l, CoreId o) {
+    seen.emplace_back(l, o);
+  });
+  std::vector<std::pair<LineAddr, CoreId>> want;
+  for (const LineAddr l : {P - 1, P, 3 * P + 3, 4 * P - 1, 4 * P}) {
+    want.emplace_back(l, owner_of(l));
+  }
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(erased, want.size());
+  EXPECT_EQ(dir.size(), 2u);
+  EXPECT_EQ(dir.find(P - 2), owner_of(P - 2));
+  EXPECT_EQ(dir.find(4 * P + 1), owner_of(4 * P + 1));
+  EXPECT_EQ(dir.erase_range(0, 10 * P, [](LineAddr, CoreId) {}), 2u);
+  EXPECT_EQ(dir.size(), 0u);
+}
+
+// Simulated addresses only grow (the bump allocator never reuses them), so
+// a directory that kept emptied pages would grow without bound. A window
+// sliding over fresh addresses must keep the pool at its reserved size.
+TEST(OwnerDirectory, SlidingWindowReusesReleasedPages) {
+  constexpr LineAddr kWindow = 256;
+  OwnerDirectory dir(kWindow);
+  const u64 reserved = dir.capacity();
+  OwnerDirectory::Cursor fill, evict;
+  for (LineAddr line = 0; line < 100 * kWindow; ++line) {
+    ASSERT_EQ(dir.assign(fill, line, 0), kNoCore);
+    if (line >= kWindow) {
+      ASSERT_EQ(dir.erase(evict, line - kWindow), 0);
+    }
+  }
+  EXPECT_EQ(dir.size(), kWindow);
+  EXPECT_EQ(dir.capacity(), reserved);
+}
+
+// Cursor walks, point erases and range erases, checked against an ordered
+// map after every step.
+TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {
+  OwnerDirectory dir(64);
+  std::map<LineAddr, CoreId> model;
+  Rng rng(11);
+  OwnerDirectory::Cursor at;
+  for (int step = 0; step < 20'000; ++step) {
+    const LineAddr line = rng.below(2048);
+    const auto it = model.find(line);
+    const CoreId present = it == model.end() ? kNoCore : it->second;
+    switch (rng.below(3)) {
+      case 0: {
+        const auto owner = static_cast<CoreId>(rng.below(8));
+        ASSERT_EQ(dir.assign(at, line, owner), present) << "step " << step;
+        model[line] = owner;
+        break;
+      }
+      case 1:
+        ASSERT_EQ(dir.erase(at, line), present) << "step " << step;
+        model.erase(line);
+        break;
+      default: {
+        const LineAddr last = line + rng.below(200);
+        std::vector<std::pair<LineAddr, CoreId>> seen, want;
+        dir.erase_range(line, last,
+                        [&](LineAddr l, CoreId o) { seen.emplace_back(l, o); });
+        for (auto m = model.lower_bound(line);
+             m != model.end() && m->first <= last;) {
+          want.emplace_back(*m);
+          m = model.erase(m);
+        }
+        ASSERT_EQ(seen, want) << "step " << step;
+      }
+    }
+    ASSERT_EQ(dir.size(), model.size()) << "step " << step;
+  }
+  for (const auto& [line, owner] : model) ASSERT_EQ(dir.find(line), owner);
 }
 
 }  // namespace
