@@ -76,13 +76,15 @@ class BufferCache {
     u64 flushed_blocks = 0;
     u64 readahead_issued = 0;
     u64 readahead_useful = 0;
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   explicit BufferCache(const BufferCacheConfig& config);
 
   bool enabled() const { return num_sets_ > 0; }
   u64 block_bytes() const { return cfg_.block_bytes; }
-  u64 num_blocks() const { return num_sets_ * static_cast<u64>(ways_); }
+  u64 num_blocks() const { return num_sets_ * ways_; }
   u64 dirty_blocks() const { return dirty_; }
   const Stats& stats() const { return stats_; }
 
@@ -99,29 +101,76 @@ class BufferCache {
   /// and ors in the dirty bit.
   u64 insert(u64 block, bool dirty, bool prefetched);
 
+  /// Demand read of one block in a single set probe: `lookup(block)`, and
+  /// on a miss `insert(block, clean, not prefetched)`. Returns whether the
+  /// block hit; adds the dirty victims the fill evicted to `forced`.
+  bool lookup_or_fill(u64 block, u64& forced);
+
+  /// Read-ahead of one block in a single set probe: a resident block is
+  /// left untouched (no LRU refresh, no stats); an absent one is inserted
+  /// clean and prefetched. Returns whether it was inserted; adds the dirty
+  /// victims the fill evicted to `forced`.
+  bool prefetch(u64 block, u64& forced);
+
   /// Collect up to `max` dirty blocks, oldest first, and mark them clean
   /// (their write-back has been issued). Returns how many were taken.
+  /// O(returned blocks): they are popped off the head of the dirty list.
   u64 take_dirty(u64 max);
 
   /// Bookkeeping hook for the owner: a prefetch batch was issued.
   void note_readahead_issued(u64 blocks) { stats_.readahead_issued += blocks; }
 
  private:
-  struct Entry {
-    u64 block = 0;
+  // Entry i (set-major, `ways_` per set) is split across two arrays so a
+  // probe reads only the tags: 8 B per way, one 64 B line for an 8-way
+  // set. A tag packs `(block + 1) << 2 | dirty << 1 | prefetched` (block
+  // numbers are byte offsets / block_bytes, far below 2^62); 0 is an
+  // invalid (never filled) way. Entries are never invalidated and a fill
+  // takes the first invalid way, so every set's valid ways are a prefix —
+  // a probe stops at the first 0 tag.
+  static constexpr u64 kPrefetched = 1;
+  static constexpr u64 kDirty = 2;
+  static constexpr u64 kFlags = kDirty | kPrefetched;
+  static constexpr u32 kNil = ~0u;
+
+  // The part of an entry that only hits, fills and victim choice touch:
+  // its LRU stamp and its links on the dirty list.
+  struct Meta {
     u64 stamp = 0;  // LRU: monotone touch counter
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;
+    u32 prev = kNil;
+    u32 next = kNil;
   };
 
-  Entry* find(u64 block);
-  const Entry* find(u64 block) const;
+  static u64 key_of(u64 block) { return (block + 1) << 2; }
+  u64 set_base(u64 block) const;
+  /// One pass over the tags of the set at `base`: the way holding `key`,
+  /// else the first invalid way, else ways_ (full set, no match).
+  u64 scan(u64 base, u64 key) const;
+  bool is_hit(u64 base, u64 w) const;
+  /// Hit path shared by lookup and lookup_or_fill.
+  void demand_hit(u32 i);
+  /// New LRU stamp for a resident entry; a dirty one moves to the list tail.
+  void touch(u32 i);
+  /// Install `tag` over the victim way of the set at `base`: `w` from a
+  /// missed scan — the first invalid way, or ways_ for a full set, which
+  /// picks the smallest stamp. Returns 1 if a dirty block was evicted.
+  u64 fill(u64 base, u64 w, u64 tag);
+
+  // The dirty list threads every dirty entry in ascending stamp order:
+  // every new stamp is ++tick_, the largest yet, so an entry that turns
+  // dirty or is re-stamped while dirty goes to the tail, and the head is
+  // always the oldest dirty block.
+  void link_tail(u32 i);
+  void unlink(u32 i);
 
   BufferCacheConfig cfg_;
   u64 num_sets_ = 0;
-  int ways_ = 0;
-  std::vector<Entry> entries_;  // num_sets_ * ways_, set-major
+  bool pow2_sets_ = false;  // set index by mask instead of %
+  u64 ways_ = 0;
+  std::vector<u64> tags_;  // num_sets_ * ways_, set-major
+  std::vector<Meta> meta_;
+  u32 dirty_head_ = kNil;
+  u32 dirty_tail_ = kNil;
   u64 tick_ = 0;
   u64 dirty_ = 0;
   Stats stats_;

@@ -18,7 +18,9 @@ IoServer::IoServer(sim::Simulation& simulation, net::Network& network,
       cache_cfg_(cache_config),
       sched_cfg_(sched_config),
       cache_(cache_config),
-      cpu_(simulation, sched_config.discipline) {
+      cpu_(sched_config.enabled ? std::make_unique<ServerCpu>(
+                                      simulation, sched_config.discipline)
+                                : nullptr) {
   network_.set_receiver(self_,
                         [this](net::Packet p) { on_request(std::move(p)); });
 }
@@ -113,9 +115,9 @@ void IoServer::on_write_data(net::Packet data) {
 
 // ---- Layered pipeline ----------------------------------------------------
 
-void IoServer::submit_cpu(Time cost, std::function<void(Time)> k) {
+void IoServer::submit_cpu(Time cost, ServerCpu::Done k) {
   if (sched_cfg_.enabled) {
-    cpu_.submit(ServerCpu::Prio::kForeground, cost, std::move(k));
+    cpu_->submit(ServerCpu::Prio::kForeground, cost, std::move(k));
     return;
   }
   // No CPU model: the work completes after `cost` with no queueing. The
@@ -128,8 +130,8 @@ void IoServer::deep_read(net::Packet req) {
   const Time submitted = now();
   const Time cost = (sched_cfg_.enabled ? sched_cfg_.irq_cost : Time::zero()) +
                     cfg_.request_service + slowdown_;
-  submit_cpu(cost, [this, submitted, cost,
-                    req = std::move(req)](Time done_at) mutable {
+  auto k = [this, submitted, cost,
+            req = std::move(req)](Time done_at) mutable {
     SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kServerTaskRun,
                        done_at, self_, -1, req.request, req.strip_index,
                        (done_at - submitted - cost).picoseconds());
@@ -155,10 +157,7 @@ void IoServer::deep_read(net::Packet req) {
     u64 missing = 0;
     u64 forced = 0;
     for (u64 blk = b0; blk <= b1; ++blk) {
-      if (!cache_.lookup(blk)) {
-        ++missing;
-        forced += cache_.insert(blk, /*dirty=*/false, /*prefetched=*/false);
-      }
+      if (!cache_.lookup_or_fill(blk, forced)) ++missing;
     }
     SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kServerCacheDone,
                        cache_done, self_, -1, req.request,
@@ -183,7 +182,10 @@ void IoServer::deep_read(net::Packet req) {
     }
     maybe_readahead(req, b1, ready);
     finish(std::move(req), ready, /*is_read=*/true);
-  });
+  };
+  static_assert(sizeof(k) <= ServerCpu::kDoneInlineBytes,
+                "the read continuation must fit ServerCpu::Done inline");
+  submit_cpu(cost, std::move(k));
 }
 
 void IoServer::maybe_readahead(const net::Packet& req, u64 last_block,
@@ -211,10 +213,7 @@ void IoServer::maybe_readahead(const net::Packet& req, u64 last_block,
   u64 forced = 0;
   for (u64 k = 1; k <= strides && prefetched < max_pf; ++k) {
     for (u64 j = 0; j < span_blocks && prefetched < max_pf; ++j) {
-      const u64 blk = b0 + k * stride + j;
-      if (cache_.contains(blk)) continue;
-      forced += cache_.insert(blk, /*dirty=*/false, /*prefetched=*/true);
-      ++prefetched;
+      if (cache_.prefetch(b0 + k * stride + j, forced)) ++prefetched;
     }
   }
   if (prefetched == 0) return;
@@ -231,8 +230,8 @@ void IoServer::deep_write(net::Packet data) {
   const Time submitted = now();
   const Time cost = (sched_cfg_.enabled ? sched_cfg_.irq_cost : Time::zero()) +
                     cfg_.request_service + slowdown_;
-  submit_cpu(cost, [this, submitted, cost,
-                    data = std::move(data)](Time done_at) mutable {
+  auto k = [this, submitted, cost,
+            data = std::move(data)](Time done_at) mutable {
     SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kServerTaskRun,
                        done_at, self_, -1, data.request, data.strip_index,
                        (done_at - submitted - cost).picoseconds());
@@ -282,7 +281,10 @@ void IoServer::deep_write(net::Packet data) {
                          static_cast<i64>(data.payload_bytes), 0);
     }
     finish(std::move(data), ready, /*is_read=*/false);
-  });
+  };
+  static_assert(sizeof(k) <= ServerCpu::kDoneInlineBytes,
+                "the write continuation must fit ServerCpu::Done inline");
+  submit_cpu(cost, std::move(k));
 }
 
 void IoServer::finish(net::Packet msg, Time ready, bool is_read) {
@@ -291,7 +293,7 @@ void IoServer::finish(net::Packet msg, Time ready, bool is_read) {
     // ready, behind whatever else is running (including flush work under
     // FIFO — the convoy the priority discipline exists to avoid).
     sim().at(ready, [this, msg = std::move(msg), is_read]() mutable {
-      cpu_.submit(ServerCpu::Prio::kForeground, sched_cfg_.reply_cost,
+      cpu_->submit(ServerCpu::Prio::kForeground, sched_cfg_.reply_cost,
                   [this, msg = std::move(msg), is_read](Time at) mutable {
                     if (is_read) {
                       send_read_reply(msg, at);
@@ -394,7 +396,7 @@ void IoServer::do_flush_burst() {
                      now(), self_, -1, -1, static_cast<i64>(n),
                      (end - now()).picoseconds());
   if (sched_cfg_.enabled) {
-    cpu_.submit(ServerCpu::Prio::kBackground, sched_cfg_.flush_cpu_cost,
+    cpu_->submit(ServerCpu::Prio::kBackground, sched_cfg_.flush_cpu_cost,
                 nullptr);
   }
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 
 #include "net/network.hpp"
 #include "pfs/buffer_cache.hpp"
@@ -78,9 +79,12 @@ class IoServer : public sim::Actor {
   NodeId node() const { return self_; }
   const IoServerStats& stats() const { return stats_; }
   const BufferCache& cache() const { return cache_; }
-  const ServerCpu::Stats& cpu_stats() const { return cpu_.stats(); }
+  const ServerCpu::Stats& cpu_stats() const {
+    static const ServerCpu::Stats kIdle{};
+    return cpu_ ? cpu_->stats() : kIdle;
+  }
   /// Instantaneous scheduler depth (queued + running) for telemetry gauges.
-  u64 cpu_queue_depth() const { return cpu_.depth(); }
+  u64 cpu_queue_depth() const { return cpu_ ? cpu_->depth() : 0; }
 
   /// Degrade this server (adds to every disk access) — failure injection.
   void set_slowdown(Time extra_per_request) { slowdown_ = extra_per_request; }
@@ -109,7 +113,7 @@ class IoServer : public sim::Actor {
   /// CPU stage: run `k(done_at)` after `cost` of foreground CPU work —
   /// queued on the modeled core when the scheduler is on, charged inline
   /// otherwise.
-  void submit_cpu(Time cost, std::function<void(Time)> k);
+  void submit_cpu(Time cost, ServerCpu::Done k);
   /// Raw spindle occupancy: serialize `bytes` (plus an optional seek)
   /// starting no earlier than ready_at; returns the completion time.
   Time disk_busy(u64 bytes, Time ready_at, bool charge_seek, bool is_flush);
@@ -130,7 +134,9 @@ class IoServer : public sim::Actor {
   BufferCacheConfig cache_cfg_;
   ServerSchedConfig sched_cfg_;
   BufferCache cache_;
-  ServerCpu cpu_;
+  /// Built only under server.sched.enabled: without it no task is ever
+  /// submitted, so thin and cache-only servers carry no idle run queues.
+  std::unique_ptr<ServerCpu> cpu_;
   Time disk_free_at_ = Time::zero();
   Time slowdown_ = Time::zero();
   IoServerStats stats_;

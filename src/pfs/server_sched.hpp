@@ -12,10 +12,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
+#include "net/packet.hpp"
 #include "sim/simulation.hpp"
 #include "util/reflect.hpp"
+#include "util/small_function.hpp"
 
 namespace saisim::pfs {
 
@@ -68,6 +69,12 @@ class ServerCpu {
     i64 busy_ps = 0;        // total CPU time executed
   };
 
+  /// A task's completion. The inline buffer fits the I/O server's request
+  /// continuations — a whole net::Packet plus three scalars — so they
+  /// need no heap box.
+  static constexpr u64 kDoneInlineBytes = sizeof(net::Packet) + 3 * sizeof(u64);
+  using Done = SmallFunction<void(Time), kDoneInlineBytes>;
+
   ServerCpu(sim::Simulation& simulation, SchedDiscipline discipline)
       : sim_(simulation), discipline_(discipline) {}
 
@@ -79,7 +86,7 @@ class ServerCpu {
 
   /// Enqueue `cost` of CPU work; `done(at)` fires inside the completion
   /// event (sim().now() == at).
-  void submit(Prio prio, Time cost, std::function<void(Time)> done) {
+  void submit(Prio prio, Time cost, Done done) {
     ++stats_.tasks;
     const u64 depth = queued() + (running_ ? 1 : 0);
     stats_.queue_depth_sum += depth;
@@ -96,7 +103,7 @@ class ServerCpu {
  private:
   struct Task {
     Time cost;
-    std::function<void(Time)> done;
+    Done done;
     Time submitted;
     u64 seq = 0;
   };
@@ -106,9 +113,14 @@ class ServerCpu {
   void start(Task t) {
     stats_.queue_wait_ps += (sim_.now() - t.submitted).picoseconds();
     stats_.busy_ps += t.cost.picoseconds();
-    sim_.after(t.cost, [this, done = std::move(t.done)] {
-      const Time at = sim_.now();
-      if (done) done(at);
+    // The running task's completion waits in a member, so the event
+    // captures only `this` and stays inline in the event queue's slot.
+    running_done_ = std::move(t.done);
+    sim_.after(t.cost, [this] {
+      // A completion that submits more work only queues it (running_ is
+      // still set), so running_done_ is not replaced while it runs.
+      if (running_done_) running_done_(sim_.now());
+      running_done_.reset();
       dispatch_next();
     });
   }
@@ -138,6 +150,7 @@ class ServerCpu {
   sim::Simulation& sim_;
   SchedDiscipline discipline_;
   std::deque<Task> queue_[2];
+  Done running_done_;
   bool running_ = false;
   u64 seq_ = 0;
   Stats stats_;

@@ -132,10 +132,7 @@ class StragglerScheduler {
 
   /// Slow = estimate above slow_threshold x the fastest warm estimate. A
   /// lone warm server is never slow (it *is* the fleet minimum).
-  bool is_slow(u64 server) const {
-    if (!has_estimate(server)) return false;
-    return servers_[server].ewma_us > cfg_.slow_threshold * fleet_min_us();
-  }
+  bool is_slow(u64 server) const { return is_slow(server, fleet_min_us()); }
 
   /// Begin a new striped read: subsequent note_peer() calls mark servers
   /// already serving one of the read's own strips, and choose_target
@@ -151,7 +148,11 @@ class StragglerScheduler {
   /// every-probe_interval-th probe. Rotation (rather than always
   /// (primary + 1) % N) spreads the displaced load across the fleet.
   u64 choose_target(u64 primary) {
-    if (servers_.size() < 2 || !is_slow(primary)) return primary;
+    if (servers_.size() < 2) return primary;
+    // No estimate changes during the call: one fleet scan serves the
+    // primary and every candidate, so a dispatch is O(N), not O(N^2).
+    const double fleet_min = fleet_min_us();
+    if (!is_slow(primary, fleet_min)) return primary;
     Est& e = servers_[primary];
     if (++e.slow_dispatches % static_cast<u64>(cfg_.probe_interval) == 0) {
       ++stats_.probe_strips;
@@ -164,7 +165,9 @@ class StragglerScheduler {
       for (u64 i = 0; i < n - 1; ++i) {
         const u64 cand = (primary + 1 + (rr_ + i) % (n - 1)) % n;
         // Never redirect onto a path currently judged even slower.
-        if (is_slow(cand) && ewma_us(cand) >= ewma_us(primary)) continue;
+        if (is_slow(cand, fleet_min) && ewma_us(cand) >= ewma_us(primary)) {
+          continue;
+        }
         if (pass == 0 && is_peer(cand)) continue;
         rr_ = (rr_ + i + 1) % (n - 1);
         ++stats_.redirected_strips;
@@ -209,6 +212,11 @@ class StragglerScheduler {
   /// peer_epoch_[s] == epoch_ means s serves one of this read's strips.
   u64 epoch_ = 0;
   std::vector<u64> peer_epoch_;
+
+  bool is_slow(u64 server, double fleet_min) const {
+    if (!has_estimate(server)) return false;
+    return servers_[server].ewma_us > cfg_.slow_threshold * fleet_min;
+  }
 
   double fleet_min_us() const {
     double best = -1.0;

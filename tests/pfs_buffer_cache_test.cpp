@@ -1,10 +1,12 @@
 // Buffer-cache tests: LRU/eviction mechanics of the set-associative cache,
-// the write-back flush-daemon timeline, stride-aware read-ahead usefulness,
-// and shard-count bit-identity of the deep server model (the sharded DES
-// contract must hold with the cache and scheduler enabled, not just in the
-// legacy default).
+// the dirty list's flush order, a model check against the stamp-scan
+// reference implementation, the write-back flush-daemon timeline,
+// stride-aware read-ahead usefulness, and shard-count bit-identity of the
+// deep server model (the sharded DES contract must hold with the cache and
+// scheduler enabled, not just in the legacy default).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -13,6 +15,7 @@
 #include "core/experiment.hpp"
 #include "pfs/buffer_cache.hpp"
 #include "pfs/io_server.hpp"
+#include "util/rng.hpp"
 
 namespace saisim::pfs {
 namespace {
@@ -92,6 +95,305 @@ TEST(BufferCacheUnit, ReadaheadUsefulCreditedOncePerPrefetch) {
   EXPECT_EQ(c.stats().readahead_issued, 1u);
   EXPECT_EQ(c.stats().readahead_useful, 1u);
 }
+
+// ---- Dirty-list flush order ----------------------------------------------
+
+/// Whether resident `block` is dirty. Destructive: re-inserting it dirty
+/// leaves dirty_blocks() unchanged exactly when it already was.
+template <class Cache>
+bool was_dirty(Cache& c, u64 block) {
+  EXPECT_TRUE(c.contains(block));
+  const u64 before = c.dirty_blocks();
+  c.insert(block, /*dirty=*/true, /*prefetched=*/false);
+  return c.dirty_blocks() == before;
+}
+
+/// Whether `x` and `y` share a set of the direct-mapped `cfg` (found by
+/// behaviour: filling `y` evicts `x`).
+bool shares_set(const BufferCacheConfig& cfg, u64 x, u64 y) {
+  BufferCache probe(cfg);
+  probe.insert(x, false, false);
+  probe.insert(y, false, false);
+  return !probe.contains(x);
+}
+
+TEST(BufferCacheFlushOrder, DirtyVictimEvictedFromMiddleOfList) {
+  BufferCacheConfig cfg;
+  cfg.capacity_bytes = kBlock * 16;
+  cfg.ways = 1;  // direct-mapped: a victim is whatever holds its set
+  const u64 a = 0;
+  u64 b = a + 1;
+  while (shares_set(cfg, a, b)) ++b;
+  u64 c = b + 1;
+  while (shares_set(cfg, a, c) || shares_set(cfg, b, c)) ++c;
+  u64 d = c + 1;
+  while (!shares_set(cfg, b, d)) ++d;
+  BufferCache cache(cfg);
+  cache.insert(a, true, false);
+  cache.insert(b, true, false);
+  cache.insert(c, true, false);  // dirty list: a, b, c
+  // A clean fill over b's set evicts the list's middle entry.
+  EXPECT_EQ(cache.insert(d, false, false), 1u);
+  EXPECT_FALSE(cache.contains(b));
+  EXPECT_EQ(cache.dirty_blocks(), 2u);
+  EXPECT_EQ(cache.take_dirty(1), 1u);  // a, the head
+  EXPECT_FALSE(was_dirty(cache, a));
+  EXPECT_TRUE(was_dirty(cache, c));
+}
+
+TEST(BufferCacheFlushOrder, CleanBlockReinsertedDirtyJoinsTheTail) {
+  BufferCache c(one_set(4));
+  c.insert(0, true, false);
+  c.insert(1, false, false);
+  c.insert(2, true, false);
+  c.insert(1, true, false);  // dirty list: 0, 2, 1
+  EXPECT_EQ(c.dirty_blocks(), 3u);
+  EXPECT_EQ(c.take_dirty(2), 2u);
+  EXPECT_FALSE(was_dirty(c, 0));
+  EXPECT_FALSE(was_dirty(c, 2));
+  EXPECT_TRUE(was_dirty(c, 1));
+}
+
+TEST(BufferCacheFlushOrder, LookupHitOnTheTailKeepsTheOrder) {
+  BufferCache c(one_set(4));
+  c.insert(0, true, false);
+  EXPECT_TRUE(c.lookup(0));  // sole entry: head and tail at once
+  c.insert(1, true, false);
+  EXPECT_TRUE(c.lookup(1));  // the tail stays the tail
+  c.insert(2, true, false);  // dirty list: 0, 1, 2
+  EXPECT_EQ(c.take_dirty(1), 1u);
+  EXPECT_FALSE(was_dirty(c, 0));  // now 1, 2, 0
+  EXPECT_EQ(c.take_dirty(1), 1u);
+  EXPECT_FALSE(was_dirty(c, 1));
+  EXPECT_TRUE(was_dirty(c, 2));
+  EXPECT_TRUE(was_dirty(c, 0));
+}
+
+TEST(BufferCacheFlushOrder, RestampedDirtyHeadMovesToTheTail) {
+  BufferCache c(one_set(4));
+  c.insert(0, true, false);
+  c.insert(1, true, false);
+  c.insert(2, true, false);
+  EXPECT_TRUE(c.lookup(0));  // 1, 2, 0
+  c.insert(1, false, false);  // 2, 0, 1: a clean re-insert re-stamps too
+  EXPECT_EQ(c.take_dirty(1), 1u);
+  EXPECT_FALSE(was_dirty(c, 2));
+  EXPECT_TRUE(was_dirty(c, 0));
+  EXPECT_TRUE(was_dirty(c, 1));
+}
+
+TEST(BufferCacheFlushOrder, DrainToEmptyThenRefill) {
+  BufferCache c(one_set(4));
+  c.insert(0, true, false);
+  c.insert(1, true, false);
+  EXPECT_EQ(c.take_dirty(16), 2u);
+  EXPECT_EQ(c.dirty_blocks(), 0u);
+  EXPECT_EQ(c.take_dirty(16), 0u);
+  c.insert(2, true, false);
+  c.insert(0, true, false);  // clean resident turned dirty: list 2, 0
+  EXPECT_EQ(c.dirty_blocks(), 2u);
+  EXPECT_EQ(c.take_dirty(1), 1u);
+  EXPECT_FALSE(was_dirty(c, 2));
+  EXPECT_TRUE(was_dirty(c, 0));
+  EXPECT_EQ(c.take_dirty(16), 2u);  // 0, then the re-dirtied 2
+  EXPECT_EQ(c.take_dirty(16), 0u);
+  EXPECT_EQ(c.stats().flushed_blocks, 5u);
+}
+
+// ---- Model check against the stamp-scan reference -------------------------
+
+/// The cache as it was specified before the tag array and dirty list: one
+/// array of entries, a scan per probe, and take_dirty sorting every dirty
+/// stamp. lookup_or_fill and prefetch are the compositions IoServer ran.
+class StampScanCache {
+ public:
+  explicit StampScanCache(const BufferCacheConfig& cfg)
+      : ways_(static_cast<u64>(cfg.ways)),
+        num_sets_(std::max<u64>(1, cfg.capacity_bytes /
+                                       (cfg.block_bytes * ways_))),
+        entries_(num_sets_ * ways_) {}
+
+  u64 dirty_blocks() const { return dirty_; }
+  const BufferCache::Stats& stats() const { return stats_; }
+
+  bool lookup(u64 block) {
+    Entry* e = find(block);
+    if (e == nullptr) {
+      ++stats_.misses;
+      return false;
+    }
+    e->stamp = ++tick_;
+    if (e->prefetched) {
+      e->prefetched = false;
+      ++stats_.readahead_useful;
+    }
+    ++stats_.hits;
+    return true;
+  }
+
+  bool contains(u64 block) { return find(block) != nullptr; }
+
+  u64 insert(u64 block, bool dirty, bool prefetched) {
+    if (Entry* e = find(block)) {
+      e->stamp = ++tick_;
+      if (dirty && !e->dirty) {
+        e->dirty = true;
+        ++dirty_;
+      }
+      if (!prefetched) e->prefetched = false;
+      return 0;
+    }
+    Entry* set = set_of(block);
+    Entry* victim = &set[0];
+    for (u64 w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (set[w].stamp < victim->stamp) victim = &set[w];
+    }
+    u64 forced = 0;
+    if (victim->valid) {
+      ++stats_.evictions;
+      if (victim->dirty) {
+        ++stats_.dirty_writebacks;
+        --dirty_;
+        forced = 1;
+      }
+    }
+    *victim = Entry{block, ++tick_, true, dirty, prefetched};
+    if (dirty) ++dirty_;
+    return forced;
+  }
+
+  bool lookup_or_fill(u64 block, u64& forced) {
+    if (lookup(block)) return true;
+    forced += insert(block, false, false);
+    return false;
+  }
+
+  bool prefetch(u64 block, u64& forced) {
+    if (contains(block)) return false;
+    forced += insert(block, false, true);
+    return true;
+  }
+
+  u64 take_dirty(u64 max) {
+    std::vector<std::pair<u64, u64>> dirty;
+    for (u64 i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].valid && entries_[i].dirty) {
+        dirty.emplace_back(entries_[i].stamp, i);
+      }
+    }
+    const u64 n = std::min<u64>(max, dirty.size());
+    std::partial_sort(dirty.begin(), dirty.begin() + static_cast<i64>(n),
+                      dirty.end());
+    for (u64 k = 0; k < n; ++k) entries_[dirty[k].second].dirty = false;
+    dirty_ -= n;
+    stats_.flushed_blocks += n;
+    return n;
+  }
+
+ private:
+  struct Entry {
+    u64 block = 0;
+    u64 stamp = 0;
+    bool valid = false;
+    bool dirty = false;
+    bool prefetched = false;
+  };
+
+  Entry* set_of(u64 block) {
+    u64 h = block;
+    return &entries_[(splitmix64(h) % num_sets_) * ways_];
+  }
+
+  Entry* find(u64 block) {
+    Entry* set = set_of(block);
+    for (u64 w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].block == block) return &set[w];
+    }
+    return nullptr;
+  }
+
+  u64 ways_;
+  u64 num_sets_;
+  std::vector<Entry> entries_;
+  u64 tick_ = 0;
+  u64 dirty_ = 0;
+  BufferCache::Stats stats_;
+};
+
+/// Drive both caches with one seeded random op mix over a block universe
+/// three times the capacity, comparing every result and the full residency
+/// map after every step.
+void model_check(const BufferCacheConfig& cfg, u64 seed) {
+  BufferCache cache(cfg);
+  StampScanCache ref(cfg);
+  const u64 universe = 3 * cache.num_blocks();
+  Rng rng(seed);
+  constexpr int kSteps = 25'000;
+  for (int step = 0; step < kSteps; ++step) {
+    const u64 block = rng.below(universe);
+    const u64 op = rng.below(100);
+    if (op < 20) {
+      ASSERT_EQ(cache.lookup(block), ref.lookup(block)) << "step " << step;
+    } else if (op < 40) {
+      u64 got = 0, want = 0;
+      ASSERT_EQ(cache.lookup_or_fill(block, got),
+                ref.lookup_or_fill(block, want))
+          << "step " << step;
+      ASSERT_EQ(got, want) << "step " << step;
+    } else if (op < 55) {
+      u64 got = 0, want = 0;
+      ASSERT_EQ(cache.prefetch(block, got), ref.prefetch(block, want))
+          << "step " << step;
+      ASSERT_EQ(got, want) << "step " << step;
+    } else if (op < 60) {
+      ASSERT_EQ(cache.contains(block), ref.contains(block)) << "step " << step;
+    } else if (op < 90) {
+      const bool dirty = rng.chance(0.5);
+      const bool prefetched = rng.chance(0.2);
+      ASSERT_EQ(cache.insert(block, dirty, prefetched),
+                ref.insert(block, dirty, prefetched))
+          << "step " << step;
+    } else {
+      const u64 k = rng.below(cache.num_blocks() / 2 + 2);
+      ASSERT_EQ(cache.take_dirty(k), ref.take_dirty(k)) << "step " << step;
+    }
+    ASSERT_EQ(cache.dirty_blocks(), ref.dirty_blocks()) << "step " << step;
+    ASSERT_TRUE(cache.stats() == ref.stats()) << "step " << step;
+    // Residency and dirtiness of every block, probed on copies (the
+    // dirtiness probe re-stamps, so it must not touch the originals).
+    BufferCache cache_copy = cache;
+    StampScanCache ref_copy = ref;
+    for (u64 b = 0; b < universe; ++b) {
+      ASSERT_EQ(cache.contains(b), ref.contains(b))
+          << "step " << step << " block " << b;
+      if (ref.contains(b)) {
+        ASSERT_EQ(was_dirty(cache_copy, b), was_dirty(ref_copy, b))
+            << "step " << step << " block " << b;
+      }
+    }
+  }
+  // The mix must have exercised every path, not just hit or just miss.
+  EXPECT_GT(ref.stats().hits, 0u);
+  EXPECT_GT(ref.stats().dirty_writebacks, 0u);
+  EXPECT_GT(ref.stats().flushed_blocks, 0u);
+  EXPECT_GT(ref.stats().readahead_useful, 0u);
+}
+
+BufferCacheConfig geometry(u64 sets, int ways) {
+  BufferCacheConfig cfg;
+  cfg.capacity_bytes = sets * kBlock * static_cast<u64>(ways);
+  cfg.ways = ways;
+  return cfg;
+}
+
+TEST(BufferCacheModel, DirectMapped) { model_check(geometry(16, 1), 1); }
+TEST(BufferCacheModel, EightWays) { model_check(geometry(8, 8), 2); }
+TEST(BufferCacheModel, NonPowerOfTwoSets) { model_check(geometry(3, 8), 3); }
+TEST(BufferCacheModel, OneSet) { model_check(geometry(1, 8), 4); }
 
 // ---- Deep-server timeline tests ------------------------------------------
 
