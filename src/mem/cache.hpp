@@ -4,13 +4,15 @@
 // (512 KiB, 64 B lines). Only tags and LRU state are kept — the simulator
 // never stores payload bytes, it tracks *where* each line currently lives.
 //
-// Hot-path notes: entries are packed to 16 bytes (line/valid/dirty fused
-// into one tag word) so a 16-way set spans 4 cache lines; every set keeps
-// an MRU way hint, so streaming workloads (the dominant access pattern —
-// NIC payload walks, strip combines) hit one entry instead of scanning all
-// 16 ways; and probe_run() walks a contiguous line range with the set
-// cursor carried between lines, which is what MemorySystem::access batches
-// its per-64B-line loop on.
+// Layout: one u64 tag per way (line, valid and dirty fused, 0 = invalid),
+// one u8 prev/next pair per way, and per set a valid-way mask plus the
+// head and tail of a doubly-linked recency list over the set's valid ways
+// (head = LRU, tail = MRU). A 16-way set takes 176 B. The victim is the
+// lowest invalid way, else the list head: O(1), no stamp comparison. The
+// tail doubles as the lookup hint, so streaming re-walks (NIC payload
+// walks, strip combines) match one tag and relink nothing, and probe_run()
+// walks a contiguous line range with the set cursor carried between lines,
+// which is what MemorySystem::access batches its per-64B-line loop on.
 #pragma once
 
 #include <algorithm>
@@ -56,13 +58,15 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& cfg) : cfg_(cfg) {
     SAISIM_CHECK(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes));
-    SAISIM_CHECK(cfg.ways > 0);
+    SAISIM_CHECK(cfg.ways > 0 && cfg.ways <= 64);
     SAISIM_CHECK(cfg.capacity_bytes % (cfg.line_bytes * cfg.ways) == 0);
     const u64 sets = cfg.num_sets();
     SAISIM_CHECK(std::has_single_bit(sets));
     set_mask_ = sets - 1;
-    lines_.resize(sets * cfg.ways);
-    mru_way_.assign(sets, 0);
+    all_ways_ = ~0ull >> (64 - cfg.ways);
+    tags_.assign(sets * cfg.ways, 0);
+    links_.assign(sets * cfg.ways, Link{});
+    sets_.assign(sets, SetState{});
   }
 
   const CacheConfig& config() const { return cfg_; }
@@ -91,8 +95,8 @@ class Cache {
   /// Probe the contiguous lines [first, first + count) in ascending order,
   /// refreshing LRU (and marking dirty if `dirty`) on each hit; stops at
   /// the first absent line. Returns the number of leading hits consumed.
-  /// Equivalent to `count` probe() calls, but the set cursor, way hints and
-  /// LRU clock stay in registers across the whole run.
+  /// Equivalent to `count` probe() calls, but the set cursor stays in
+  /// registers across the whole run.
   ///
   /// If `miss_victim` is non-null and the run stops short, it receives the
   /// victim slot for the missing line — the same scan that proves the line
@@ -106,53 +110,36 @@ class Cache {
   }
 
   /// Presence check without touching LRU state.
-  bool contains(LineAddr line) const { return find(line) != nullptr; }
+  bool contains(LineAddr line) const { return find(line) != kAbsent; }
 
   bool is_dirty(LineAddr line) const {
-    const Entry* e = find(line);
-    return e != nullptr && (e->tag & kDirty) != 0;
+    const u64 i = find(line);
+    return i != kAbsent && (tags_[i] & kDirty) != 0;
   }
 
   /// Two-phase insert. find_victim locates the way the new line will land
-  /// in (checking the must-not-be-present invariant in the same scan) and
-  /// reports the eviction early, so the caller can overlap the victim's
-  /// directory bookkeeping with other miss work; commit_insert then writes
-  /// the new line into that slot. No other operation on this cache may
-  /// intervene between the two calls.
+  /// in (checking the must-not-be-present invariant) and reports the
+  /// eviction early, so the caller can overlap the victim's directory
+  /// bookkeeping with other miss work; commit_insert then writes the new
+  /// line into that slot. No other operation on this cache may intervene
+  /// between the two calls.
   PendingInsert find_victim(LineAddr line) const {
-    const u64 set = set_index(line);
-    const Entry* const base = lines_.data() + set * cfg_.ways;
-    const Entry* victim = nullptr;
-    bool victim_invalid = false;
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-      const Entry& e = base[w];
-      if ((e.tag & kValid) == 0) {
-        if (!victim_invalid) {  // first invalid way wins, as before
-          victim = &e;
-          victim_invalid = true;
-        }
-        continue;
-      }
-      SAISIM_CHECK_MSG(e.tag >> 2 != line, "double insert of cache line");
-      if (!victim_invalid && (victim == nullptr || e.lru < victim->lru)) {
-        victim = &e;
-      }
-    }
-    PendingInsert p;
-    p.set = set;
-    p.way = static_cast<u32>(victim - base);
-    if ((victim->tag & kValid) != 0) {
-      p.evicted = Eviction{victim->tag >> 2, (victim->tag & kDirty) != 0};
-    }
-    return p;
+    SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
+    return pick_victim(set_index(line));
   }
 
   void commit_insert(const PendingInsert& p, LineAddr line, bool dirty) {
-    Entry* const e = lines_.data() + p.set * cfg_.ways + p.way;
-    if (!p.evicted) ++resident_;
-    e->tag = (line << 2) | kValid | (dirty ? kDirty : 0);
-    e->lru = ++lru_clock_;
-    mru_way_[p.set] = p.way;
+    SetState& st = sets_[p.set];
+    Link* const links = links_.data() + p.set * cfg_.ways;
+    tags_[p.set * cfg_.ways + p.way] =
+        (line << 2) | kValid | (dirty ? kDirty : 0);
+    if (p.evicted) {
+      touch(st, links, p.way);
+    } else {
+      append(st, links, p.way);
+      st.valid |= 1ull << p.way;
+      ++resident_;
+    }
   }
 
   /// Insert a line (must not be present). Returns the victim, if any.
@@ -164,9 +151,9 @@ class Cache {
 
   /// Mark a present line dirty (store hit).
   void mark_dirty(LineAddr line) {
-    Entry* e = find(line);
-    SAISIM_CHECK(e != nullptr);
-    e->tag |= kDirty;
+    const u64 i = find(line);
+    SAISIM_CHECK(i != kAbsent);
+    tags_[i] |= kDirty;
   }
 
   /// Drop a line if present; returns whether it was dirty.
@@ -175,10 +162,15 @@ class Cache {
     bool was_dirty;
   };
   Invalidation invalidate(LineAddr line) {
-    Entry* e = find(line);
-    if (e == nullptr) return {false, false};
-    const bool dirty = (e->tag & kDirty) != 0;
-    e->tag = 0;
+    const u64 i = find(line);
+    if (i == kAbsent) return {false, false};
+    const bool dirty = (tags_[i] & kDirty) != 0;
+    const u64 set = set_index(line);
+    const u32 way = static_cast<u32>(i - set * cfg_.ways);
+    SetState& st = sets_[set];
+    unlink(st, links_.data() + set * cfg_.ways, way);
+    st.valid &= ~(1ull << way);
+    tags_[i] = 0;
     --resident_;
     return {true, dirty};
   }
@@ -188,134 +180,167 @@ class Cache {
  private:
   static constexpr u64 kValid = 1;
   static constexpr u64 kDirty = 2;
+  static constexpr u64 kAbsent = ~0ull;
 
-  /// Packed tag entry: bits [63:2] line address, bit 1 dirty, bit 0 valid.
-  /// A validity-and-line match is a single masked compare.
-  struct Entry {
-    u64 tag = 0;  // 0 == invalid
-    u64 lru = 0;
+  /// Recency-list neighbours of one way, as way indices within its set.
+  struct Link {
+    u8 prev = 0;
+    u8 next = 0;
+  };
+  /// Valid ways, linked head (LRU) to tail (MRU). In an empty set head
+  /// and tail are stale but still name ways of the set, whose tags are 0,
+  /// so a hint compare against either simply fails.
+  struct SetState {
+    u64 valid = 0;
+    u8 head = 0;
+    u8 tail = 0;
   };
 
   u64 set_index(LineAddr line) const { return line & set_mask_; }
 
+  /// Victim for the next insert into `set`: the lowest invalid way (an
+  /// insert with room evicts nothing), otherwise the LRU way.
+  PendingInsert pick_victim(u64 set) const {
+    const SetState& st = sets_[set];
+    PendingInsert p;
+    p.set = set;
+    const u64 free = ~st.valid & all_ways_;
+    if (free != 0) {
+      p.way = static_cast<u32>(std::countr_zero(free));
+    } else {
+      p.way = st.head;
+      const u64 tag = tags_[set * cfg_.ways + st.head];
+      p.evicted = Eviction{tag >> 2, (tag & kDirty) != 0};
+    }
+    return p;
+  }
+
+  /// Link the unlinked way `w` in at the MRU end of the set's list. The
+  /// list is empty only if `st.valid` is 0, so a fill sets the valid bit
+  /// of `w` after this call.
+  static void append(SetState& st, Link* links, u32 w) {
+    const u8 way = static_cast<u8>(w);
+    if (st.valid == 0) {
+      st.head = way;
+    } else {
+      links[w].prev = st.tail;
+      links[st.tail].next = way;
+    }
+    st.tail = way;
+  }
+
+  static void unlink(SetState& st, Link* links, u32 w) {
+    const u8 prev = links[w].prev;
+    const u8 next = links[w].next;
+    if (w == st.head) {
+      st.head = next;
+    } else {
+      links[prev].next = next;
+    }
+    if (w == st.tail) {
+      st.tail = prev;
+    } else {
+      links[next].prev = prev;
+    }
+  }
+
+  /// Make the valid way `w` the set's MRU. Its valid bit stays set, so
+  /// append links it behind the current tail.
+  static void touch(SetState& st, Link* links, u32 w) {
+    if (w == st.tail) return;
+    unlink(st, links, w);
+    append(st, links, w);
+  }
+
   /// probe_run body, specialised on the dirty flag so the inner loop is
-  /// pure loads, one compare and one LRU store per line. Consecutive lines
-  /// fill consecutive sets, so the walk is chunked at set-array wrap
-  /// boundaries and the inner loop advances raw pointers. The fallback
-  /// scan (MRU hint wrong) doubles as the victim scan: when it ends with
-  /// the line absent, it has also found the slot an insert would take.
+  /// one load of the set's tail, one tag compare and (for stores) one OR
+  /// per line. Consecutive lines fill consecutive sets, so the walk is
+  /// chunked at set-array wrap boundaries and the inner loop advances raw
+  /// pointers. The fallback scan (tail hint wrong) doubles as the victim
+  /// lookup: when it ends with the line absent, it also names the slot an
+  /// insert would take.
   template <bool Dirty>
   u64 probe_run_impl(LineAddr first, u64 count, PendingInsert* miss_victim) {
     const u64 sets = set_mask_ + 1;
     const u32 ways = cfg_.ways;
-    u64 clock = lru_clock_;
     u64 done = 0;
     u64 want = (first << 2) | kValid;
     u64 set = first & set_mask_;
     while (done < count) {
       const u64 chunk = std::min(count - done, sets - set);
-      Entry* base = lines_.data() + set * ways;
-      u32* mp = mru_way_.data() + set;
+      u64* tags = tags_.data() + set * ways;
+      SetState* st = sets_.data() + set;
       u64 stop = done + chunk;
       while (done < stop) {
         // Tight hint-hit loop: no call is reachable from inside it, so its
         // state lives in scratch registers (a function call in the body
         // would force everything into callee-saved slots).
-        for (; done < stop; ++done, want += 4, base += ways, ++mp) {
-          Entry* const e = base + *mp;
-          if ((e->tag & ~kDirty) != want) break;
-          e->lru = ++clock;
-          if constexpr (Dirty) e->tag |= kDirty;
+        for (; done < stop; ++done, want += 4, tags += ways, ++st) {
+          u64* const t = tags + st->tail;
+          if ((*t & ~kDirty) != want) break;
+          if constexpr (Dirty) *t |= kDirty;
         }
         if (done == stop) break;
         // Hint missed: scan the whole set out of line.
-        Entry* const e = scan_set(base, mp, want, miss_victim);
-        if (e == nullptr) {
-          lru_clock_ = clock;
-          return done;
-        }
-        e->lru = ++clock;
-        if constexpr (Dirty) e->tag |= kDirty;
+        u64* const t = scan_set(tags, st, want, miss_victim);
+        if (t == nullptr) return done;
+        if constexpr (Dirty) *t |= kDirty;
         ++done;
         want += 4;
-        base += ways;
-        ++mp;
+        tags += ways;
+        ++st;
       }
       set = 0;
     }
-    lru_clock_ = clock;
     return done;
   }
 
-  /// Fallback scan when the MRU hint is wrong: look for `want` across the
-  /// set, refreshing the hint on a hit. This path is itself hot — any
-  /// buffer spanning a set more than once defeats the hint on re-walks —
-  /// so the match loop stays lean; only a genuine miss (line absent) pays
-  /// the second, victim-selection pass over the now L1-resident set.
-  Entry* scan_set(Entry* base, u32* mp, u64 want, PendingInsert* miss_victim) {
+  /// Fallback scan when the tail is not the line: look for `want` across
+  /// the set and make it the MRU on a hit. This path is itself hot: a
+  /// buffer that spans each set more than once defeats the tail hint on
+  /// every re-walk. In address order such a re-walk wants each set's LRU
+  /// line next, so the head is tried before the full scan. A genuine miss
+  /// then reads the victim straight off the set state.
+  u64* scan_set(u64* tags, SetState* st, u64 want, PendingInsert* miss_victim) {
     const u32 ways = cfg_.ways;
+    const u64 set = static_cast<u64>(st - sets_.data());
+    if (const u32 lru = st->head; (tags[lru] & ~kDirty) == want) {
+      touch(*st, links_.data() + set * ways, lru);
+      return tags + lru;
+    }
     for (u32 w = 0; w < ways; ++w) {
-      if ((base[w].tag & ~kDirty) == want) {
-        *mp = w;
-        return base + w;
+      if ((tags[w] & ~kDirty) == want) {
+        touch(*st, links_.data() + set * ways, w);
+        return tags + w;
       }
     }
-    // Absent. The scan above proves the no-double-insert invariant, so the
-    // victim pass needs only the occupancy and LRU ordering.
-    if (miss_victim != nullptr) {
-      const Entry* victim = nullptr;
-      bool victim_invalid = false;
-      for (u32 w = 0; w < ways; ++w) {
-        const Entry& c = base[w];
-        if ((c.tag & kValid) == 0) {
-          if (!victim_invalid) {  // first invalid way wins, as before
-            victim = &c;
-            victim_invalid = true;
-          }
-        } else if (!victim_invalid &&
-                   (victim == nullptr || c.lru < victim->lru)) {
-          victim = &c;
-        }
-      }
-      miss_victim->set = static_cast<u64>(mp - mru_way_.data());
-      miss_victim->way = static_cast<u32>(victim - base);
-      miss_victim->evicted.reset();
-      if ((victim->tag & kValid) != 0) {
-        miss_victim->evicted =
-            Eviction{victim->tag >> 2, (victim->tag & kDirty) != 0};
-      }
-    }
+    if (miss_victim != nullptr) *miss_victim = pick_victim(set);
     return nullptr;
   }
 
-  /// Lookup: try the set's MRU way first (one compare on a streaming
-  /// re-walk), fall back to scanning the remaining ways.
-  const Entry* find(LineAddr line) const {
+  /// Index into tags_ of the line's way, or kAbsent. Tries the set's MRU
+  /// way first (one compare on a streaming re-walk), then every way;
+  /// invalid ways hold tag 0, which never matches.
+  u64 find(LineAddr line) const {
     const u64 set = set_index(line);
-    const Entry* const base = lines_.data() + set * cfg_.ways;
+    const u64 base = set * cfg_.ways;
     const u64 want = (line << 2) | kValid;
-    const u32 hint = mru_way_[set];
-    if ((base[hint].tag & ~kDirty) == want) return base + hint;
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-      if ((base[w].tag & ~kDirty) == want) {
-        mru_way_[set] = w;
-        return base + w;
-      }
+    if ((tags_[base + sets_[set].tail] & ~kDirty) == want) {
+      return base + sets_[set].tail;
     }
-    return nullptr;
-  }
-  Entry* find(LineAddr line) {
-    return const_cast<Entry*>(static_cast<const Cache*>(this)->find(line));
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if ((tags_[base + w] & ~kDirty) == want) return base + w;
+    }
+    return kAbsent;
   }
 
   CacheConfig cfg_;
   u64 set_mask_ = 0;
-  u64 lru_clock_ = 0;
+  u64 all_ways_ = 0;
   u64 resident_ = 0;
-  std::vector<Entry> lines_;
-  /// Per-set MRU way hint — a lookup accelerator, not cache state: stale
-  /// hints only cost the fallback scan, so const lookups may refresh it.
-  mutable std::vector<u32> mru_way_;
+  std::vector<u64> tags_;
+  std::vector<Link> links_;
+  std::vector<SetState> sets_;
 };
 
 }  // namespace saisim::mem

@@ -206,13 +206,6 @@ class StragglerScheduler {
     u64 slow_dispatches = 0;
   };
 
-  /// Redirect rotation cursor (choose_target); deterministic, no RNG.
-  u64 rr_ = 0;
-  /// Peer-server marks for the read currently being dispatched:
-  /// peer_epoch_[s] == epoch_ means s serves one of this read's strips.
-  u64 epoch_ = 0;
-  std::vector<u64> peer_epoch_;
-
   bool is_slow(u64 server, double fleet_min) const {
     if (!has_estimate(server)) return false;
     return servers_[server].ewma_us > cfg_.slow_threshold * fleet_min;
@@ -230,6 +223,12 @@ class StragglerScheduler {
   ClientSchedConfig cfg_;
   std::vector<Est> servers_;
   ClientSchedStats stats_;
+  /// Redirect rotation cursor (choose_target); deterministic, no RNG.
+  u64 rr_ = 0;
+  /// Peer-server marks for the read currently being dispatched:
+  /// peer_epoch_[s] == epoch_ means s serves one of this read's strips.
+  u64 epoch_ = 0;
+  std::vector<u64> peer_epoch_;
 };
 
 }  // namespace saisim::pfs

@@ -456,7 +456,14 @@ inline std::string range_text(const Check& c, const char* unit) {
 }
 
 inline std::string frange_text(const Check& c) {
-  return "[" + render_f64(c.fmin) + ", " + render_f64(c.fmax) + "]";
+  // Appended piecewise, like range_text: GCC 12 flags the equivalent
+  // `"[" + std::string&&` chain with a false -Wrestrict.
+  std::string out = "[";
+  out += render_f64(c.fmin);
+  out += ", ";
+  out += render_f64(c.fmax);
+  out += "]";
+  return out;
 }
 
 inline bool int_check_ok(const Check& c, i64 v) {

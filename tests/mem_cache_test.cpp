@@ -1,8 +1,15 @@
+// Private-cache tests: LRU/eviction mechanics, the batched probe_run walk
+// and its miss victim, directed edge cases of the per-set recency list
+// (64-way sets, unlinking the head, tail, a middle and the sole way), and
+// a seeded model check against the stamp-scan reference implementation.
 #include "mem/cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/address_space.hpp"
+#include "util/rng.hpp"
 
 namespace saisim::mem {
 namespace {
@@ -158,6 +165,323 @@ TEST(Cache, ConstLookupsDoNotDisturbLru) {
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->line, 0u);
 }
+
+// ---- Recency-list edge cases ----------------------------------------------
+
+/// One set of `ways` ways: every line maps to it.
+CacheConfig one_set(u32 ways) {
+  return CacheConfig{.capacity_bytes = 64ull * ways, .line_bytes = 64,
+                     .ways = ways};
+}
+
+/// Insert fresh lines from `next` on until `n` lines were evicted; returns
+/// the victims in eviction order (the set's LRU order).
+std::vector<LineAddr> eviction_order(Cache& c, LineAddr next, u64 n) {
+  std::vector<LineAddr> out;
+  while (out.size() < n) {
+    if (const auto ev = c.insert(next++, false)) out.push_back(ev->line);
+  }
+  return out;
+}
+
+TEST(CacheRecency, FullSixtyFourWaySet) {
+  Cache c(one_set(64));
+  for (LineAddr l = 0; l < 64; ++l) {
+    const Cache::PendingInsert p = c.find_victim(l);
+    EXPECT_EQ(p.way, l);  // an empty way is always the lowest one
+    EXPECT_FALSE(p.evicted.has_value());
+    c.commit_insert(p, l, l == 0);
+  }
+  EXPECT_EQ(c.resident_lines(), 64u);
+  // Full: the victim is the LRU way, and hits reorder the list.
+  EXPECT_TRUE(c.probe(0));
+  EXPECT_TRUE(c.probe(63));
+  const Cache::PendingInsert p = c.find_victim(100);
+  ASSERT_TRUE(p.evicted.has_value());
+  EXPECT_EQ(p.evicted->line, 1u);
+  EXPECT_EQ(p.way, 1u);
+  // Freeing the last way makes it the only candidate.
+  EXPECT_TRUE(c.invalidate(63).was_present);
+  const Cache::PendingInsert q = c.find_victim(100);
+  EXPECT_EQ(q.way, 63u);
+  EXPECT_FALSE(q.evicted.has_value());
+  c.commit_insert(q, 100, false);
+  EXPECT_EQ(eviction_order(c, 200, 3), (std::vector<LineAddr>{1, 2, 3}));
+  EXPECT_EQ(c.resident_lines(), 64u);
+}
+
+TEST(CacheRecency, InvalidateHeadKeepsOrder) {
+  Cache c(one_set(4));
+  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  c.invalidate(0);  // head (LRU)
+  EXPECT_EQ(c.find_victim(10).way, 0u);
+  c.insert(10, false);
+  EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 3, 10}));
+}
+
+TEST(CacheRecency, InvalidateTailKeepsOrder) {
+  Cache c(one_set(4));
+  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  EXPECT_TRUE(c.probe(1));  // order 0 2 3 1
+  c.invalidate(1);          // tail (MRU)
+  EXPECT_EQ(c.find_victim(10).way, 1u);
+  c.insert(10, false);
+  EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{0, 2, 3, 10}));
+}
+
+TEST(CacheRecency, InvalidateMiddleKeepsOrder) {
+  Cache c(one_set(4));
+  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  c.invalidate(2);
+  c.invalidate(1);  // ways 1 and 2 free: the refill takes way 1 first
+  EXPECT_EQ(c.find_victim(10).way, 1u);
+  c.insert(10, false);
+  EXPECT_EQ(c.find_victim(11).way, 2u);
+  c.insert(11, false);
+  EXPECT_EQ(eviction_order(c, 20, 4),
+            (std::vector<LineAddr>{0, 3, 10, 11}));
+}
+
+TEST(CacheRecency, InvalidateSoleWayThenRefill) {
+  Cache c(one_set(4));
+  c.insert(0, false);
+  c.insert(1, true);
+  c.invalidate(0);
+  c.invalidate(1);  // now the sole valid way
+  EXPECT_EQ(c.resident_lines(), 0u);
+  EXPECT_FALSE(c.contains(1));
+  EXPECT_FALSE(c.probe(1));
+  for (LineAddr l = 10; l < 14; ++l) {
+    EXPECT_EQ(c.find_victim(l).way, l - 10);
+    c.insert(l, false);
+  }
+  EXPECT_EQ(eviction_order(c, 20, 4),
+            (std::vector<LineAddr>{10, 11, 12, 13}));
+}
+
+TEST(CacheRecency, ProbeAfterTailInvalidated) {
+  Cache c(one_set(4));
+  for (LineAddr l = 0; l < 3; ++l) c.insert(l, false);
+  c.invalidate(2);  // the tail, i.e. the lookup hint
+  Cache::PendingInsert p;
+  EXPECT_EQ(c.probe_run(2, 1, false, &p), 0u);
+  EXPECT_EQ(p.way, 2u);
+  EXPECT_FALSE(p.evicted.has_value());
+  c.commit_insert(p, 2, false);  // order 0 1 2
+  EXPECT_EQ(c.probe_run(0, 1, true), 1u);
+  EXPECT_TRUE(c.is_dirty(0));
+  c.insert(3, false);
+  EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 0, 3}));
+}
+
+TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
+  Cache c(tiny_cache());  // 4 sets x 2 ways
+  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  c.invalidate(1);  // set 1 is now empty
+  Cache::PendingInsert p;
+  EXPECT_EQ(c.probe_run(0, 4, false, &p), 1u);
+  EXPECT_EQ(p.set, 1u);
+  EXPECT_EQ(p.way, 0u);
+  EXPECT_FALSE(p.evicted.has_value());
+}
+
+// ---- Model check against the stamp-scan reference -------------------------
+
+/// The cache as it was specified before the recency lists: 16 B entries
+/// {tag, stamp}, a clock bumped on every hit and fill, and a victim chosen
+/// by "first invalid way, else smallest stamp".
+class StampScanCache {
+ public:
+  explicit StampScanCache(const CacheConfig& cfg)
+      : ways_(cfg.ways), sets_(cfg.num_sets()), entries_(sets_ * ways_) {}
+
+  u64 probe_run(LineAddr first, u64 count, bool dirty,
+                Cache::PendingInsert* miss_victim) {
+    for (u64 i = 0; i < count; ++i) {
+      Entry* e = find(first + i);
+      if (e == nullptr) {
+        if (miss_victim != nullptr) *miss_victim = find_victim(first + i);
+        return i;
+      }
+      e->stamp = ++clock_;
+      e->dirty |= dirty;
+    }
+    return count;
+  }
+
+  bool contains(LineAddr line) { return find(line) != nullptr; }
+  bool is_dirty(LineAddr line) {
+    const Entry* e = find(line);
+    return e != nullptr && e->dirty;
+  }
+
+  Cache::PendingInsert find_victim(LineAddr line) {
+    Cache::PendingInsert p;
+    p.set = line % sets_;
+    const Entry* set = &entries_[p.set * ways_];
+    const Entry* victim = nullptr;
+    for (u64 w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (victim == nullptr || set[w].stamp < victim->stamp) victim = &set[w];
+    }
+    p.way = static_cast<u32>(victim - set);
+    if (victim->valid) p.evicted = Cache::Eviction{victim->line, victim->dirty};
+    return p;
+  }
+
+  void commit_insert(const Cache::PendingInsert& p, LineAddr line,
+                     bool dirty) {
+    if (!p.evicted) ++resident_;
+    entries_[p.set * ways_ + p.way] = Entry{line, ++clock_, true, dirty};
+  }
+
+  std::optional<Cache::Eviction> insert(LineAddr line, bool dirty) {
+    const Cache::PendingInsert p = find_victim(line);
+    commit_insert(p, line, dirty);
+    return p.evicted;
+  }
+
+  void mark_dirty(LineAddr line) { find(line)->dirty = true; }
+
+  Cache::Invalidation invalidate(LineAddr line) {
+    Entry* e = find(line);
+    if (e == nullptr) return {false, false};
+    e->valid = false;
+    --resident_;
+    return {true, e->dirty};
+  }
+
+  u64 resident_lines() const { return resident_; }
+
+ private:
+  struct Entry {
+    LineAddr line = 0;
+    u64 stamp = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+
+  Entry* find(LineAddr line) {
+    Entry* set = &entries_[(line % sets_) * ways_];
+    for (u64 w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].line == line) return &set[w];
+    }
+    return nullptr;
+  }
+
+  u64 ways_;
+  u64 sets_;
+  std::vector<Entry> entries_;
+  u64 clock_ = 0;
+  u64 resident_ = 0;
+};
+
+void expect_same_eviction(const std::optional<Cache::Eviction>& got,
+                          const std::optional<Cache::Eviction>& want,
+                          int step) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+  if (want) {
+    ASSERT_EQ(got->line, want->line) << "step " << step;
+    ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+  }
+}
+
+void expect_same_pending(const Cache::PendingInsert& got,
+                         const Cache::PendingInsert& want, int step) {
+  ASSERT_EQ(got.set, want.set) << "step " << step;
+  ASSERT_EQ(got.way, want.way) << "step " << step;
+  ASSERT_NO_FATAL_FAILURE(
+      expect_same_eviction(got.evicted, want.evicted, step));
+}
+
+/// Drive both caches with one seeded random op mix over a line universe
+/// about twice the capacity, comparing every result, every victim slot and
+/// the resident count each step, and every line's residency and dirtiness
+/// every 1k steps.
+void model_check(u32 ways, u64 sets, u64 seed) {
+  const CacheConfig cfg{.capacity_bytes = 64 * sets * ways, .line_bytes = 64,
+                        .ways = ways};
+  Cache cache(cfg);
+  StampScanCache ref(cfg);
+  const u64 universe = 2 * cfg.num_lines() + ways;
+  Rng rng(seed);
+  u64 stopped_runs = 0, evictions = 0, invalidations = 0;
+  LineAddr last_run = 0;
+  constexpr int kSteps = 25'000;
+  for (int step = 0; step < kSteps; ++step) {
+    LineAddr line = rng.below(universe);
+    const u64 op = rng.below(100);
+    if (op < 45) {
+      // Half the runs re-walk the previous one, which by now holds one
+      // more resident line: long runs of tail hits, then a miss.
+      if (rng.chance(0.5)) line = last_run;
+      last_run = line;
+      // A run over up to two passes of the set array, so it wraps.
+      const u64 count = 1 + rng.below(2 * sets + 2);
+      const bool dirty = rng.chance(0.3);
+      const bool want_victim = rng.chance(0.9);
+      Cache::PendingInsert got, want;
+      const u64 run = cache.probe_run(line, count, dirty,
+                                      want_victim ? &got : nullptr);
+      ASSERT_EQ(run, ref.probe_run(line, count, dirty,
+                                   want_victim ? &want : nullptr))
+          << "step " << step;
+      if (run < count && want_victim) {
+        ++stopped_runs;
+        ASSERT_NO_FATAL_FAILURE(expect_same_pending(got, want, step));
+        const bool fill_dirty = rng.chance(0.5);
+        cache.commit_insert(got, line + run, fill_dirty);
+        ref.commit_insert(want, line + run, fill_dirty);
+        if (want.evicted) ++evictions;
+      }
+    } else if (op < 65) {
+      if (!ref.contains(line)) {
+        const bool dirty = rng.chance(0.5);
+        const auto want = ref.insert(line, dirty);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_eviction(cache.insert(line, dirty), want, step));
+        if (want) ++evictions;
+      }
+    } else if (op < 80) {
+      const Cache::Invalidation want = ref.invalidate(line);
+      const Cache::Invalidation got = cache.invalidate(line);
+      ASSERT_EQ(got.was_present, want.was_present) << "step " << step;
+      ASSERT_EQ(got.was_dirty, want.was_dirty) << "step " << step;
+      if (want.was_present) ++invalidations;
+    } else if (op < 85) {
+      if (ref.contains(line)) {
+        cache.mark_dirty(line);
+        ref.mark_dirty(line);
+      }
+    } else if (op < 95) {
+      ASSERT_EQ(cache.contains(line), ref.contains(line)) << "step " << step;
+    } else {
+      ASSERT_EQ(cache.is_dirty(line), ref.is_dirty(line)) << "step " << step;
+    }
+    ASSERT_EQ(cache.resident_lines(), ref.resident_lines()) << "step " << step;
+    if (step % 1000 == 999) {
+      for (LineAddr l = 0; l < universe; ++l) {
+        ASSERT_EQ(cache.contains(l), ref.contains(l))
+            << "step " << step << " line " << l;
+        ASSERT_EQ(cache.is_dirty(l), ref.is_dirty(l))
+            << "step " << step << " line " << l;
+      }
+    }
+  }
+  // The mix must have exercised every path, not just hit or just miss.
+  EXPECT_GT(stopped_runs, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_GT(invalidations, 0u);
+}
+
+TEST(CacheModel, DirectMapped) { model_check(1, 8, 1); }
+TEST(CacheModel, TwoWays) { model_check(2, 4, 2); }
+TEST(CacheModel, OneSetFourWays) { model_check(4, 1, 3); }
+TEST(CacheModel, SixteenWays) { model_check(16, 32, 4); }
+TEST(CacheModel, SixtyFourWays) { model_check(64, 2, 5); }
 
 TEST(AddressSpace, DisjointLineAlignedRanges) {
   AddressSpace as(64);

@@ -532,8 +532,8 @@ TEST(BufferCacheTimeline, StridedStreamIsDetectedAcrossStripeGaps) {
   Harness h(cfg);
   const u64 stride_bytes = 8 * kStrip;  // 8-server striping
   for (int i = 0; i < 4; ++i) {
-    h.send(net::PacketKind::kPfsRequest, i, stride_bytes * i, kStrip,
-           Time::ms(10 * i));
+    h.send(net::PacketKind::kPfsRequest, i, stride_bytes * static_cast<u64>(i),
+           kStrip, Time::ms(10 * i));
   }
   h.s.run();
   ASSERT_EQ(h.arrivals.size(), 4u);
