@@ -130,6 +130,11 @@ void describe(V& v, ServerMachineConfig& c) {
   v.group("cache", c.cache);
   v.group("sched", c.sched);
   v.field("nic_bandwidth", c.nic_bandwidth, r::positive(), "B/s");
+  // The coin flip is the residency model of a server without a buffer
+  // cache; with one, the ratio would be silently ignored.
+  v.invariant(c.io.cache_hit_ratio == 0.0 || c.cache.capacity_bytes == 0,
+              "server.io.cache_hit_ratio and server.cache.capacity_bytes "
+              "are exclusive: set at most one of them");
 }
 
 template <class V>

@@ -3,7 +3,8 @@
 // deterministic property of the *data* each workload touches — identical
 // request streams hit identically regardless of the client's interrupt
 // policy, and policy comparisons stay noise-free (the same contract the
-// legacy cache_hit_ratio coin flip provided, now with real state).
+// cache_hit_ratio coin flip of a cacheless server provides, with real
+// state).
 //
 // The cache only tracks residency and dirtiness; all timing (disk fills,
 // write-back bursts, lookup latency) is charged by the IoServer that owns
@@ -20,7 +21,7 @@ namespace saisim::pfs {
 
 struct BufferCacheConfig {
   /// Total cache size. 0 (the default) disables the cache entirely and the
-  /// server falls back to the legacy probabilistic cache_hit_ratio model.
+  /// server's residency is the server.io.cache_hit_ratio coin flip.
   u64 capacity_bytes = 0;
   /// Cache block (page) size; requests are resolved block-by-block.
   u64 block_bytes = 4096;

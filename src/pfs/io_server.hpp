@@ -1,17 +1,23 @@
-// One PVFS I/O server: receives per-strip read requests, resolves them
-// against its buffer cache, reads misses from its disk (serialized, seek +
-// transfer), and sends the data back. The HintCapsuler step copies the
-// request's SAIs hint into the IP options of every reply packet — the
-// paper's server-side modification.
+// One PVFS I/O server: receives per-strip read requests and write data and
+// answers each with one reply. The HintCapsuler step copies the request's
+// SAIs hint into the IP options of every reply packet — the paper's
+// server-side modification.
 //
-// The server is layered when the optional depth is enabled:
-//   * server.cache.* (BufferCache) — set-associative block cache with
-//     write-back + background flush daemon and sequential read-ahead;
-//   * server.sched.* (ServerCpu) — request parse / cache resolution /
-//     reply build / flush work as queued tasks on one modeled core.
-// Both default off; the server then runs the legacy thin model (fixed
-// request_service, probabilistic cache_hit_ratio, synchronous write-
-// through) with bit-identical event timing.
+// Every request runs one pipeline: CPU stage -> residency -> disk -> reply.
+//   * CPU stage: irq_cost + request_service, queued on the modeled core
+//     (ServerCpu) under server.sched.enabled, else charged inline with no
+//     queueing. irq_cost, reply_cost and flush_cpu_cost exist only on a
+//     modeled core.
+//   * Residency: the hashed cache_hit_ratio coin flip while
+//     server.cache.capacity_bytes == 0, else the BufferCache (lookup_time,
+//     forced dirty write-backs, sequential read-ahead). Writes land in the
+//     cache dirty under write-back, clean under write-through.
+//   * Disk: one serialized spindle (seek + transfer) for read misses and
+//     write-through writes; under write-back the ack leaves at cache speed
+//     and a flush daemon writes dirty blocks out.
+//   * Reply: reply_cost on the modeled core, then the reply is sent.
+// With neither cache nor scheduler (the default thin server) a request
+// costs one scheduled event and records no sub-phase trace milestones.
 #pragma once
 
 #include <map>
@@ -37,9 +43,9 @@ struct IoServerConfig {
   Time disk_seek = Time::ms(1);
   /// Server CPU time to parse a request and build the reply.
   Time request_service = Time::us(20);
-  /// Legacy probabilistic cache model: fraction of reads served from the
-  /// buffer cache (skip disk), drawn content-addressed from the file
-  /// offset. Subsumed by server.cache.* — ignored once capacity_bytes > 0.
+  /// Coin-flip residency for a server without a buffer cache: fraction of
+  /// reads served without a disk access, drawn content-addressed from the
+  /// file offset. Exclusive with server.cache.capacity_bytes > 0.
   double cache_hit_ratio = 0.0;
 };
 
@@ -57,8 +63,8 @@ void describe(V& v, IoServerConfig& c) {
 struct IoServerStats {
   u64 requests = 0;
   u64 bytes_served = 0;
-  /// Request-level full cache hits: legacy coin-flip hits, or (with the
-  /// real cache) reads whose every block was resident.
+  /// Request-level full cache hits: coin-flip hits, or (with the buffer
+  /// cache) reads whose every block was resident.
   u64 cache_hits = 0;
   u64 write_requests = 0;
   u64 bytes_written = 0;
@@ -86,9 +92,6 @@ class IoServer : public sim::Actor {
   /// Instantaneous scheduler depth (queued + running) for telemetry gauges.
   u64 cpu_queue_depth() const { return cpu_ ? cpu_->depth() : 0; }
 
-  /// Degrade this server (adds to every disk access) — failure injection.
-  void set_slowdown(Time extra_per_request) { slowdown_ = extra_per_request; }
-
  private:
   /// Per-process stream detector for read-ahead. A striped file shows up
   /// at one server as an arithmetic progression of block numbers (stride =
@@ -100,28 +103,26 @@ class IoServer : public sim::Actor {
     int streak = 0;
   };
 
-  bool deep() const { return cache_.enabled() || sched_cfg_.enabled; }
-
-  void on_request(net::Packet req);
-  void on_read_request(net::Packet req);
-  void on_write_data(net::Packet data);
-  Time disk_occupy(u64 bytes, Time ready_at, bool may_cache, u64 file_offset);
-
-  // Layered pipeline (deep mode only).
-  void deep_read(net::Packet req);
-  void deep_write(net::Packet data);
-  /// CPU stage: run `k(done_at)` after `cost` of foreground CPU work —
-  /// queued on the modeled core when the scheduler is on, charged inline
+  void on_request(net::Packet msg);
+  /// Residency and disk stages of a read / a write whose CPU stage ended
+  /// at `done_at`; each returns when the reply's data is ready.
+  Time read_stage(const net::Packet& req, Time done_at);
+  Time write_stage(const net::Packet& data, Time done_at);
+  /// CPU stage: run `k(done_at)` after `cost` of foreground work — queued
+  /// on the modeled core when there is one, called inline at now() + cost
   /// otherwise.
-  void submit_cpu(Time cost, ServerCpu::Done k);
+  template <class K>
+  void submit_cpu(Time cost, K k);
   /// Raw spindle occupancy: serialize `bytes` (plus an optional seek)
   /// starting no earlier than ready_at; returns the completion time.
   Time disk_busy(u64 bytes, Time ready_at, bool charge_seek, bool is_flush);
+  /// Write `forced` dirty victims back before their frames are reused.
+  void write_back_victims(u64 forced, Time at);
   void maybe_readahead(const net::Packet& req, u64 last_block, Time ready);
-  void send_read_reply(const net::Packet& req, Time at);
-  void send_write_ack(const net::Packet& data, Time at);
-  /// Schedule the reply-build stage once the data is ready at `ready`.
-  void finish(net::Packet msg, Time ready, bool is_read);
+  /// Reply stage: once the data is ready at `ready`, build the reply
+  /// (reply_cost on a modeled core) and send it.
+  void finish(net::Packet msg, Time ready);
+  void send_reply(const net::Packet& msg, Time at);
 
   // Flush daemon (write-back mode).
   void maybe_arm_flush();
@@ -134,11 +135,20 @@ class IoServer : public sim::Actor {
   BufferCacheConfig cache_cfg_;
   ServerSchedConfig sched_cfg_;
   BufferCache cache_;
-  /// Built only under server.sched.enabled: without it no task is ever
-  /// submitted, so thin and cache-only servers carry no idle run queues.
+  /// Built only under server.sched.enabled, so servers without a modeled
+  /// core carry no idle run queues.
   std::unique_ptr<ServerCpu> cpu_;
+  /// Per-stage costs, resolved once: irq_cost and reply_cost count only on
+  /// a modeled core, lookup_time only with a buffer cache.
+  Time request_cost_;
+  Time reply_cost_;
+  Time lookup_time_;
+  bool write_back_;
+  /// Only a server with a modeled stage (core or cache) records the
+  /// sub-phase milestones kServerTaskRun / kServerCacheDone /
+  /// kServerDiskDone; a thin server's event stream is receive and send.
+  bool trace_phases_;
   Time disk_free_at_ = Time::zero();
-  Time slowdown_ = Time::zero();
   IoServerStats stats_;
   u64 next_packet_id_ = 1;
   std::map<ProcessId, Stream> streams_;

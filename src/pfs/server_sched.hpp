@@ -6,8 +6,9 @@
 // (request/reply) work ahead of background flushes, so a flush storm delays
 // acks under FIFO but only steals idle cycles under priority.
 //
-// Disabled (the default) the IoServer never submits tasks and charges its
-// fixed request_service inline — the pre-refactor timing, bit for bit.
+// Disabled (the default) there is no modeled core: the IoServer's CPU
+// stage charges request_service inline with no queueing, and irq_cost,
+// reply_cost and flush_cpu_cost are not charged at all.
 #pragma once
 
 #include <algorithm>
@@ -29,7 +30,7 @@ inline constexpr i64 kNumSchedDisciplines = 2;
 
 struct ServerSchedConfig {
   /// Model server CPU contention. Off by default: request_service is
-  /// charged inline with no queueing, preserving the legacy timing.
+  /// charged inline with no queueing.
   bool enabled = false;
   SchedDiscipline discipline = SchedDiscipline::kFifo;
   /// Cost of fielding one inbound packet (the server's NIC interrupt plus

@@ -176,13 +176,21 @@ TEST_F(PfsFixture, SlowServerDelaysCompletion) {
   ASSERT_TRUE(fast.has_value());
   const Time fast_latency = fast->completed_at - fast->issued_at;
 
-  servers[0]->set_slowdown(Time::ms(50));
+  // Degrade server 0 the way experiments do: a straggler on the fabric
+  // slows every packet to and from it.
+  net::FaultConfig fault;
+  fault.straggler_node = server_nodes[0];
+  fault.straggler_delay = Time::ms(50);
+  net::FaultInjector straggler(fault);
+  net.set_fault_injector(&straggler);
   std::optional<ReadResult> slow;
   client->read(1, std::nullopt, 1ull << 30, 256ull << 10,
                [&](const ReadResult& r) { slow = r; });
   s.run();
   ASSERT_TRUE(slow.has_value());
   EXPECT_GT(slow->completed_at - slow->issued_at, fast_latency + Time::ms(40));
+  EXPECT_GT(straggler.stats().straggler_delays, 0u);
+  net.set_fault_injector(nullptr);
 }
 
 TEST_F(PfsFixture, ConcurrentReadsFromMultipleProcesses) {

@@ -158,6 +158,25 @@ TEST(ApplyCliConfig, ValidatesCrossFieldStateAfterOverrides) {
   EXPECT_NE(errors[0].find("file_region_bytes"), std::string::npos);
 }
 
+TEST(ApplyCliConfig, RejectsCoinFlipAlongsideBufferCache) {
+  // A server with a buffer cache never draws the coin flip, so setting
+  // both would silently drop the ratio; the error names both paths.
+  ExperimentConfig cfg;
+  const auto errors = apply_cli_config(
+      with_overrides({"server.io.cache_hit_ratio=0.5",
+                      "server.cache.capacity_bytes=1048576"}),
+      cfg);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("server.io.cache_hit_ratio"), std::string::npos);
+  EXPECT_NE(errors[0].find("server.cache.capacity_bytes"), std::string::npos);
+  for (const char* one : {"server.io.cache_hit_ratio=0.5",
+                          "server.cache.capacity_bytes=1048576"}) {
+    ExperimentConfig alone;
+    EXPECT_TRUE(apply_cli_config(with_overrides({one}), alone).empty())
+        << one;
+  }
+}
+
 TEST(ApplyCliConfig, MissingConfigFileIsAnError) {
   ExperimentConfig cfg;
   CliOptions cli;
