@@ -7,7 +7,7 @@
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
 // measure the kernel's data structures, not the model, so DRAM bandwidth is
-// left unlimited except in the end-to-end case.
+// left unlimited except in the write-fill walk and the end-to-end case.
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
@@ -70,6 +70,29 @@ void BM_MemWalkColdStream(benchmark::State& state) {
                           static_cast<i64>(kStrip));
 }
 BENCHMARK(BM_MemWalkColdStream);
+
+/// Write-fill walk: fresh buffers written with block reuse under the
+/// client's default DRAM bandwidth (5333 MB/s). Once the L2 is full every
+/// line is a DRAM fill that evicts a dirty line, so each miss books a fill
+/// and a write-back: the writers' client pattern.
+void BM_MemWalkWriteFill(benchmark::State& state) {
+  mem::MemorySystem ms(8, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
+                       Bandwidth::mb_per_sec(5333));
+  const u64 region = 64ull << 20;
+  Address cursor = 0;
+  Time now = Time::zero();
+  for (auto _ : state) {
+    const Time stall = ms.access(0, cursor, kStrip,
+                                 mem::MemorySystem::AccessType::kWrite, now,
+                                 /*reuse_per_line=*/3);
+    benchmark::DoNotOptimize(stall);
+    now += stall;
+    cursor = (cursor + kStrip) % region;
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(kStrip));
+}
+BENCHMARK(BM_MemWalkWriteFill);
 
 /// Hot walk: a buffer that fits the private cache, re-read in full each
 /// iteration — the pure hit path (find + LRU refresh per line).

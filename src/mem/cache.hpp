@@ -8,11 +8,19 @@
 // one u8 prev/next pair per way, and per set a valid-way mask plus the
 // head and tail of a doubly-linked recency list over the set's valid ways
 // (head = LRU, tail = MRU). A 16-way set takes 176 B. The victim is the
-// lowest invalid way, else the list head: O(1), no stamp comparison. The
-// tail doubles as the lookup hint, so streaming re-walks (NIC payload
-// walks, strip combines) match one tag and relink nothing, and probe_run()
-// walks a contiguous line range with the set cursor carried between lines,
-// which is what MemorySystem::access batches its per-64B-line loop on.
+// lowest invalid way, else the list head: O(1), no stamp comparison.
+//
+// MemorySystem::access never scans a set to learn that a line is absent:
+// the owner directory already knows which core holds each line. The cache
+// answers only what the directory cannot, cheaply. probe_run() walks a
+// contiguous line range with the set cursor carried between lines and
+// consumes the lines it finds in one of two hint ways, the set's tail
+// (a streaming re-walk matches one tag and relinks nothing) and its head
+// (a re-walk of a buffer that spans each set more than once wants the LRU
+// line next). It stops at the first line neither way holds. fill() places
+// a line the directory has proved absent with no lookup at all, and
+// probe() is the full set scan, kept for a line the directory says this
+// core holds away from both hints.
 #pragma once
 
 #include <algorithm>
@@ -74,9 +82,15 @@ class Cache {
   LineAddr line_of(Address addr) const { return addr / cfg_.line_bytes; }
 
   /// True if the line is present; refreshes LRU on hit and, for a store,
-  /// marks the line dirty in the same scan.
+  /// marks the line dirty. Scans the whole set.
   bool probe(LineAddr line, bool mark_dirty_on_hit = false) {
-    return probe_run(line, 1, mark_dirty_on_hit) == 1;
+    const u64 i = find(line);
+    if (i == kAbsent) return false;
+    const u64 set = set_index(line);
+    touch(sets_[set], links_.data() + set * cfg_.ways,
+          static_cast<u32>(i - set * cfg_.ways));
+    if (mark_dirty_on_hit) tags_[i] |= kDirty;
+    return true;
   }
 
   struct Eviction {
@@ -85,28 +99,22 @@ class Cache {
   };
 
   /// Result of a victim lookup: where the next insert of that line will
-  /// land, and what it displaces. See find_victim/commit_insert.
+  /// land, and what it displaces. See find_victim.
   struct PendingInsert {
     std::optional<Eviction> evicted;
     u64 set = 0;
     u32 way = 0;
   };
 
-  /// Probe the contiguous lines [first, first + count) in ascending order,
-  /// refreshing LRU (and marking dirty if `dirty`) on each hit; stops at
-  /// the first absent line. Returns the number of leading hits consumed.
-  /// Equivalent to `count` probe() calls, but the set cursor stays in
-  /// registers across the whole run.
-  ///
-  /// If `miss_victim` is non-null and the run stops short, it receives the
-  /// victim slot for the missing line — the same scan that proves the line
-  /// absent selects where its insert will land, so the miss path pays one
-  /// set walk, not two. Pass it to commit_insert with no intervening
-  /// operations on this cache.
-  u64 probe_run(LineAddr first, u64 count, bool dirty,
-                PendingInsert* miss_victim = nullptr) {
-    return dirty ? probe_run_impl<true>(first, count, miss_victim)
-                 : probe_run_impl<false>(first, count, miss_victim);
+  /// Hint run over the contiguous lines [first, first + count), in
+  /// ascending order: consume each line held in its set's tail (MRU) or
+  /// head (LRU) way, refreshing LRU and marking it dirty if `dirty`. Stops
+  /// at the first line that neither way holds, without scanning the set,
+  /// so a line it stops at may still be resident in another way. Returns
+  /// the number of lines consumed.
+  u64 probe_run(LineAddr first, u64 count, bool dirty) {
+    return dirty ? probe_run_impl<true>(first, count)
+                 : probe_run_impl<false>(first, count);
   }
 
   /// Presence check without touching LRU state.
@@ -117,34 +125,24 @@ class Cache {
     return i != kAbsent && (tags_[i] & kDirty) != 0;
   }
 
-  /// Two-phase insert. find_victim locates the way the new line will land
-  /// in (checking the must-not-be-present invariant) and reports the
-  /// eviction early, so the caller can overlap the victim's directory
-  /// bookkeeping with other miss work; commit_insert then writes the new
-  /// line into that slot. No other operation on this cache may intervene
-  /// between the two calls.
+  /// Where an insert of `line` (which must be absent) would land and what
+  /// it would displace; changes nothing.
   PendingInsert find_victim(LineAddr line) const {
     SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
     return pick_victim(set_index(line));
   }
 
-  void commit_insert(const PendingInsert& p, LineAddr line, bool dirty) {
-    SetState& st = sets_[p.set];
-    Link* const links = links_.data() + p.set * cfg_.ways;
-    tags_[p.set * cfg_.ways + p.way] =
-        (line << 2) | kValid | (dirty ? kDirty : 0);
-    if (p.evicted) {
-      touch(st, links, p.way);
-    } else {
-      append(st, links, p.way);
-      st.valid |= 1ull << p.way;
-      ++resident_;
-    }
-  }
-
   /// Insert a line (must not be present). Returns the victim, if any.
   std::optional<Eviction> insert(LineAddr line, bool dirty) {
-    const PendingInsert p = find_victim(line);
+    SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
+    return fill(line, dirty);
+  }
+
+  /// Insert a line the caller knows is absent (the memory walk learns it
+  /// from the owner directory). Same victim as insert(), picked in O(1)
+  /// with no lookup. Returns the victim, if any.
+  std::optional<Eviction> fill(LineAddr line, bool dirty) {
+    const PendingInsert p = pick_victim(set_index(line));
     commit_insert(p, line, dirty);
     return p.evicted;
   }
@@ -215,6 +213,21 @@ class Cache {
     return p;
   }
 
+  /// Write `line` into the slot pick_victim chose for it.
+  void commit_insert(const PendingInsert& p, LineAddr line, bool dirty) {
+    SetState& st = sets_[p.set];
+    Link* const links = links_.data() + p.set * cfg_.ways;
+    tags_[p.set * cfg_.ways + p.way] =
+        (line << 2) | kValid | (dirty ? kDirty : 0);
+    if (p.evicted) {
+      touch(st, links, p.way);
+    } else {
+      append(st, links, p.way);
+      st.valid |= 1ull << p.way;
+      ++resident_;
+    }
+  }
+
   /// Link the unlinked way `w` in at the MRU end of the set's list. The
   /// list is empty only if `st.valid` is 0, so a fill sets the valid bit
   /// of `w` after this call.
@@ -256,11 +269,9 @@ class Cache {
   /// one load of the set's tail, one tag compare and (for stores) one OR
   /// per line. Consecutive lines fill consecutive sets, so the walk is
   /// chunked at set-array wrap boundaries and the inner loop advances raw
-  /// pointers. The fallback scan (tail hint wrong) doubles as the victim
-  /// lookup: when it ends with the line absent, it also names the slot an
-  /// insert would take.
+  /// pointers.
   template <bool Dirty>
-  u64 probe_run_impl(LineAddr first, u64 count, PendingInsert* miss_victim) {
+  u64 probe_run_impl(LineAddr first, u64 count) {
     const u64 sets = set_mask_ + 1;
     const u32 ways = cfg_.ways;
     u64 done = 0;
@@ -272,7 +283,7 @@ class Cache {
       SetState* st = sets_.data() + set;
       u64 stop = done + chunk;
       while (done < stop) {
-        // Tight hint-hit loop: no call is reachable from inside it, so its
+        // Tight tail-hit loop: no call is reachable from inside it, so its
         // state lives in scratch registers (a function call in the body
         // would force everything into callee-saved slots).
         for (; done < stop; ++done, want += 4, tags += ways, ++st) {
@@ -281,8 +292,8 @@ class Cache {
           if constexpr (Dirty) *t |= kDirty;
         }
         if (done == stop) break;
-        // Hint missed: scan the whole set out of line.
-        u64* const t = scan_set(tags, st, want, miss_victim);
+        // Tail missed: try the head out of line.
+        u64* const t = head_hit(tags, st, want);
         if (t == nullptr) return done;
         if constexpr (Dirty) *t |= kDirty;
         ++done;
@@ -295,27 +306,15 @@ class Cache {
     return done;
   }
 
-  /// Fallback scan when the tail is not the line: look for `want` across
-  /// the set and make it the MRU on a hit. This path is itself hot: a
-  /// buffer that spans each set more than once defeats the tail hint on
-  /// every re-walk. In address order such a re-walk wants each set's LRU
-  /// line next, so the head is tried before the full scan. A genuine miss
-  /// then reads the victim straight off the set state.
-  u64* scan_set(u64* tags, SetState* st, u64 want, PendingInsert* miss_victim) {
-    const u32 ways = cfg_.ways;
-    const u64 set = static_cast<u64>(st - sets_.data());
-    if (const u32 lru = st->head; (tags[lru] & ~kDirty) == want) {
-      touch(*st, links_.data() + set * ways, lru);
-      return tags + lru;
-    }
-    for (u32 w = 0; w < ways; ++w) {
-      if ((tags[w] & ~kDirty) == want) {
-        touch(*st, links_.data() + set * ways, w);
-        return tags + w;
-      }
-    }
-    if (miss_victim != nullptr) *miss_victim = pick_victim(set);
-    return nullptr;
+  /// The head hint: a buffer that spans each set more than once defeats
+  /// the tail hint on every re-walk, and in address order such a re-walk
+  /// wants each set's LRU line next. On a match the head becomes the MRU.
+  u64* head_hit(u64* tags, SetState* st, u64 want) {
+    const u32 lru = st->head;
+    if ((tags[lru] & ~kDirty) != want) return nullptr;
+    touch(*st, links_.data() + static_cast<u64>(st - sets_.data()) * cfg_.ways,
+          lru);
+    return tags + lru;
   }
 
   /// Index into tags_ of the line's way, or kAbsent. Tries the set's MRU

@@ -1,3 +1,19 @@
+// The client memory walk. access() settles each line of a range by the
+// cheapest source that knows the answer:
+//
+//   1. hint run  - the core's cache consumes lines held in its sets' tail
+//                  or head way (Cache::probe_run), with no set scan;
+//   2. fill run  - the owner directory reports the lines no cache holds
+//                  (OwnerDirectory::absent_run) and the walk fills them
+//                  from DRAM, each victim picked in O(1);
+//   3. owned     - otherwise the directory names the owner: this core (a
+//                  hit away from both hints, found by a set scan) or
+//                  another (a cache-to-cache transfer).
+//
+// Lines are visited in address order, each victim is the one a full LRU
+// lookup would pick, and every miss books DRAM at the instant its walk
+// reached it, so the result equals a per-line probe-then-insert walk bit
+// for bit.
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
@@ -23,15 +39,17 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
   stats_.resize(static_cast<u64>(num_cores));
 }
 
-Time MemorySystem::dram_occupy(u64 bytes, Time now) {
-  if (dram_bw_.is_unlimited()) return Time::zero();
-  auto queue_penalty = [this](u64 backlog) {
+// Drain the backlog for the time elapsed since the last booking, add
+// `bytes`, and return the increment of the queueing penalty. Queueing
+// appears only when the controller is genuinely oversubscribed beyond the
+// burst allowance, and each booking pays only the increment it causes.
+inline Time MemorySystem::dram_enqueue(u64 bytes, Time now) {
+  const auto queue_penalty = [this](u64 backlog) {
     return backlog <= timings_.dram_burst_allowance
                ? Time::zero()
                : dram_bw_.transfer_time(backlog -
                                         timings_.dram_burst_allowance);
   };
-  // Drain the backlog for the wall time elapsed since the last booking.
   if (now > dram_last_update_) {
     const Time elapsed = now - dram_last_update_;
     // elapsed_ps * bps / 1e12, with the same 64-bit fast path as muldiv:
@@ -49,16 +67,18 @@ Time MemorySystem::dram_occupy(u64 bytes, Time now) {
                               : dram_backlog_bytes_ - drained;
     dram_last_update_ = now;
   }
-  // Queueing appears only when the controller is genuinely oversubscribed
-  // beyond the burst allowance, and each booking pays only the *increment*
-  // of the penalty it causes.
   const Time before = queue_penalty(dram_backlog_bytes_);
   dram_backlog_bytes_ += bytes;
-  // The access path books one cache line per call; its serialization time
-  // is precomputed so the hot path pays no division here.
-  dram_busy_ += bytes == cache_cfg_.line_bytes ? line_xfer_
-                                               : dram_bw_.transfer_time(bytes);
   return queue_penalty(dram_backlog_bytes_) - before;
+}
+
+// A miss books its fill and, if it evicts a dirty line, the write-back, at
+// one instant. Two bookings at one instant would drain nothing between
+// them, so their penalty increments telescope: P(b + 2L) - P(b) is
+// exactly the two-call sum.
+inline Time MemorySystem::dram_book_lines(u64 lines, Time now) {
+  for (u64 i = 0; i < lines; ++i) dram_busy_ += line_xfer_;
+  return dram_enqueue(lines * cache_cfg_.line_bytes, now);
 }
 
 Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
@@ -85,75 +105,83 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   u64 hits = 0, misses_c2c = 0, misses_dram = 0;
   u64 evictions = 0, writebacks = 0;
   const bool dram_limited = !dram_bw_.is_unlimited();
+  // The drain clock sees the access's own progression at a miss: latency
+  // cycles and queueing accrued up to it. Materialising that Time costs a
+  // division, so it is computed only for a bandwidth-limited controller.
+  const auto miss_instant = [&] {
+    return now + core_freq_.duration(Cycles{cycles}) + dram_queue;
+  };
 
   // Misses fill consecutive lines and a streamed buffer's LRU victims leave
   // in address order, so each stream keeps its own directory page hint.
   OwnerDirectory::Cursor fill_at, evict_at;
   LineAddr line = first;
   while (line <= last) {
-    // Batched walk: consume a run of consecutive hits in one cache scan
-    // with the set cursor carried along (streaming re-reads take this
-    // path for the whole range). When the run stops at a miss, the same
-    // scan has already selected the victim slot for that line.
-    Cache::PendingInsert pending;
-    const u64 run = cache.probe_run(line, last - line + 1, is_write, &pending);
+    // Hint run: lines this cache holds in a hint way are hits, with the set
+    // cursor carried along (streaming re-reads take this path for the
+    // whole range).
+    const u64 run = cache.probe_run(line, last - line + 1, is_write);
     hits += run;
     cycles += static_cast<i64>(run) * (reuse_cycles + hit_cycles);
     line += run;
     if (line > last) break;
 
-    // Miss: find the line. Either another core's cache owns it (c2c
-    // transfer, moving ownership) or it comes from DRAM. The controller's
-    // drain clock advances with the access's own progression (latency
-    // cycles spent so far plus accrued queueing).
-    cycles += reuse_cycles;
-    // The drain clock sees the access's own progression — latency cycles
-    // and queueing accrued up to this miss. Materialising that Time costs
-    // a 128-bit division, so it is computed at most once per miss, and
-    // only if a bandwidth-limited controller will actually consume it.
-    Time progressed = Time::zero();
-    bool progressed_set = false;
-    const i64 miss_cycles = cycles;
-    const Time miss_queue = dram_queue;
-    const auto progress_now = [&] {
-      if (!progressed_set) {
-        progressed =
-            now + core_freq_.duration(Cycles{miss_cycles}) + miss_queue;
-        progressed_set = true;
-      }
-      return progressed;
-    };
-    // One directory probe settles both the lookup and the ownership move.
-    const CoreId prev = owner_.assign(fill_at, line, core);
-    if (prev != kNoCore) {
-      SAISIM_CHECK_MSG(prev != core, "owner map out of sync with cache");
-      const auto inv = caches_[static_cast<u64>(prev)].invalidate(line);
-      SAISIM_CHECK(inv.was_present);
-      ++misses_c2c;
-      ++c2c_transfers_;
-      cycles += timings_.c2c_transfer.count();
-      // Dirty data moves cache-to-cache; ownership transfers with it, so
-      // no writeback to DRAM happens here.
-    } else {
-      ++misses_dram;
-      ++dram_line_reads_;
+    // Fill run: lines no cache holds, up to the directory page's end, come
+    // from DRAM. Nothing the loop does can make a later line of the run
+    // present, so one mask read settles them all.
+    const u64 absent = owner_.absent_run(fill_at, line, last - line + 1);
+    for (const LineAddr end = line + absent; line < end; ++line) {
+      cycles += reuse_cycles;
+      const Time at = dram_limited ? miss_instant() : Time::zero();
       cycles += timings_.dram_access.count();
-      if (dram_limited) dram_queue += dram_occupy(line_bytes, progress_now());
+      owner_.assign(fill_at, line, core);
+      u64 booked = 1;
+      if (const auto ev = cache.fill(line, is_write)) {
+        ++evictions;
+        owner_.erase(evict_at, ev->line);
+        if (ev->dirty) {
+          ++writebacks;
+          booked = 2;
+        }
+      }
+      if (dram_limited) dram_queue += dram_book_lines(booked, at);
     }
+    misses_dram += absent;
+    if (absent > 0) continue;
 
-    cache.commit_insert(pending, line, is_write);
-    if (pending.evicted) {
+    // Owned line: one directory call settles the lookup and the ownership
+    // move.
+    cycles += reuse_cycles;
+    const CoreId prev = owner_.assign(fill_at, line, core);
+    if (prev == core) {
+      // Resident here, away from both hints.
+      SAISIM_CHECK_MSG(cache.probe(line, is_write),
+                       "owner map out of sync with cache");
+      ++hits;
+      cycles += hit_cycles;
+      ++line;
+      continue;
+    }
+    // Another core's cache owns it: a cache-to-cache transfer. Dirty data
+    // moves with ownership, so no write-back to DRAM happens here.
+    const Time at = dram_limited ? miss_instant() : Time::zero();
+    const auto inv = caches_[static_cast<u64>(prev)].invalidate(line);
+    SAISIM_CHECK(inv.was_present);
+    ++misses_c2c;
+    cycles += timings_.c2c_transfer.count();
+    if (const auto ev = cache.fill(line, is_write)) {
       ++evictions;
-      owner_.erase(evict_at, pending.evicted->line);
-      if (pending.evicted->dirty) {
+      owner_.erase(evict_at, ev->line);
+      if (ev->dirty) {
         ++writebacks;
-        ++dram_line_writes_;
-        if (dram_limited)
-          dram_queue += dram_occupy(line_bytes, progress_now());
+        if (dram_limited) dram_queue += dram_book_lines(1, at);
       }
     }
     ++line;
   }
+  c2c_transfers_ += misses_c2c;
+  dram_line_reads_ += misses_dram;
+  dram_line_writes_ += writebacks;
 
   // One trace event per access call (not per line), so the tracer's cost
   // stays off the per-line walk even when enabled.
@@ -197,7 +225,9 @@ Time MemorySystem::dma_write(Address addr, u64 bytes, Time now) {
   SAISIM_TRACE_EVENT(util::Subsystem::kMem, trace::EventType::kDmaWrite, now,
                      -1, -1, -1, static_cast<i64>(bytes),
                      static_cast<i64>(invalidated));
-  return dram_occupy(bytes, now);
+  if (dram_bw_.is_unlimited()) return Time::zero();
+  dram_busy_ += dram_bw_.transfer_time(bytes);
+  return dram_enqueue(bytes, now);
 }
 
 bool MemorySystem::resident(CoreId core, Address addr, u64 bytes) const {

@@ -121,9 +121,11 @@ class MemorySystem {
   Time dram_busy_time() const { return dram_busy_; }
 
  private:
-  /// Occupy the DRAM controller for `bytes`; returns the queueing +
-  /// serialization delay as seen by a request arriving at `now`.
-  Time dram_occupy(u64 bytes, Time now);
+  /// Add `bytes` to the DRAM controller's backlog at `now`; returns the
+  /// queueing delay the booking adds. Bandwidth must be limited.
+  Time dram_enqueue(u64 bytes, Time now);
+  /// Book `lines` cache lines (busy time and backlog) at `now`.
+  Time dram_book_lines(u64 lines, Time now);
 
   CacheConfig cache_cfg_;
   MemoryTimings timings_;

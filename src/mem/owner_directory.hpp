@@ -14,6 +14,12 @@
 // once per line. A range erase tests a page's lines one mask word at a time
 // and skips an absent page after one probe.
 //
+// Coherence is single-owner, so the directory is also the memory walk's
+// residency oracle: a line is in core C's cache exactly when the directory
+// says C owns it. absent_run() reads one presence mask to tell the walk how
+// many of the next lines no cache holds, so a miss run is filled from DRAM
+// with no tag scan.
+//
 // A page whose last line leaves returns to the pool, so the population is
 // bounded by the resident lines, not by the bump allocator's ever-growing
 // address space. Pool pages and index slots are retained, so once the pool
@@ -86,6 +92,16 @@ class OwnerDirectory {
   CoreId assign(LineAddr line, CoreId owner) {
     Cursor at;
     return assign(at, line, owner);
+  }
+
+  /// How many consecutive lines from `line` no cache holds, counting at
+  /// most `max` and stopping at the end of `line`'s page. One presence-mask
+  /// read; points `at` at the page if it exists.
+  u64 absent_run(Cursor& at, LineAddr line, u64 max) const {
+    const u64 room = std::min(max, kPageLines - offset(line));
+    if (!seek(at, line)) return room;
+    const u64 ahead = pages_[at.slot].present >> offset(line);
+    return std::min(room, static_cast<u64>(std::countr_zero(ahead)));
   }
 
   /// Remove `line`. Returns its owner, or kNoCore if it was absent.

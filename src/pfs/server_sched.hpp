@@ -71,9 +71,9 @@ class ServerCpu {
   };
 
   /// A task's completion. The inline buffer fits the I/O server's request
-  /// continuations — a whole net::Packet plus three scalars — so they
-  /// need no heap box.
-  static constexpr u64 kDoneInlineBytes = sizeof(net::Packet) + 3 * sizeof(u64);
+  /// continuation — `this`, the submit time and a whole net::Packet — so
+  /// it needs no heap box.
+  static constexpr u64 kDoneInlineBytes = sizeof(net::Packet) + 2 * sizeof(u64);
   using Done = SmallFunction<void(Time), kDoneInlineBytes>;
 
   ServerCpu(sim::Simulation& simulation, SchedDiscipline discipline)

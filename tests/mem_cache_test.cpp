@@ -1,5 +1,5 @@
-// Private-cache tests: LRU/eviction mechanics, the batched probe_run walk
-// and its miss victim, directed edge cases of the per-set recency list
+// Private-cache tests: LRU/eviction mechanics, the batched probe_run hint
+// walk and the O(1) fill, directed edge cases of the per-set recency list
 // (64-way sets, unlinking the head, tail, a middle and the sole way), and
 // a seeded model check against the stamp-scan reference implementation.
 #include "mem/cache.hpp"
@@ -124,33 +124,52 @@ TEST(Cache, ProbeRunMarksDirtyOnHits) {
   EXPECT_TRUE(c.is_dirty(1));
 }
 
-TEST(Cache, ProbeRunReportsMissVictim) {
+TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
   Cache c(tiny_cache());  // 2 ways per set
   c.insert(0, false);     // set 0
   c.insert(4, true);      // set 0, both ways now full
   c.probe(4);             // make line 4 the more recent way
-  Cache::PendingInsert pending;
-  EXPECT_EQ(c.probe_run(8, 1, false, &pending), 0u);  // set 0, absent
-  ASSERT_TRUE(pending.evicted.has_value());
-  EXPECT_EQ(pending.evicted->line, 0u);  // LRU victim
-  EXPECT_FALSE(pending.evicted->dirty);
-  // Committing behaves exactly like insert() of the missing line.
-  c.commit_insert(pending, 8, false);
+  EXPECT_EQ(c.probe_run(8, 1, false), 0u);  // set 0, absent
+  // fill() takes the LRU way with no lookup, exactly like insert().
+  const auto evicted = c.fill(8, false);
+  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(evicted->line, 0u);
+  EXPECT_FALSE(evicted->dirty);
   EXPECT_TRUE(c.contains(8));
   EXPECT_FALSE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
 }
 
-TEST(Cache, ProbeRunVictimPrefersInvalidWay) {
+TEST(Cache, FillPrefersInvalidWay) {
   Cache c(tiny_cache());
   c.insert(0, false);  // set 0, one way still invalid
-  Cache::PendingInsert pending;
-  EXPECT_EQ(c.probe_run(4, 1, false, &pending), 0u);
-  EXPECT_FALSE(pending.evicted.has_value());  // fills the empty way
-  c.commit_insert(pending, 4, false);
+  EXPECT_EQ(c.find_victim(4).way, 1u);
+  EXPECT_FALSE(c.fill(4, false).has_value());  // fills the empty way
   EXPECT_TRUE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
   EXPECT_EQ(c.resident_lines(), 2u);
+}
+
+// A buffer twice the cache's set count re-walked in address order finds
+// every line in its set's LRU way: the head hint consumes the whole run.
+TEST(Cache, ProbeRunTakesTheHeadHint) {
+  Cache c(tiny_cache());  // 4 sets x 2 ways
+  for (LineAddr l = 0; l < 8; ++l) c.insert(l, false);
+  EXPECT_EQ(c.probe_run(0, 8, true), 8u);
+  for (LineAddr l = 0; l < 8; ++l) EXPECT_TRUE(c.is_dirty(l));
+  // Each hit made its line the MRU, so the LRU order is unchanged.
+  EXPECT_EQ(c.insert(8, false)->line, 0u);
+}
+
+// A line in neither hint way stops the run; probe() scans the set for it.
+TEST(Cache, ProbeRunStopsAtAMiddleWay) {
+  Cache c(CacheConfig{.capacity_bytes = 256, .line_bytes = 64, .ways = 4});
+  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);  // order 0 1 2 3
+  EXPECT_EQ(c.probe_run(1, 1, false), 0u);
+  EXPECT_TRUE(c.probe(1, true));  // order 0 2 3 1
+  EXPECT_TRUE(c.is_dirty(1));
+  EXPECT_EQ(c.insert(10, false)->line, 0u);
+  EXPECT_EQ(c.insert(11, false)->line, 2u);
 }
 
 TEST(Cache, ConstLookupsDoNotDisturbLru) {
@@ -190,7 +209,7 @@ TEST(CacheRecency, FullSixtyFourWaySet) {
     const Cache::PendingInsert p = c.find_victim(l);
     EXPECT_EQ(p.way, l);  // an empty way is always the lowest one
     EXPECT_FALSE(p.evicted.has_value());
-    c.commit_insert(p, l, l == 0);
+    c.fill(l, l == 0);
   }
   EXPECT_EQ(c.resident_lines(), 64u);
   // Full: the victim is the LRU way, and hits reorder the list.
@@ -205,7 +224,7 @@ TEST(CacheRecency, FullSixtyFourWaySet) {
   const Cache::PendingInsert q = c.find_victim(100);
   EXPECT_EQ(q.way, 63u);
   EXPECT_FALSE(q.evicted.has_value());
-  c.commit_insert(q, 100, false);
+  c.fill(100, false);
   EXPECT_EQ(eviction_order(c, 200, 3), (std::vector<LineAddr>{1, 2, 3}));
   EXPECT_EQ(c.resident_lines(), 64u);
 }
@@ -263,11 +282,11 @@ TEST(CacheRecency, ProbeAfterTailInvalidated) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 3; ++l) c.insert(l, false);
   c.invalidate(2);  // the tail, i.e. the lookup hint
-  Cache::PendingInsert p;
-  EXPECT_EQ(c.probe_run(2, 1, false, &p), 0u);
+  EXPECT_EQ(c.probe_run(2, 1, false), 0u);
+  const Cache::PendingInsert p = c.find_victim(2);
   EXPECT_EQ(p.way, 2u);
   EXPECT_FALSE(p.evicted.has_value());
-  c.commit_insert(p, 2, false);  // order 0 1 2
+  EXPECT_FALSE(c.fill(2, false).has_value());  // order 0 1 2
   EXPECT_EQ(c.probe_run(0, 1, true), 1u);
   EXPECT_TRUE(c.is_dirty(0));
   c.insert(3, false);
@@ -278,8 +297,8 @@ TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
   c.invalidate(1);  // set 1 is now empty
-  Cache::PendingInsert p;
-  EXPECT_EQ(c.probe_run(0, 4, false, &p), 1u);
+  EXPECT_EQ(c.probe_run(0, 4, false), 1u);
+  const Cache::PendingInsert p = c.find_victim(1);
   EXPECT_EQ(p.set, 1u);
   EXPECT_EQ(p.way, 0u);
   EXPECT_FALSE(p.evicted.has_value());
@@ -289,24 +308,29 @@ TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
 
 /// The cache as it was specified before the recency lists: 16 B entries
 /// {tag, stamp}, a clock bumped on every hit and fill, and a victim chosen
-/// by "first invalid way, else smallest stamp".
+/// by "first invalid way, else smallest stamp". The hint ways are the
+/// set's newest (tail) and oldest (head) valid entries.
 class StampScanCache {
  public:
   explicit StampScanCache(const CacheConfig& cfg)
       : ways_(cfg.ways), sets_(cfg.num_sets()), entries_(sets_ * ways_) {}
 
-  u64 probe_run(LineAddr first, u64 count, bool dirty,
-                Cache::PendingInsert* miss_victim) {
+  u64 probe_run(LineAddr first, u64 count, bool dirty) {
     for (u64 i = 0; i < count; ++i) {
       Entry* e = find(first + i);
-      if (e == nullptr) {
-        if (miss_victim != nullptr) *miss_victim = find_victim(first + i);
-        return i;
-      }
+      if (e == nullptr || !is_hint(first + i, *e)) return i;
       e->stamp = ++clock_;
       e->dirty |= dirty;
     }
     return count;
+  }
+
+  bool probe(LineAddr line, bool dirty) {
+    Entry* e = find(line);
+    if (e == nullptr) return false;
+    e->stamp = ++clock_;
+    e->dirty |= dirty;
+    return true;
   }
 
   bool contains(LineAddr line) { return find(line) != nullptr; }
@@ -372,6 +396,18 @@ class StampScanCache {
     return nullptr;
   }
 
+  /// True if `e` holds the newest or the oldest stamp of its set.
+  bool is_hint(LineAddr line, const Entry& e) const {
+    const Entry* set = &entries_[(line % sets_) * ways_];
+    bool newest = true, oldest = true;
+    for (u64 w = 0; w < ways_; ++w) {
+      if (!set[w].valid) continue;
+      newest &= set[w].stamp <= e.stamp;
+      oldest &= set[w].stamp >= e.stamp;
+    }
+    return newest || oldest;
+  }
+
   u64 ways_;
   u64 sets_;
   std::vector<Entry> entries_;
@@ -400,7 +436,8 @@ void expect_same_pending(const Cache::PendingInsert& got,
 /// Drive both caches with one seeded random op mix over a line universe
 /// about twice the capacity, comparing every result, every victim slot and
 /// the resident count each step, and every line's residency and dirtiness
-/// every 1k steps.
+/// every 1k steps. A hint run that stops is settled the way the memory walk
+/// settles it: a resident line by a full probe(), an absent one by fill().
 void model_check(u32 ways, u64 sets, u64 seed) {
   const CacheConfig cfg{.capacity_bytes = 64 * sets * ways, .line_bytes = 64,
                         .ways = ways};
@@ -408,7 +445,7 @@ void model_check(u32 ways, u64 sets, u64 seed) {
   StampScanCache ref(cfg);
   const u64 universe = 2 * cfg.num_lines() + ways;
   Rng rng(seed);
-  u64 stopped_runs = 0, evictions = 0, invalidations = 0;
+  u64 stopped_runs = 0, stopped_resident = 0, evictions = 0, invalidations = 0;
   LineAddr last_run = 0;
   constexpr int kSteps = 25'000;
   for (int step = 0; step < kSteps; ++step) {
@@ -422,20 +459,25 @@ void model_check(u32 ways, u64 sets, u64 seed) {
       // A run over up to two passes of the set array, so it wraps.
       const u64 count = 1 + rng.below(2 * sets + 2);
       const bool dirty = rng.chance(0.3);
-      const bool want_victim = rng.chance(0.9);
-      Cache::PendingInsert got, want;
-      const u64 run = cache.probe_run(line, count, dirty,
-                                      want_victim ? &got : nullptr);
-      ASSERT_EQ(run, ref.probe_run(line, count, dirty,
-                                   want_victim ? &want : nullptr))
-          << "step " << step;
-      if (run < count && want_victim) {
+      const u64 run = cache.probe_run(line, count, dirty);
+      ASSERT_EQ(run, ref.probe_run(line, count, dirty)) << "step " << step;
+      const LineAddr stop = line + run;
+      if (run < count && rng.chance(0.9)) {
         ++stopped_runs;
-        ASSERT_NO_FATAL_FAILURE(expect_same_pending(got, want, step));
-        const bool fill_dirty = rng.chance(0.5);
-        cache.commit_insert(got, line + run, fill_dirty);
-        ref.commit_insert(want, line + run, fill_dirty);
-        if (want.evicted) ++evictions;
+        if (ref.contains(stop)) {
+          ++stopped_resident;
+          ASSERT_TRUE(cache.probe(stop, dirty)) << "step " << step;
+          ref.probe(stop, dirty);
+        } else {
+          const Cache::PendingInsert want = ref.find_victim(stop);
+          ASSERT_NO_FATAL_FAILURE(
+              expect_same_pending(cache.find_victim(stop), want, step));
+          const bool fill_dirty = rng.chance(0.5);
+          ASSERT_NO_FATAL_FAILURE(expect_same_eviction(
+              cache.fill(stop, fill_dirty), want.evicted, step));
+          ref.commit_insert(want, stop, fill_dirty);
+          if (want.evicted) ++evictions;
+        }
       }
     } else if (op < 65) {
       if (!ref.contains(line)) {
@@ -473,6 +515,9 @@ void model_check(u32 ways, u64 sets, u64 seed) {
   }
   // The mix must have exercised every path, not just hit or just miss.
   EXPECT_GT(stopped_runs, 0u);
+  if (ways > 2) {
+    EXPECT_GT(stopped_resident, 0u);  // a middle way exists
+  }
   EXPECT_GT(evictions, 0u);
   EXPECT_GT(invalidations, 0u);
 }

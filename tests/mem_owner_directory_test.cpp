@@ -127,6 +127,65 @@ TEST(OwnerDirectory, StaleCursorFallsBackToIndex) {
   EXPECT_EQ(dir.size(), 2u);
 }
 
+// ---- absent_run: the memory walk's fill-run oracle ------------------------
+
+TEST(OwnerDirectory, AbsentRunOverAnAbsentPage) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  EXPECT_EQ(dir.absent_run(at, 5, 1000), P - 5);
+  dir.assign(3 * P, 1);  // another page being present changes nothing
+  EXPECT_EQ(dir.absent_run(at, P + 5, 1000), P - 5);
+}
+
+TEST(OwnerDirectory, AbsentRunStopsAtThePageEnd) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign(at, 2, 0);  // page 0 exists, its tail is empty
+  // Page 1 is absent too, but the run never crosses into it.
+  EXPECT_EQ(dir.absent_run(at, P - 4, 100), 4u);
+  EXPECT_EQ(dir.absent_run(at, P - 1, 100), 1u);
+}
+
+TEST(OwnerDirectory, AbsentRunStopsAtMax) {
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign(at, 40, 0);
+  EXPECT_EQ(dir.absent_run(at, 3, 10), 10u);
+  EXPECT_EQ(dir.absent_run(at, 3, 1), 1u);
+  EXPECT_EQ(dir.absent_run(at, 100, 7), 7u);  // absent page
+}
+
+TEST(OwnerDirectory, AbsentRunStopsAtAPresentLine) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign(at, P + 10, 2);
+  dir.assign(at, P + 11, 3);
+  EXPECT_EQ(dir.absent_run(at, P + 3, 100), 7u);
+  EXPECT_EQ(dir.absent_run(at, P + 10, 100), 0u);
+  EXPECT_EQ(dir.absent_run(at, P + 11, 100), 0u);
+  EXPECT_EQ(dir.absent_run(at, P + 12, 100), P - 12);
+  dir.assign(at, P + 63, 4);  // the page's last line
+  EXPECT_EQ(dir.absent_run(at, P + 12, 100), 63u - 12);
+}
+
+// A stale cursor names a pool slot another page now uses; absent_run must
+// read the right page's mask, not that slot's.
+TEST(OwnerDirectory, AbsentRunThroughAStaleCursor) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign(at, 5, 1);
+  dir.erase(at, 5);  // page 0 is released; `at` still names its slot
+  dir.assign(10 * P + 5, 2);  // page 10 takes the slot, line 5 present
+  EXPECT_EQ(dir.absent_run(at, 5, 100), P - 5);
+  dir.assign(7, 3);  // page 0 returns in another slot
+  EXPECT_EQ(dir.absent_run(at, 5, 100), 2u);
+  EXPECT_EQ(dir.absent_run(at, 10 * P + 4, 100), 1u);
+}
+
 // The DMA sweep: partial first and last pages, an absent page inside the
 // range, lines outside it untouched, callbacks in ascending line order.
 TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
