@@ -57,7 +57,7 @@ class HybridPolicy final : public InterruptRoutingPolicy {
   }
   std::string_view name() const override { return "hybrid"; }
 
-  u64 hinted_routes() const { return hinted_; }
+  u64 hinted_routes() const override { return hinted_; }
   /// Hinted routes rejected because the affinitive core was congested.
   u64 overload_fallbacks() const { return overloaded_; }
 

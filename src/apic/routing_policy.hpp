@@ -27,6 +27,9 @@ class InterruptRoutingPolicy {
                        const std::vector<CoreId>& allowed,
                        const cpu::CpuSystem& cpus, Time now) = 0;
   virtual std::string_view name() const = 0;
+  /// Interrupts delivered to the core their source-aware hint named; 0
+  /// for policies that do not follow hints.
+  virtual u64 hinted_routes() const { return 0; }
 };
 
 /// Intel Linux default: interrupts visit the allowed cores in turn.
@@ -131,7 +134,7 @@ class SourceAwarePolicy final : public InterruptRoutingPolicy {
   }
   std::string_view name() const override { return "source-aware"; }
 
-  u64 hinted_routes() const { return hinted_; }
+  u64 hinted_routes() const override { return hinted_; }
   u64 fallback_routes() const { return fallbacks_; }
 
  private:

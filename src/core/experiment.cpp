@@ -341,11 +341,10 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   engine.run_while([&remaining] { return remaining > 0; }, cfg.max_sim_time);
 
   // ---- Metric aggregation --------------------------------------------
-  // The end-of-run barrier: subsystem stats are published into a named
-  // CounterRegistry, and RunMetrics' integer fields are re-derived from it
-  // — one counter namespace serves the metrics struct, the --metrics CSV,
-  // and any future consumer, and a divergence between the two would be a
-  // bug the golden tests catch.
+  // The end-of-run barrier: every subsystem stats struct is published into
+  // a named CounterRegistry through its describe() overload, so the
+  // --metrics CSV names each counter once, next to its field. Only counters
+  // no stats struct owns are registered here by hand.
   trace::CounterRegistry registry;
   RunMetrics m;
   m.elapsed = simulation.now();
@@ -355,6 +354,8 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   Time busy_total = Time::zero();
   Time softirq_total = Time::zero();
   double unhalted = 0.0;
+  double latency_sum = 0.0;
+  u64 latency_n = 0;
   for (auto& client : clients) {
     cache_total += client->memory().total_stats();
     busy_total += client->cpus().total_busy();
@@ -365,79 +366,46 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         .add(client->memory().c2c_transfers());
     registry.counter("mem.dram_line_reads")
         .add(client->memory().dram_line_reads());
+    registry.counter("apic.raised").add(client->io_apic().stats().raised);
+    registry.counter("apic.hinted_routes")
+        .add(client->io_apic().policy().hinted_routes());
     const net::NicStats& nic = client->nic().stats();
-    registry.counter("nic.interrupts").add(nic.interrupts);
-    registry.counter("nic.rx_messages").add(nic.rx_messages);
-    registry.counter("nic.rx_bytes").add(nic.rx_bytes);
-    registry.counter("nic.rx_dropped").add(nic.dropped);
     const pfs::PfsClientStats& pc = client->pfs().stats();
-    registry.counter("pfs.reads_issued").add(pc.reads_issued);
-    registry.counter("pfs.reads_completed").add(pc.reads_completed);
-    registry.counter("pfs.reads_failed").add(pc.reads_failed);
-    registry.counter("pfs.writes_failed").add(pc.writes_failed);
-    registry.counter("pfs.strips_received").add(pc.strips_received);
-    registry.counter("pfs.retransmits").add(pc.retransmits);
-    registry.counter("pfs.duplicate_strips").add(pc.duplicate_strips);
-    registry.counter("pfs.hedges_issued").add(pc.hedges_issued);
-    registry.counter("pfs.hedges_won").add(pc.hedges_won);
-    registry.counter("pfs.hedges_wasted").add(pc.hedges_wasted);
+    trace::publish(registry, "nic", nic);
+    trace::publish(registry, "pfs", pc);
     if (const pfs::StragglerScheduler* sched = client->pfs().scheduler()) {
-      registry.counter("pfs.sched_redirects")
-          .add(sched->stats().redirected_strips);
-      registry.counter("pfs.sched_probes").add(sched->stats().probe_strips);
+      trace::publish(registry, "pfs", sched->stats());
     }
     registry.latency("pfs.read_latency_us").merge(pc.read_latency_us_hist);
     for (int i = 0; i < client->cpus().num_cores(); ++i) {
-      const cpu::CoreAccounting& acct =
-          client->cpus().core(i).accounting();
-      registry.counter("cpu.items_completed").add(acct.items_completed);
-      registry.counter("cpu.preemptions").add(acct.preemptions);
-      registry.counter("cpu.timeslice_rotations")
-          .add(acct.timeslice_rotations);
+      trace::publish(registry, "cpu", client->cpus().core(i).accounting());
     }
+    m.interrupts += nic.interrupts;
+    m.rx_drops += nic.dropped;
+    m.retransmits += pc.retransmits;
+    m.duplicate_strips += pc.duplicate_strips;
+    m.failed_requests += pc.reads_failed + pc.writes_failed;
+    m.hedges_issued += pc.hedges_issued;
+    m.hedges_won += pc.hedges_won;
+    m.hedges_wasted += pc.hedges_wasted;
+    latency_sum += pc.read_latency_us.sum();
+    latency_n += pc.read_latency_us.count();
   }
-  // Deep-server model: aggregate counters are always registered (all zero
-  // at the default thin config — the CSV is not golden-pinned); per-server
-  // rows (for tools/trace_summary's per-server table) only when the depth
-  // is actually enabled, so default CSVs stay small.
+  // Aggregate `server.*` rows always exist (all zero on thin servers). The
+  // same rows per server, `server<i>.*`, feed tools/trace_summary's table
+  // and exist only under the deep-server model, so default CSVs stay small.
   const bool deep_servers =
       cfg.server.cache.capacity_bytes > 0 || cfg.server.sched.enabled;
+  auto publish_server = [&registry](const std::string& prefix,
+                                    const pfs::IoServer& server) {
+    trace::publish(registry, prefix, server.stats());
+    trace::publish(registry, prefix + ".cache", server.cache().stats());
+    trace::publish(registry, prefix, server.cpu_stats());
+  };
   for (u64 s = 0; s < servers.size(); ++s) {
-    const pfs::IoServerStats& st = servers[s]->stats();
-    const pfs::BufferCache::Stats& cs = servers[s]->cache().stats();
-    const pfs::ServerCpu::Stats& ss = servers[s]->cpu_stats();
-    registry.counter("server.requests").add(st.requests);
-    registry.counter("server.bytes_served").add(st.bytes_served);
-    registry.counter("server.cache_hits").add(st.cache_hits);
-    registry.counter("server.write_requests").add(st.write_requests);
-    registry.counter("server.bytes_written").add(st.bytes_written);
-    registry.counter("server.cache.block_hits").add(cs.hits);
-    registry.counter("server.cache.block_misses").add(cs.misses);
-    registry.counter("server.cache.evictions").add(cs.evictions);
-    registry.counter("server.cache.dirty_writebacks").add(cs.dirty_writebacks);
-    registry.counter("server.cache.flushed_blocks").add(cs.flushed_blocks);
-    registry.counter("server.cache.readahead_issued").add(cs.readahead_issued);
-    registry.counter("server.cache.readahead_useful").add(cs.readahead_useful);
-    registry.counter("server.flush_bursts").add(st.flush_bursts);
-    registry.counter("server.sched_tasks").add(ss.tasks);
+    publish_server("server", *servers[s]);
     if (deep_servers) {
-      const std::string p = "server" + std::to_string(s);
-      registry.counter(p + ".block_hits").add(cs.hits);
-      registry.counter(p + ".block_misses").add(cs.misses);
-      registry.counter(p + ".evictions").add(cs.evictions);
-      registry.counter(p + ".dirty_writebacks").add(cs.dirty_writebacks);
-      registry.counter(p + ".flushed_blocks").add(cs.flushed_blocks);
-      registry.counter(p + ".readahead_issued").add(cs.readahead_issued);
-      registry.counter(p + ".readahead_useful").add(cs.readahead_useful);
-      registry.counter(p + ".tasks").add(ss.tasks);
-      registry.counter(p + ".queue_depth_sum").add(ss.queue_depth_sum);
-      registry.counter(p + ".max_queue_depth").add(ss.max_queue_depth);
-      registry.counter(p + ".queue_wait_ps")
-          .add(static_cast<u64>(ss.queue_wait_ps));
-      registry.counter(p + ".disk_busy_ps")
-          .add(static_cast<u64>(st.disk_busy_ps));
-      registry.counter(p + ".flush_disk_ps")
-          .add(static_cast<u64>(st.flush_disk_ps));
+      publish_server("server" + std::to_string(s), *servers[s]);
     }
   }
   registry.counter("meta.lookups").add(meta.lookups());
@@ -445,14 +413,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
       .add(static_cast<u64>(meta.queue_wait_ps()));
   registry.counter("meta.max_queue_depth").add(meta.max_queue_depth());
   for (auto& injector : faults) {  // summed in shard-rank order
-    const net::FaultStats& fs = injector->stats();
-    registry.counter("fault.packets_dropped").add(fs.packets_dropped);
-    registry.counter("fault.packets_duplicated").add(fs.packets_duplicated);
-    registry.counter("fault.packets_jittered").add(fs.packets_jittered);
-    registry.counter("fault.straggler_delays").add(fs.straggler_delays);
-    registry.counter("fault.straggler_tx_delays").add(fs.straggler_tx_delays);
-    registry.counter("fault.straggler_rx_delays").add(fs.straggler_rx_delays);
-    registry.counter("fault.degraded_packets").add(fs.degraded_packets);
+    trace::publish(registry, "fault", injector->stats());
   }
 
   // Kernel utilization: per-shard executed/pending event counts, so
@@ -481,15 +442,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   registry.counter("sim.rounds").add(engine.rounds());
   registry.counter("sim.cross_shard_posts").add(engine.cross_shard_posts());
   m.c2c_transfers = registry.value("mem.c2c_transfers");
-  m.interrupts = registry.value("nic.interrupts");
-  m.rx_drops = registry.value("nic.rx_dropped");
-  m.retransmits = registry.value("pfs.retransmits");
-  m.duplicate_strips = registry.value("pfs.duplicate_strips");
-  m.failed_requests =
-      registry.value("pfs.reads_failed") + registry.value("pfs.writes_failed");
-  m.hedges_issued = registry.value("pfs.hedges_issued");
-  m.hedges_won = registry.value("pfs.hedges_won");
-  m.hedges_wasted = registry.value("pfs.hedges_wasted");
   m.p99_read_latency_us = registry.latency("pfs.read_latency_us").quantile(0.99);
   m.l2_miss_rate = cache_total.miss_rate();
   const i64 total_cores =
@@ -510,23 +462,9 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   m.total_bytes = registry.value("ior.bytes_read");
   m.bandwidth_mbps = throughput_mbps(m.total_bytes, elapsed);
 
-  double latency_sum = 0.0;
-  u64 latency_n = 0;
-  for (auto& client : clients) {
-    const auto& lat = client->pfs().stats().read_latency_us;
-    latency_sum += lat.sum();
-    latency_n += lat.count();
-  }
   m.mean_read_latency_us =
       latency_n ? latency_sum / static_cast<double>(latency_n) : 0.0;
 
-  for (auto& client : clients) {
-    registry.counter("apic.raised").add(client->io_apic().stats().raised);
-    if (const auto* sa = dynamic_cast<const apic::SourceAwarePolicy*>(
-            &client->io_apic().policy())) {
-      registry.counter("apic.hinted_routes").add(sa->hinted_routes());
-    }
-  }
   const u64 raised = registry.value("apic.raised");
   m.hinted_interrupt_share_x1e4 =
       raised ? registry.value("apic.hinted_routes") * 10'000 / raised : 0;

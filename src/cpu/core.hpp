@@ -13,6 +13,7 @@
 #include <string>
 
 #include "sim/simulation.hpp"
+#include "util/reflect.hpp"
 #include "util/small_function.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
@@ -46,6 +47,16 @@ struct CoreAccounting {
 
   Cycles unhalted(Frequency f) const { return f.cycles_in(busy_total); }
 };
+
+/// Counter rows (`cpu.*`). busy_by_prio is a per-band breakdown, not a
+/// counter of its own.
+template <class V>
+void describe(V& v, CoreAccounting& a) {
+  v.field("busy_ps", a.busy_total);
+  v.field("items_completed", a.items_completed);
+  v.field("preemptions", a.preemptions);
+  v.field("timeslice_rotations", a.timeslice_rotations);
+}
 
 class Core {
  public:

@@ -18,8 +18,7 @@
 //                        packet enters its uplink, so back-to-back packets
 //                        reorder;
 //   * straggler_node / straggler_delay
-//                      — every packet through that node (sent by it, and —
-//                        unless straggler_bidirectional is cleared —
+//                      — every packet through that node (sent by it or
 //                        addressed to it) is slowed: one degraded I/O
 //                        server dragging the read tail;
 //   * degrade_start/end/factor
@@ -52,14 +51,8 @@ struct FaultConfig {
   /// Straggling node (-1 = none). Index into the experiment topology: I/O
   /// servers come first, so 0 degrades server 0.
   i64 straggler_node = -1;
-  /// Extra delay added to every packet the straggler sends or receives
-  /// (see straggler_bidirectional).
+  /// Extra delay added to every packet the straggler sends or receives.
   Time straggler_delay = Time::zero();
-  /// Slow both legs through the straggler. The pre-fix injector delayed
-  /// only packets the straggler *sent*, so the request leg escaped the
-  /// penalty and the effective degradation was half the knob; false
-  /// restores that one-directional behaviour for comparison.
-  bool straggler_bidirectional = true;
   /// Link degradation window [degrade_start, degrade_end): packets sent in
   /// it pay (degrade_factor - 1) x their downlink serialization again.
   Time degrade_start = Time::zero();
@@ -78,7 +71,6 @@ void describe(V& v, FaultConfig& c) {
   v.field("max_jitter", c.max_jitter, r::non_negative());
   v.field("straggler_node", c.straggler_node, r::at_least(-1));
   v.field("straggler_delay", c.straggler_delay, r::non_negative());
-  v.field("straggler_bidirectional", c.straggler_bidirectional);
   v.field("degrade_start", c.degrade_start, r::non_negative());
   v.field("degrade_end", c.degrade_end, r::non_negative());
   v.field("degrade_factor", c.degrade_factor, r::in_frange(1.0, 1e6));
@@ -120,6 +112,18 @@ struct FaultStats {
   u64 degraded_packets = 0;
 };
 
+/// Counter rows (`fault.*`), summed over the per-shard injectors.
+template <class V>
+void describe(V& v, FaultStats& s) {
+  v.field("packets_dropped", s.packets_dropped);
+  v.field("packets_duplicated", s.packets_duplicated);
+  v.field("packets_jittered", s.packets_jittered);
+  v.field("straggler_delays", s.straggler_delays);
+  v.field("straggler_tx_delays", s.straggler_tx_delays);
+  v.field("straggler_rx_delays", s.straggler_rx_delays);
+  v.field("degraded_packets", s.degraded_packets);
+}
+
 class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
@@ -159,10 +163,9 @@ class FaultInjector {
       const NodeId straggler = static_cast<NodeId>(cfg_.straggler_node);
       // Both legs pay: a slow server is slow to *receive* requests as well
       // as to send replies (one-directional matching made the effective
-      // penalty half the knob). The legacy behaviour stays reachable via
-      // straggler_bidirectional = false.
+      // penalty half the knob).
       const bool tx_leg = p.src == straggler;
-      const bool rx_leg = cfg_.straggler_bidirectional && p.dst == straggler;
+      const bool rx_leg = p.dst == straggler;
       if (tx_leg || rx_leg) {
         shared += cfg_.straggler_delay;
         ++stats_.straggler_delays;

@@ -64,6 +64,15 @@ struct NicStats {
   u64 interrupts = 0;
 };
 
+/// Counter rows (`nic.*`).
+template <class V>
+void describe(V& v, NicStats& s) {
+  v.field("rx_messages", s.rx_messages);
+  v.field("rx_bytes", s.rx_bytes);
+  v.field("rx_dropped", s.dropped);
+  v.field("interrupts", s.interrupts);
+}
+
 class ClientNic : public sim::Actor {
  public:
   /// Parses a source-aware hint out of a packet; installed by the SAIs

@@ -177,4 +177,16 @@ class BufferCache {
   Stats stats_;
 };
 
+/// Counter rows (`server.cache.*`, and `server<i>.cache.*` per deep server).
+template <class V>
+void describe(V& v, BufferCache::Stats& s) {
+  v.field("block_hits", s.hits);
+  v.field("block_misses", s.misses);
+  v.field("evictions", s.evictions);
+  v.field("dirty_writebacks", s.dirty_writebacks);
+  v.field("flushed_blocks", s.flushed_blocks);
+  v.field("readahead_issued", s.readahead_issued);
+  v.field("readahead_useful", s.readahead_useful);
+}
+
 }  // namespace saisim::pfs

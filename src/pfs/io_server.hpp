@@ -76,6 +76,19 @@ struct IoServerStats {
   i64 flush_disk_ps = 0;
 };
 
+/// Counter rows (`server.*`, and `server<i>.*` per deep server).
+template <class V>
+void describe(V& v, IoServerStats& s) {
+  v.field("requests", s.requests);
+  v.field("bytes_served", s.bytes_served);
+  v.field("cache_hits", s.cache_hits);
+  v.field("write_requests", s.write_requests);
+  v.field("bytes_written", s.bytes_written);
+  v.field("flush_bursts", s.flush_bursts);
+  v.field("disk_busy_ps", s.disk_busy_ps);
+  v.field("flush_disk_ps", s.flush_disk_ps);
+}
+
 class IoServer : public sim::Actor {
  public:
   IoServer(sim::Simulation& simulation, net::Network& network, NodeId self,

@@ -46,12 +46,6 @@ class MetaServer : public sim::Actor {
     });
   }
 
-  /// Legacy constructor: fixed service time, unqueued.
-  MetaServer(sim::Simulation& simulation, net::Network& network, NodeId self,
-             Time service_time)
-      : MetaServer(simulation, network, self,
-                   MetaServerConfig{service_time, false}) {}
-
   NodeId node() const { return self_; }
   u64 lookups() const { return lookups_; }
   u64 max_queue_depth() const { return max_queue_depth_; }

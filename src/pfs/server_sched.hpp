@@ -157,4 +157,15 @@ class ServerCpu {
   Stats stats_;
 };
 
+/// Counter rows, published beside the server's own under `server.` (and
+/// `server<i>.`). The run-wide max_queue_depth is the max over servers.
+template <class V>
+void describe(V& v, ServerCpu::Stats& s) {
+  v.field("sched_tasks", s.tasks);
+  v.field("sched_queue_depth_sum", s.queue_depth_sum);
+  v.maximum("sched_max_queue_depth", s.max_queue_depth);
+  v.field("sched_queue_wait_ps", s.queue_wait_ps);
+  v.field("sched_busy_ps", s.busy_ps);
+}
+
 }  // namespace saisim::pfs

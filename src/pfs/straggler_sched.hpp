@@ -97,6 +97,13 @@ struct ClientSchedStats {
   u64 probe_strips = 0;
 };
 
+/// Counter rows, published beside the client's own under `pfs.`.
+template <class V>
+void describe(V& v, ClientSchedStats& s) {
+  v.field("sched_redirects", s.redirected_strips);
+  v.field("sched_probes", s.probe_strips);
+}
+
 /// Per-server responsiveness estimator + dispatch decisions. Owned by one
 /// PfsClient; all methods are O(num_servers) worst case and draw no RNG,
 /// so a straggler_aware run replays bit-identically at any sim.shards and

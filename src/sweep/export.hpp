@@ -3,7 +3,9 @@
 // The successor to the benches' printf tables: every sweep renders to the
 // existing stats::Table (aligned text for humans) and from there to CSV or
 // JSON with exact round-trip numbers, with one row per grid point and a
-// stable column order (axes first, then the RunMetrics columns below).
+// stable column order: axes first, then one column per field that
+// describe(RunMetrics) declares (core/experiment.hpp), in its order. A new
+// column is one RunMetrics field plus one describe() line, appended last.
 // Multi-sweep binaries bundle their sweeps into one JSON document.
 #pragma once
 
@@ -16,7 +18,8 @@
 namespace saisim::sweep {
 
 /// The RunMetrics columns exported for every grid point, in the stable
-/// order used by to_table / CSV / JSON (after the axis columns).
+/// describe(RunMetrics) order used by to_table / CSV / JSON (after the
+/// axis columns).
 std::vector<std::string> metric_column_names();
 
 /// One row per grid point: axis labels, then the metric columns.

@@ -61,14 +61,6 @@ u64 CounterRegistry::value(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second->value();
 }
 
-std::vector<std::string> CounterRegistry::names() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, _] : counters_) out.push_back(name);
-  return out;
-}
-
 std::vector<std::pair<std::string, u64>> CounterRegistry::snapshot() const {
   std::lock_guard lock(mu_);
   // Both maps are name-sorted; merge them into one sorted listing (latency

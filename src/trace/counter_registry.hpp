@@ -1,11 +1,16 @@
 // Named monotonic counters and latency recorders.
 //
+// Each subsystem stats struct has a util/reflect.hpp describe() overload,
+// one line per counter; publish(registry, prefix, stats) adds every
+// described field as the row `prefix.<field>`. So a new counter is one
+// struct field plus one describe() line.
+//
 // Registration (finding or creating a named counter) takes a mutex — it is
 // the cold path, done once per subsystem per run. Increments and latency
 // records are lock-free relaxed atomics on stable addresses, so concurrent
 // sweep workers can share one registry without contention or UB (the TSan
-// job exercises exactly that). Iteration (`to_table`, `names`) is sorted by
-// name, so exported metrics are deterministic regardless of registration
+// job exercises exactly that). Iteration (`snapshot`, `to_table`) is sorted
+// by name, so exported metrics are deterministic regardless of registration
 // order.
 #pragma once
 
@@ -20,6 +25,7 @@
 
 #include "stats/histogram.hpp"
 #include "stats/table.hpp"
+#include "util/reflect.hpp"
 #include "util/types.hpp"
 
 namespace saisim::trace {
@@ -30,6 +36,13 @@ class CounterRegistry {
   class Counter {
    public:
     void add(u64 delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
+    /// High-water marks combine by max: raises the value to at least `v`.
+    void raise_to(u64 v) {
+      u64 cur = v_.load(std::memory_order_relaxed);
+      while (cur < v &&
+             !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+      }
+    }
     u64 value() const { return v_.load(std::memory_order_relaxed); }
 
    private:
@@ -88,9 +101,6 @@ class CounterRegistry {
   /// Current value of a named counter (0 if never registered).
   u64 value(std::string_view name) const;
 
-  /// Sorted names of registered plain counters.
-  std::vector<std::string> names() const;
-
   /// Flattened, name-sorted snapshot: plain counters as (name, value);
   /// each latency recorder expands to derived integer rows
   /// (name.count/.total/.p50/.p99).
@@ -105,5 +115,39 @@ class CounterRegistry {
   std::map<std::string, std::unique_ptr<LatencyRecorder>, std::less<>>
       latencies_;
 };
+
+/// Adds each field a stats struct's describe() declares to a registry,
+/// under a dotted prefix: summed for counters, max'd for v.maximum fields.
+/// Counters are integers, so a described double or enum fails to compile.
+class PublishVisitor : public util::reflect::VisitorBase<PublishVisitor> {
+ public:
+  PublishVisitor(CounterRegistry& registry, std::string prefix)
+      : registry_(registry), prefix_(std::move(prefix)) {
+    enter_group(prefix_.c_str());
+  }
+
+  template <class A>
+  void int_field(const util::reflect::FieldInfo& f, A a) {
+    CounterRegistry::Counter& c = registry_.counter(path(f.name));
+    const u64 v = static_cast<u64>(a.get());
+    if (f.maximum) {
+      c.raise_to(v);
+    } else {
+      c.add(v);
+    }
+  }
+
+ private:
+  CounterRegistry& registry_;
+  std::string prefix_;
+};
+
+template <class Stats>
+void publish(CounterRegistry& registry, std::string prefix,
+             const Stats& stats) {
+  PublishVisitor v(registry, std::move(prefix));
+  // describe() takes a mutable reference; publishing only reads.
+  describe(v, const_cast<Stats&>(stats));
+}
 
 }  // namespace saisim::trace

@@ -23,6 +23,8 @@
 //   * perturb_field()   — bump the n-th field to a provably different value
 //                         (fingerprint collision regression tests);
 // and util/reflect_json.hpp adds the exact flat-key JSON dump/load pair.
+// Stats structs and RunMetrics describe themselves too: trace::publish()
+// and the sweep exporter (sweep/export.cpp) are visitors over them.
 //
 // Field values are canonicalised to three scalar channels plus enums:
 // integer (int, u32, i64, u64, Time→ps, Cycles→count, Bandwidth→bytes/s,
@@ -100,6 +102,7 @@ struct FieldInfo {
   const char* name = "";
   const char* unit = "";  // canonical unit of the integer value, for errors
   Check check{};
+  bool maximum = false;  // a high-water mark: combined by max, never summed
 };
 
 /// Name table for an enum field: names[i] labels enum value i (values must
@@ -260,6 +263,11 @@ class VisitorBase {
   void field(const char* name, E& r, EnumNames names) {
     self().enum_field(FieldInfo{name, "", Check{}}, detail::EnumAccess<E>{&r},
                       names);
+  }
+
+  /// High-water mark (a stats struct's max_*): combined by max, not summed.
+  void maximum(const char* name, u64& r) {
+    self().int_field(FieldInfo{name, "", {}, true}, detail::IntAccess<u64>{&r});
   }
 
   /// Nested config struct: recurses into its describe() with the group

@@ -1,5 +1,7 @@
 // Drift guard: every config struct's describe() overload must cover every
-// field. Two fences, which must be updated *together* when a field is
+// field, and so must every stats struct's (each described counter is a
+// --metrics row) and RunMetrics' (each described field is an export
+// column). Two fences, which must be updated *together* when a field is
 // added:
 //
 //   1. the described-leaf count per struct (fails when describe() changes),
@@ -24,7 +26,7 @@ TEST(ConfigDrift, DescribedLeafCounts) {
   EXPECT_EQ(count_fields<mem::CacheConfig>(), 3u);
   EXPECT_EQ(count_fields<mem::MemoryTimings>(), 4u);
   EXPECT_EQ(count_fields<net::NicConfig>(), 8u);
-  EXPECT_EQ(count_fields<net::FaultConfig>(), 10u);
+  EXPECT_EQ(count_fields<net::FaultConfig>(), 9u);
   EXPECT_EQ(count_fields<pfs::IoServerConfig>(), 4u);
   EXPECT_EQ(count_fields<pfs::BufferCacheConfig>(), 9u);
   EXPECT_EQ(count_fields<pfs::ServerSchedConfig>(), 5u);
@@ -38,9 +40,24 @@ TEST(ConfigDrift, DescribedLeafCounts) {
   EXPECT_EQ(count_fields<SimKernelConfig>(), 2u);
   EXPECT_EQ(count_fields<trace::TelemetrySloConfig>(), 4u);
   EXPECT_EQ(count_fields<trace::TelemetryConfig>(), 7u);
-  EXPECT_EQ(count_fields<ExperimentConfig>(), 96u);
+  EXPECT_EQ(count_fields<ExperimentConfig>(), 95u);
   EXPECT_EQ(count_fields<memsim::MemsimConfig>(), 23u);
   EXPECT_EQ(count_fields<realmem::RealMemConfig>(), 8u);
+}
+
+// Every counter field of a stats struct, and every RunMetrics column. The
+// latency summaries/histogram, busy_by_prio and per_client_bandwidth_mbps
+// are not counters or columns and stay undescribed.
+TEST(ConfigDrift, StatsAndMetricsLeafCounts) {
+  EXPECT_EQ(count_fields<pfs::PfsClientStats>(), 14u);
+  EXPECT_EQ(count_fields<pfs::ClientSchedStats>(), 2u);
+  EXPECT_EQ(count_fields<net::NicStats>(), 4u);
+  EXPECT_EQ(count_fields<cpu::CoreAccounting>(), 4u);
+  EXPECT_EQ(count_fields<pfs::IoServerStats>(), 8u);
+  EXPECT_EQ(count_fields<pfs::BufferCache::Stats>(), 7u);
+  EXPECT_EQ(count_fields<pfs::ServerCpu::Stats>(), 5u);
+  EXPECT_EQ(count_fields<net::FaultStats>(), 7u);
+  EXPECT_EQ(count_fields<RunMetrics>(), 21u);
 }
 
 // Composite counts must be the sum of their parts — catches a group()
@@ -83,7 +100,7 @@ TEST(ConfigDrift, StructSizesMatchDescribedLayout) {
   EXPECT_EQ(sizeof(mem::CacheConfig), 24u);
   EXPECT_EQ(sizeof(mem::MemoryTimings), 32u);
   EXPECT_EQ(sizeof(net::NicConfig), 56u);
-  EXPECT_EQ(sizeof(net::FaultConfig), 80u);
+  EXPECT_EQ(sizeof(net::FaultConfig), 72u);
   EXPECT_EQ(sizeof(pfs::IoServerConfig), 32u);
   EXPECT_EQ(sizeof(pfs::BufferCacheConfig), 56u);
   EXPECT_EQ(sizeof(pfs::ServerSchedConfig), 32u);
@@ -97,9 +114,21 @@ TEST(ConfigDrift, StructSizesMatchDescribedLayout) {
   EXPECT_EQ(sizeof(SimKernelConfig), 16u);
   EXPECT_EQ(sizeof(trace::TelemetrySloConfig), 32u);
   EXPECT_EQ(sizeof(trace::TelemetryConfig), 56u);
-  EXPECT_EQ(sizeof(ExperimentConfig), 704u);
+  EXPECT_EQ(sizeof(ExperimentConfig), 696u);
   EXPECT_EQ(sizeof(memsim::MemsimConfig), 168u);
   EXPECT_EQ(sizeof(realmem::RealMemConfig), 48u);
+}
+
+TEST(ConfigDrift, StatsAndMetricsSizesMatchDescribedLayout) {
+  EXPECT_EQ(sizeof(pfs::PfsClientStats), 736u);
+  EXPECT_EQ(sizeof(pfs::ClientSchedStats), 16u);
+  EXPECT_EQ(sizeof(net::NicStats), 32u);
+  EXPECT_EQ(sizeof(cpu::CoreAccounting), 56u);
+  EXPECT_EQ(sizeof(pfs::IoServerStats), 64u);
+  EXPECT_EQ(sizeof(pfs::BufferCache::Stats), 56u);
+  EXPECT_EQ(sizeof(pfs::ServerCpu::Stats), 40u);
+  EXPECT_EQ(sizeof(net::FaultStats), 56u);
+  EXPECT_EQ(sizeof(RunMetrics), 192u);
 }
 #endif
 

@@ -152,6 +152,7 @@ TEST(RegimeProperties, HybridMatchesSourceAwareWhenUncongested) {
   EXPECT_NEAR(hy.bandwidth_mbps, sa.bandwidth_mbps,
               sa.bandwidth_mbps * 0.02);
   EXPECT_EQ(hy.c2c_transfers, 0u);
+  EXPECT_EQ(hy.hinted_interrupt_share_x1e4, sa.hinted_interrupt_share_x1e4);
 }
 
 // ---- failure injection ---------------------------------------------------

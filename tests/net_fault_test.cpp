@@ -212,37 +212,6 @@ TEST(FaultInjector, StragglerDelaysBothLegsThroughTheNode) {
   EXPECT_EQ(inj.stats().straggler_rx_delays, 1u);
 }
 
-// straggler_bidirectional = false restores the legacy one-directional
-// matching (for comparison sweeps): the request leg escapes again.
-TEST(FaultInjector, StragglerBidirectionalOffRestoresTxOnlyMatching) {
-  sim::Simulation s;
-  Network net(s);
-  const NodeId straggler =
-      net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  const NodeId healthy =
-      net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  const NodeId healthy2 =
-      net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  const NodeId sink = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  Time to_straggler_at = Time::zero();
-  Time to_sink_at = Time::zero();
-  net.set_receiver(straggler, [&](Packet) { to_straggler_at = s.now(); });
-  net.set_receiver(sink, [&](Packet) { to_sink_at = s.now(); });
-
-  FaultConfig cfg;
-  cfg.straggler_node = straggler;
-  cfg.straggler_delay = Time::ms(5);
-  cfg.straggler_bidirectional = false;
-  FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
-  net.send(make_packet(healthy, straggler));
-  net.send(make_packet(healthy2, sink));
-  s.run();
-  EXPECT_EQ(to_straggler_at, to_sink_at);  // rx leg unpenalized again
-  EXPECT_EQ(inj.stats().straggler_delays, 0u);
-  EXPECT_EQ(inj.stats().straggler_rx_delays, 0u);
-}
-
 TEST(FaultInjector, DegradationStretchesOnlyTheWindow) {
   // Same packet sent inside and (on a fresh simulation) outside the
   // degradation window: the inside send pays (factor - 1) extra downlink

@@ -17,3 +17,7 @@ has "$tmp/phases.txt" 'cache'
 "$tools/trace_summary" --metrics "$tmp/deep.metrics.csv" \
   "$tmp/deep.trace.json" > "$tmp/summary.txt"
 has "$tmp/summary.txt" 'deep I/O servers'
+# A per-server row with every column numeric: hit ratio, read-ahead
+# useful/issued, mean queue depth and flush share all found their rows.
+has "$tmp/summary.txt" \
+  '^  [0-9]+ +[0-9]\.[0-9]{3} +[0-9]+/[0-9]+ +[0-9]+\.[0-9]{2} +[0-9]+\.[0-9]%$'

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "cpu/core.hpp"
+#include "net/fault.hpp"
+#include "net/nic.hpp"
+#include "pfs/io_server.hpp"
+#include "pfs/pfs_client.hpp"
 #include "stats/histogram.hpp"
 
 namespace saisim::trace {
@@ -30,10 +36,10 @@ TEST(CounterRegistry, NamesAreSorted) {
   reg.counter("zeta");
   reg.counter("alpha");
   reg.counter("mid");
-  const std::vector<std::string> names = reg.names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "alpha");
-  EXPECT_EQ(names[2], "zeta");
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].first, "alpha");
+  EXPECT_EQ(snap[2].first, "zeta");
 }
 
 TEST(CounterRegistry, SnapshotExpandsLatencyRecorders) {
@@ -136,6 +142,86 @@ TEST(CounterRegistry, ConcurrentMixedUseIsExact) {
   for (int w = 0; w < kThreads; ++w) {
     EXPECT_EQ(reg.value("own." + std::to_string(w)), 2 * kPerThread);
   }
+}
+
+TEST(CounterRegistry, RaiseToKeepsTheMaximum) {
+  CounterRegistry reg;
+  reg.counter("max").raise_to(5);
+  reg.counter("max").raise_to(3);
+  EXPECT_EQ(reg.value("max"), 5u);
+  reg.counter("max").raise_to(9);
+  EXPECT_EQ(reg.value("max"), 9u);
+}
+
+// ---- publish(): one registry row per described stats field -------------
+
+/// Publishes a default `Stats`, then, for each described leaf in turn, a
+/// copy with only that leaf perturbed: exactly one row may differ, and it
+/// must be named `prefix.<that leaf's path>`.
+template <class Stats>
+void expect_one_row_per_field(const std::string& prefix) {
+  SCOPED_TRACE(prefix);
+  CounterRegistry base;
+  publish(base, prefix, Stats{});
+  const auto base_rows = base.snapshot();
+  const auto fields = util::reflect::list_fields(Stats{});
+  ASSERT_FALSE(fields.empty());
+  ASSERT_EQ(base_rows.size(), fields.size()) << "row names are not distinct";
+  for (u64 i = 0; i < fields.size(); ++i) {
+    Stats perturbed{};
+    ASSERT_TRUE(util::reflect::perturb_field(perturbed, i));
+    CounterRegistry reg;
+    publish(reg, prefix, perturbed);
+    const auto rows = reg.snapshot();
+    ASSERT_EQ(rows.size(), base_rows.size());
+    std::vector<std::string> changed;
+    for (u64 r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(rows[r].first, base_rows[r].first);
+      if (rows[r].second != base_rows[r].second) {
+        changed.push_back(rows[r].first);
+      }
+    }
+    EXPECT_EQ(changed, std::vector<std::string>{prefix + "." + fields[i].path});
+  }
+}
+
+TEST(Publish, EachDescribedFieldIsExactlyOneRow) {
+  expect_one_row_per_field<pfs::PfsClientStats>("pfs");
+  expect_one_row_per_field<pfs::ClientSchedStats>("pfs");
+  expect_one_row_per_field<net::NicStats>("nic");
+  expect_one_row_per_field<cpu::CoreAccounting>("cpu");
+  expect_one_row_per_field<pfs::IoServerStats>("server");
+  expect_one_row_per_field<pfs::BufferCache::Stats>("server.cache");
+  expect_one_row_per_field<pfs::ServerCpu::Stats>("server3");
+  expect_one_row_per_field<net::FaultStats>("fault");
+}
+
+// Counters sum across instances; high-water marks take the maximum.
+TEST(Publish, SumsCountersAndMaxesMaxima) {
+  pfs::ServerCpu::Stats a;
+  a.tasks = 2;
+  a.max_queue_depth = 7;
+  pfs::ServerCpu::Stats b;
+  b.tasks = 3;
+  b.max_queue_depth = 4;
+  CounterRegistry reg;
+  publish(reg, "server", a);
+  publish(reg, "server", b);
+  EXPECT_EQ(reg.value("server.sched_tasks"), 5u);
+  EXPECT_EQ(reg.value("server.sched_max_queue_depth"), 7u);
+}
+
+// A describe() line may name its row differently from the field.
+TEST(Publish, RowsTakeTheirDescribedNames) {
+  net::NicStats nic;
+  nic.dropped = 4;
+  pfs::BufferCache::Stats cache;
+  cache.hits = 6;
+  CounterRegistry reg;
+  publish(reg, "nic", nic);
+  publish(reg, "server.cache", cache);
+  EXPECT_EQ(reg.value("nic.rx_dropped"), 4u);
+  EXPECT_EQ(reg.value("server.cache.block_hits"), 6u);
 }
 
 }  // namespace
