@@ -122,13 +122,11 @@ class CounterRegistry {
 class PublishVisitor : public util::reflect::VisitorBase<PublishVisitor> {
  public:
   PublishVisitor(CounterRegistry& registry, std::string prefix)
-      : registry_(registry), prefix_(std::move(prefix)) {
-    enter_group(prefix_.c_str());
-  }
+      : registry_(registry), prefix_(std::move(prefix) + '.') {}
 
   template <class A>
   void int_field(const util::reflect::FieldInfo& f, A a) {
-    CounterRegistry::Counter& c = registry_.counter(path(f.name));
+    CounterRegistry::Counter& c = registry_.counter(prefix_ + path(f.name));
     const u64 v = static_cast<u64>(a.get());
     if (f.maximum) {
       c.raise_to(v);

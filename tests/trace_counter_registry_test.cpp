@@ -127,15 +127,18 @@ TEST(CounterRegistry, ConcurrentMixedUseIsExact) {
     workers.emplace_back([&reg, w] {
       for (u64 i = 0; i < kPerThread; ++i) {
         // Both paths hammered concurrently: find-or-create (two shared
-        // names + one per-thread name) and the atomic increments.
+        // names + one per-thread name), the atomic increments and the
+        // high-water raise.
         reg.counter("shared").add();
         reg.latency("lat").record(i + 1);
         reg.counter("own." + std::to_string(w)).add(2);
+        reg.counter("max").raise_to(i + static_cast<u64>(w));
       }
     });
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(reg.value("shared"), kThreads * kPerThread);
+  EXPECT_EQ(reg.value("max"), kPerThread - 1 + (kThreads - 1));
   EXPECT_EQ(reg.latency("lat").count(), kThreads * kPerThread);
   EXPECT_EQ(reg.latency("lat").total(),
             kThreads * (kPerThread * (kPerThread + 1) / 2));
