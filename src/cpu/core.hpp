@@ -13,7 +13,6 @@
 #include <string>
 
 #include "sim/simulation.hpp"
-#include "util/reflect.hpp"
 #include "util/small_function.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
