@@ -4,8 +4,7 @@
 #include <optional>
 #include <string>
 
-#include "pfs/meta_server.hpp"
-#include "sim/engine.hpp"
+#include "core/cluster.hpp"
 #include "trace/counter_registry.hpp"
 #include "trace/runtime.hpp"
 #include "trace/tracer.hpp"
@@ -37,43 +36,12 @@ struct SamplerDriver {
 }  // namespace
 #endif  // SAISIM_TELEMETRY_ENABLED
 
-ClientNode::ClientNode(sim::Simulation& simulation, net::Network& network,
-                       const ExperimentConfig& cfg, NodeId node,
-                       std::vector<NodeId> server_nodes, NodeId meta_node)
-    : address_space_(cfg.client.cache.line_bytes) {
-  cpus_ = std::make_unique<cpu::CpuSystem>(simulation, cfg.client.cores,
-                                           cfg.client.core_freq,
-                                           cfg.client.user_quantum);
-  memory_ = std::make_unique<mem::MemorySystem>(
-      cfg.client.cores, cfg.client.cache, cfg.client.timings,
-      cfg.client.core_freq, cfg.client.dram_bandwidth);
-  io_apic_ = std::make_unique<apic::IoApic>(simulation, *cpus_,
-                                            make_policy(cfg.policy));
-  nic_ = std::make_unique<net::ClientNic>(simulation, network, node, *io_apic_,
-                                          *memory_, cfg.client.core_freq,
-                                          cfg.client.nic);
-  pfs_ = std::make_unique<pfs::PfsClient>(
-      simulation, network, *nic_, node,
-      pfs::StripeLayout(cfg.strip_size, cfg.num_servers),
-      std::move(server_nodes), meta_node, address_space_, cfg.client.pfs,
-      cfg.client.sched);
-  if (policy_uses_hints(cfg.policy)) {
-    sais_ = std::make_unique<sais::SaisClient>(*pfs_, *nic_);
-  }
-  if (cfg.enable_background) {
-    background_ = std::make_unique<workload::BackgroundLoad>(
-        simulation, *cpus_, *memory_, address_space_, cfg.background);
-  }
-}
-
 RunMetrics run_experiment(const ExperimentConfig& cfg) {
   return run_experiment(cfg, nullptr);
 }
 
 RunMetrics run_experiment(const ExperimentConfig& cfg,
                           trace::RunTrace* capture) {
-  SAISIM_CHECK(cfg.num_clients > 0);
-  SAISIM_CHECK(cfg.num_servers > 0);
   SAISIM_CHECK(cfg.procs_per_client > 0);
 
   // Observability: when the shared CLI asked for a trace, install a tracer
@@ -91,18 +59,10 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   // Without an own tracer the ambient one (if any) stays installed — tests
   // wrap run_experiment in a TraceScope to capture its event stream.
 
-  // The sharded DES core. One shard degenerates to the legacy serial
-  // kernel (no workers, the exact pre-shard run loop); S > 1 partitions the
-  // topology over S queues synchronized by conservative lookahead — the
-  // switch store-and-forward latency, which every cross-shard path pays.
-  const int num_shards = cfg.sim.shards;
-  SAISIM_CHECK(num_shards >= 1);
-  const Time lookahead = cfg.sim.lookahead_override > Time::zero()
-                             ? cfg.sim.lookahead_override
-                             : cfg.switch_latency;
-  sim::Engine engine(cfg.seed, num_shards, lookahead);
-  sim::Simulation& simulation = engine.shard(0);
-  net::Network network(engine, cfg.switch_latency);
+  Cluster cluster(cfg);
+  sim::Engine& engine = cluster.engine();
+  sim::Simulation& simulation = cluster.sim();
+  const int num_shards = engine.num_shards();
 
   // Worker shards record into their own tracers; the streams are merged by
   // timestamp (stable by shard rank) after the run. Shard 0 runs on this
@@ -114,70 +74,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
           std::make_unique<trace::Tracer>(topts.mask, topts.capacity));
       engine.set_tracer(r, shard_tracers.back().get());
     }
-  }
-
-  // Partition function: all client machines home on shard 0 — the control
-  // shard, whose clock is the run clock and whose RNG stream is the root
-  // seed, so every model RNG site (all on clients) draws the same sequence
-  // at any shard count. I/O + metadata servers spread round-robin over
-  // shards 1..S-1 in creation order.
-  int next_remote = 0;
-  auto server_shard = [num_shards, &next_remote] {
-    return num_shards == 1 ? 0 : 1 + (next_remote++ % (num_shards - 1));
-  };
-
-  // Fault injection: only instantiated when a knob is armed, so the
-  // default (lossless) fabric pays nothing beyond one empty-check per send
-  // and its metrics/counters are byte-identical to pre-injector builds.
-  // One injector per shard (see net::shard_fault_seed); shard 0's keeps the
-  // configured seed so 1-shard faulty runs replay the single-injector
-  // fabric bit-for-bit.
-  std::vector<std::unique_ptr<net::FaultInjector>> faults;
-  if (net::fault_enabled(cfg.fault)) {
-    std::vector<net::FaultInjector*> per_shard;
-    for (int r = 0; r < num_shards; ++r) {
-      net::FaultConfig fc = cfg.fault;
-      fc.seed = net::shard_fault_seed(cfg.fault.seed, r);
-      faults.push_back(std::make_unique<net::FaultInjector>(fc));
-      per_shard.push_back(faults.back().get());
-    }
-    network.set_fault_injectors(std::move(per_shard));
-  }
-
-  // Topology: I/O servers, the metadata server, then the client machines.
-  std::vector<NodeId> server_nodes;
-  std::vector<int> server_shards;
-  server_nodes.reserve(static_cast<u64>(cfg.num_servers));
-  for (int s = 0; s < cfg.num_servers; ++s) {
-    const int shard = server_shard();
-    server_shards.push_back(shard);
-    server_nodes.push_back(network.add_node(cfg.server.nic_bandwidth,
-                                            cfg.server.nic_bandwidth,
-                                            cfg.link_latency, shard));
-  }
-  const int meta_shard = server_shard();
-  const NodeId meta_node = network.add_node(
-      Bandwidth::gbit(1.0), Bandwidth::gbit(1.0), cfg.link_latency,
-      meta_shard);
-
-  std::vector<std::unique_ptr<pfs::IoServer>> servers;
-  servers.reserve(server_nodes.size());
-  for (u64 s = 0; s < server_nodes.size(); ++s) {
-    servers.push_back(std::make_unique<pfs::IoServer>(
-        engine.shard(server_shards[s]), network, server_nodes[s],
-        cfg.server.io, cfg.server.cache, cfg.server.sched));
-  }
-  pfs::MetaServer meta(engine.shard(meta_shard), network, meta_node,
-                       cfg.meta);
-
-  std::vector<std::unique_ptr<ClientNode>> clients;
-  clients.reserve(static_cast<u64>(cfg.num_clients));
-  for (int c = 0; c < cfg.num_clients; ++c) {
-    const NodeId node = network.add_node(cfg.client.nic_bandwidth,
-                                         cfg.client.nic_bandwidth,
-                                         cfg.link_latency);
-    clients.push_back(std::make_unique<ClientNode>(
-        simulation, network, cfg, node, server_nodes, meta_node));
   }
 
 #if defined(SAISIM_TELEMETRY_ENABLED)
@@ -199,7 +95,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
           cfg.telemetry.flight_recorder_events));
     }
     for (int c = 0; c < cfg.num_clients; ++c) {
-      ClientNode* cl = clients[static_cast<u64>(c)].get();
+      ClientNode* cl = &cluster.client(c);
       trace::TimelineSampler& ts = *samplers[0];  // clients home on shard 0
       const std::string p = "client" + std::to_string(c);
       ts.add_gauge(p + ".pfs.inflight", [cl] {
@@ -235,10 +131,10 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         ts.watch(rate, static_cast<i64>(slo.retransmit_rate_ppm));
       }
     }
-    for (u64 s = 0; s < servers.size(); ++s) {
-      pfs::IoServer* srv = servers[s].get();
-      trace::TimelineSampler& ts =
-          *samplers[static_cast<u64>(server_shards[s])];
+    for (int s = 0; s < cluster.num_servers(); ++s) {
+      pfs::IoServer* srv = &cluster.server(s);
+      trace::TimelineSampler& ts = *samplers[static_cast<u64>(
+          cluster.shard_of(cluster.server_node(s)))];
       const std::string p = "server" + std::to_string(s);
       const u64 depth = ts.add_gauge(p + ".cpu_qdepth", [srv] {
         return static_cast<i64>(srv->cpu_queue_depth());
@@ -256,9 +152,11 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         return static_cast<i64>(srv->stats().bytes_served);
       });
     }
-    samplers[static_cast<u64>(meta_shard)]->add_counter(
-        "meta.lookups",
-        [&meta] { return static_cast<i64>(meta.lookups()); });
+    const pfs::MetaServer* meta = &cluster.meta();
+    samplers[static_cast<u64>(cluster.shard_of(cluster.meta_node()))]
+        ->add_counter("meta.lookups", [meta] {
+          return static_cast<i64>(meta->stats().lookups);
+        });
     if (cfg.telemetry.kernel_gauges) {
       // Per-shard kernel occupancy — rank-keyed, so legitimately different
       // across sim.shards values; opt-in and excluded from the
@@ -310,7 +208,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   int remaining = cfg.num_clients * cfg.procs_per_client;
   ProcessId next_pid = 1;
   for (int c = 0; c < cfg.num_clients; ++c) {
-    ClientNode& node = *clients[static_cast<u64>(c)];
+    ClientNode& node = cluster.client(c);
     if (node.background() != nullptr) node.background()->start(cfg.max_sim_time);
     for (int p = 0; p < cfg.procs_per_client; ++p) {
       workload::IorConfig ior = cfg.ior;
@@ -356,7 +254,8 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   double unhalted = 0.0;
   double latency_sum = 0.0;
   u64 latency_n = 0;
-  for (auto& client : clients) {
+  for (int c = 0; c < cluster.num_clients(); ++c) {
+    ClientNode* client = &cluster.client(c);
     cache_total += client->memory().total_stats();
     busy_total += client->cpus().total_busy();
     softirq_total +=
@@ -402,17 +301,15 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     trace::publish(registry, prefix + ".cache", server.cache().stats());
     trace::publish(registry, prefix, server.cpu_stats());
   };
-  for (u64 s = 0; s < servers.size(); ++s) {
-    publish_server("server", *servers[s]);
+  for (int s = 0; s < cluster.num_servers(); ++s) {
+    publish_server("server", cluster.server(s));
     if (deep_servers) {
-      publish_server("server" + std::to_string(s), *servers[s]);
+      publish_server("server" + std::to_string(s), cluster.server(s));
     }
   }
-  registry.counter("meta.lookups").add(meta.lookups());
-  registry.counter("meta.queue_wait_ps")
-      .add(static_cast<u64>(meta.queue_wait_ps()));
-  registry.counter("meta.max_queue_depth").add(meta.max_queue_depth());
-  for (auto& injector : faults) {  // summed in shard-rank order
+  trace::publish(registry, "meta", cluster.meta().stats());
+  // Summed in shard-rank order.
+  for (const auto& injector : cluster.fault_injectors()) {
     trace::publish(registry, "fault", injector->stats());
   }
 

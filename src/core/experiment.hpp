@@ -14,7 +14,6 @@
 #include "net/nic.hpp"
 #include "pfs/io_server.hpp"
 #include "pfs/meta_server.hpp"
-#include "sais/sais_client.hpp"
 #include "trace/export.hpp"
 #include "trace/timeline.hpp"
 #include "util/reflect.hpp"
@@ -242,33 +241,6 @@ void describe(V& v, RunMetrics& m) {
   v.field("hedges_won", m.hedges_won);
   v.field("hedges_wasted", m.hedges_wasted);
 }
-
-/// One simulated client machine and its software stack.
-class ClientNode {
- public:
-  ClientNode(sim::Simulation& simulation, net::Network& network,
-             const ExperimentConfig& cfg, NodeId node,
-             std::vector<NodeId> server_nodes, NodeId meta_node);
-
-  cpu::CpuSystem& cpus() { return *cpus_; }
-  mem::MemorySystem& memory() { return *memory_; }
-  apic::IoApic& io_apic() { return *io_apic_; }
-  net::ClientNic& nic() { return *nic_; }
-  pfs::PfsClient& pfs() { return *pfs_; }
-  mem::AddressSpace& address_space() { return address_space_; }
-  workload::BackgroundLoad* background() { return background_.get(); }
-  const sais::SaisClient* sais() const { return sais_.get(); }
-
- private:
-  mem::AddressSpace address_space_;
-  std::unique_ptr<cpu::CpuSystem> cpus_;
-  std::unique_ptr<mem::MemorySystem> memory_;
-  std::unique_ptr<apic::IoApic> io_apic_;
-  std::unique_ptr<net::ClientNic> nic_;
-  std::unique_ptr<pfs::PfsClient> pfs_;
-  std::unique_ptr<sais::SaisClient> sais_;
-  std::unique_ptr<workload::BackgroundLoad> background_;
-};
 
 /// Build the cluster, run the workload to completion, aggregate metrics.
 RunMetrics run_experiment(const ExperimentConfig& cfg);

@@ -34,28 +34,19 @@ class Network {
   /// the call should ever touch the heap.
   using Receiver = SmallFunction<void(Packet)>;
 
-  /// Single-shard fabric: every node homes on `simulation`. This is the
-  /// legacy construction used by direct Network tests and keeps the serial
-  /// kernel's behaviour bit-for-bit.
-  explicit Network(sim::Simulation& simulation,
-                   Time switch_latency = Time::us(5))
-      : legacy_sim_(&simulation), switch_latency_(switch_latency) {}
-
-  /// Sharded fabric: nodes home on the shard given to add_node; cross-shard
-  /// forwarding goes through `engine.post` under its lookahead contract.
+  /// Nodes home on the shard given to add_node; cross-shard forwarding
+  /// goes through `engine.post` under its lookahead contract. On a 1-shard
+  /// engine every forward is a plain same-queue schedule.
   explicit Network(sim::Engine& engine, Time switch_latency = Time::us(5))
-      : engine_(&engine), switch_latency_(switch_latency) {}
+      : engine_(engine), switch_latency_(switch_latency) {}
 
   /// Attach a node; `up`/`down` are the node's NIC rates towards/from the
   /// switch (a bonded 3x1-Gigabit client is modelled as a 3 Gb/s link).
-  /// `shard` picks the node's home shard (engine-backed networks only).
+  /// `shard` picks the node's home shard.
   NodeId add_node(Bandwidth up, Bandwidth down,
                   Time link_latency = Time::us(2), int shard = 0) {
-    sim::Simulation& home =
-        engine_ != nullptr ? engine_->shard(shard) : *legacy_sim_;
-    const int rank = engine_ != nullptr ? shard : 0;
-    nodes_.push_back(
-        std::make_unique<Node>(home, rank, up, down, link_latency));
+    nodes_.push_back(std::make_unique<Node>(engine_.shard(shard), shard, up,
+                                            down, link_latency));
     return static_cast<NodeId>(nodes_.size() - 1);
   }
 
@@ -63,21 +54,15 @@ class Network {
     at(node).receiver = std::move(r);
   }
 
-  /// Attach a fault injector that judges every subsequent send. Pass
-  /// nullptr (the default state) for the lossless fabric: the send path
-  /// then costs exactly one empty-check over the pre-injector code.
-  void set_fault_injector(FaultInjector* f) {
-    faults_by_shard_.clear();
-    if (f != nullptr) faults_by_shard_.assign(1, f);
-  }
-  /// Sharded operation: one injector per shard, each judging the sends of
-  /// the nodes homed there in shard-local order with its own RNG stream —
-  /// deterministic at a fixed shard count regardless of thread timing.
+  /// One injector per shard, each judging the sends of the nodes homed
+  /// there in shard-local order with its own RNG stream — deterministic at
+  /// a fixed shard count regardless of thread timing. An empty list (the
+  /// default) is the lossless fabric: the send path then costs exactly one
+  /// empty-check over the pre-injector code.
   void set_fault_injectors(std::vector<FaultInjector*> per_shard) {
+    SAISIM_CHECK(per_shard.empty() ||
+                 static_cast<int>(per_shard.size()) == engine_.num_shards());
     faults_by_shard_ = std::move(per_shard);
-  }
-  FaultInjector* fault_injector() const {
-    return faults_by_shard_.empty() ? nullptr : faults_by_shard_[0];
   }
 
   /// Send a packet from `p.src` to `p.dst`. Delivery invokes the
@@ -142,13 +127,6 @@ class Network {
     return launched - delivered;
   }
 
-  int node_shard(NodeId n) { return at(n).rank; }
-  Link& uplink(NodeId n) { return at(n).uplink; }
-  Link& downlink(NodeId n) { return at(n).downlink; }
-  const Link& downlink(NodeId n) const {
-    return const_cast<Network*>(this)->at(n).downlink;
-  }
-
  private:
   struct Node {
     Node(sim::Simulation& s, int shard_rank, Bandwidth up, Bandwidth down,
@@ -173,9 +151,6 @@ class Network {
 
   FaultInjector* injector_for(int rank) const {
     if (faults_by_shard_.empty()) return nullptr;
-    if (static_cast<u64>(rank) >= faults_by_shard_.size()) {
-      return faults_by_shard_[0];
-    }
     return faults_by_shard_[static_cast<u64>(rank)];
   }
 
@@ -211,7 +186,7 @@ class Network {
     if (&src.sim == &dst.sim) {
       src.sim.at(when, std::move(deliver_leg));
     } else {
-      engine_->post(src.rank, dst.rank, when, std::move(deliver_leg));
+      engine_.post(src.rank, dst.rank, when, std::move(deliver_leg));
     }
   }
 
@@ -227,8 +202,7 @@ class Network {
     });
   }
 
-  sim::Engine* engine_ = nullptr;
-  sim::Simulation* legacy_sim_ = nullptr;
+  sim::Engine& engine_;
   Time switch_latency_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<FaultInjector*> faults_by_shard_;

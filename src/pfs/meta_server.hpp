@@ -35,6 +35,21 @@ void describe(V& v, MetaServerConfig& c) {
   v.field("serialize", c.serialize);
 }
 
+/// Counter rows, published under `meta.`.
+struct MetaServerStats {
+  u64 lookups = 0;
+  /// Total time lookups waited for the service slot (serialize = true).
+  i64 queue_wait_ps = 0;
+  u64 max_queue_depth = 0;
+};
+
+template <class V>
+void describe(V& v, MetaServerStats& s) {
+  v.field("lookups", s.lookups);
+  v.field("queue_wait_ps", s.queue_wait_ps);
+  v.maximum("max_queue_depth", s.max_queue_depth);
+}
+
 class MetaServer : public sim::Actor {
  public:
   MetaServer(sim::Simulation& simulation, net::Network& network, NodeId self,
@@ -46,20 +61,17 @@ class MetaServer : public sim::Actor {
     });
   }
 
-  NodeId node() const { return self_; }
-  u64 lookups() const { return lookups_; }
-  u64 max_queue_depth() const { return max_queue_depth_; }
-  i64 queue_wait_ps() const { return queue_wait_ps_; }
+  const MetaServerStats& stats() const { return stats_; }
 
  private:
   void on_lookup(net::Packet p) {
-    ++lookups_;
+    ++stats_.lookups;
     Time done;
     if (cfg_.serialize) {
       const Time start = std::max(now(), busy_until_);
-      queue_wait_ps_ += (start - now()).picoseconds();
+      stats_.queue_wait_ps += (start - now()).picoseconds();
       ++pending_;
-      max_queue_depth_ = std::max(max_queue_depth_, pending_);
+      stats_.max_queue_depth = std::max(stats_.max_queue_depth, pending_);
       done = start + cfg_.service_time;
       busy_until_ = done;
       SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kMetaLookup,
@@ -88,10 +100,8 @@ class MetaServer : public sim::Actor {
   NodeId self_;
   MetaServerConfig cfg_;
   Time busy_until_ = Time::zero();
-  u64 lookups_ = 0;
+  MetaServerStats stats_;
   u64 pending_ = 0;
-  u64 max_queue_depth_ = 0;
-  i64 queue_wait_ps_ = 0;
   u64 next_id_ = 1;
 };
 

@@ -57,6 +57,7 @@ TEST(ConfigDrift, StatsAndMetricsLeafCounts) {
   EXPECT_EQ(count_fields<pfs::BufferCache::Stats>(), 7u);
   EXPECT_EQ(count_fields<pfs::ServerCpu::Stats>(), 5u);
   EXPECT_EQ(count_fields<net::FaultStats>(), 7u);
+  EXPECT_EQ(count_fields<pfs::MetaServerStats>(), 3u);
   EXPECT_EQ(count_fields<RunMetrics>(), 21u);
 }
 
@@ -128,6 +129,7 @@ TEST(ConfigDrift, StatsAndMetricsSizesMatchDescribedLayout) {
   EXPECT_EQ(sizeof(pfs::BufferCache::Stats), 56u);
   EXPECT_EQ(sizeof(pfs::ServerCpu::Stats), 40u);
   EXPECT_EQ(sizeof(net::FaultStats), 56u);
+  EXPECT_EQ(sizeof(pfs::MetaServerStats), 24u);
   EXPECT_EQ(sizeof(RunMetrics), 192u);
 }
 #endif

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "net/fault.hpp"
-#include "net/network.hpp"
+#include "support/one_shard_net.hpp"
 
 namespace saisim::net {
 namespace {
@@ -84,8 +84,9 @@ TEST(FaultInjector, SameSeedJudgesIdentically) {
 }
 
 TEST(FaultInjector, TotalLossDropsEveryPacket) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId b = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   int delivered = 0;
@@ -94,7 +95,7 @@ TEST(FaultInjector, TotalLossDropsEveryPacket) {
   FaultConfig cfg;
   cfg.loss_rate = 1.0;
   FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
+  net.set_fault_injectors({&inj});
   for (int i = 0; i < 10; ++i) net.send(make_packet(a, b));
   s.run();
   EXPECT_EQ(delivered, 0);
@@ -103,8 +104,9 @@ TEST(FaultInjector, TotalLossDropsEveryPacket) {
 }
 
 TEST(FaultInjector, CertainDuplicationDeliversEveryPacketTwice) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId b = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   int delivered = 0;
@@ -113,7 +115,7 @@ TEST(FaultInjector, CertainDuplicationDeliversEveryPacketTwice) {
   FaultConfig cfg;
   cfg.duplicate_rate = 1.0;
   FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
+  net.set_fault_injectors({&inj});
   for (int i = 0; i < 5; ++i) net.send(make_packet(a, b));
   s.run();
   EXPECT_EQ(delivered, 10);
@@ -122,8 +124,9 @@ TEST(FaultInjector, CertainDuplicationDeliversEveryPacketTwice) {
 }
 
 TEST(FaultInjector, JitterReordersBackToBackPackets) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId b = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   std::vector<u64> arrival_order;
@@ -135,7 +138,7 @@ TEST(FaultInjector, JitterReordersBackToBackPackets) {
   cfg.max_jitter = Time::ms(10);
   cfg.seed = 99;
   FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
+  net.set_fault_injectors({&inj});
   for (u64 i = 0; i < 20; ++i) {
     Packet p = make_packet(a, b, 64);
     p.id = i;
@@ -148,8 +151,9 @@ TEST(FaultInjector, JitterReordersBackToBackPackets) {
 }
 
 TEST(FaultInjector, StragglerDelaysOnlyThatSourceNode) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId straggler =
       net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId healthy =
@@ -165,7 +169,7 @@ TEST(FaultInjector, StragglerDelaysOnlyThatSourceNode) {
   cfg.straggler_node = straggler;
   cfg.straggler_delay = Time::ms(5);
   FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
+  net.set_fault_injectors({&inj});
   net.send(make_packet(straggler, sink));
   net.send(make_packet(healthy, sink));
   s.run();
@@ -182,8 +186,9 @@ TEST(FaultInjector, StragglerDelaysOnlyThatSourceNode) {
 // the knob. Both legs must now pay, with per-leg accounting; this test
 // fails on the pre-fix (tx-only) matching.
 TEST(FaultInjector, StragglerDelaysBothLegsThroughTheNode) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId straggler =
       net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId healthy =
@@ -200,7 +205,7 @@ TEST(FaultInjector, StragglerDelaysBothLegsThroughTheNode) {
   cfg.straggler_node = straggler;
   cfg.straggler_delay = Time::ms(5);
   FaultInjector inj(cfg);
-  net.set_fault_injector(&inj);
+  net.set_fault_injectors({&inj});
   // Distinct senders so the probes never share a TX link: any arrival skew
   // is the injector's doing.
   net.send(make_packet(healthy, straggler));   // the request leg
@@ -217,14 +222,15 @@ TEST(FaultInjector, DegradationStretchesOnlyTheWindow) {
   // degradation window: the inside send pays (factor - 1) extra downlink
   // serializations.
   const auto arrival = [](Time send_at, FaultConfig cfg) {
-    sim::Simulation s;
-    Network net(s);
+    test::OneShardNet fabric;
+    sim::Simulation& s = fabric.s;
+    Network& net = fabric.net;
     const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
     const NodeId b = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
     Time at = Time::zero();
     net.set_receiver(b, [&](Packet) { at = s.now(); });
     FaultInjector inj(cfg);
-    net.set_fault_injector(&inj);
+    net.set_fault_injectors({&inj});
     s.after(send_at, [&] { net.send(make_packet(a, b, 4096)); });
     s.run();
     return at - send_at;
@@ -241,14 +247,20 @@ TEST(FaultInjector, DegradationStretchesOnlyTheWindow) {
   EXPECT_EQ(inside - outside, ser * 2);
 }
 
+TEST(FaultInjector, InjectorListMustCoverEveryShard) {
+  test::OneShardNet fabric;
+  FaultInjector a(FaultConfig{}), b(FaultConfig{});
+  EXPECT_DEATH(fabric.net.set_fault_injectors({&a, &b}), "");
+}
+
 TEST(FaultInjector, NullInjectorPathIsLossless) {
-  sim::Simulation s;
-  Network net(s);
+  test::OneShardNet fabric;
+  sim::Simulation& s = fabric.s;
+  Network& net = fabric.net;
   const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   const NodeId b = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
   int delivered = 0;
   net.set_receiver(b, [&](Packet) { ++delivered; });
-  EXPECT_EQ(net.fault_injector(), nullptr);
   for (int i = 0; i < 10; ++i) net.send(make_packet(a, b));
   s.run();
   EXPECT_EQ(delivered, 10);

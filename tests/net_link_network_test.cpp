@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "net/link.hpp"
-#include "net/network.hpp"
+#include "support/one_shard_net.hpp"
 
 namespace saisim::net {
 namespace {
@@ -41,10 +41,7 @@ TEST(Link, UnlimitedBandwidthIsLatencyOnly) {
   EXPECT_EQ(delivered, Time::us(5));
 }
 
-struct NetFixture : ::testing::Test {
-  sim::Simulation s;
-  Network net{s, /*switch_latency=*/Time::us(5)};
-};
+struct NetFixture : ::testing::Test, test::OneShardNet {};
 
 TEST_F(NetFixture, EndToEndDelivery) {
   const NodeId a = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0),

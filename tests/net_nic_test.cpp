@@ -2,17 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include "support/one_shard_net.hpp"
+
 namespace saisim::net {
 namespace {
 
 constexpr Frequency kFreq = Frequency::ghz(1.0);
 
-struct NicFixture : ::testing::Test {
-  sim::Simulation s;
+struct NicFixture : ::testing::Test, test::OneShardNet {
+  NicFixture() : OneShardNet(/*switch_latency=*/Time::us(1)) {}
+
   cpu::CpuSystem cpus{s, 4, kFreq};
   mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
                            Bandwidth::unlimited()};
-  Network net{s, Time::us(1)};
   NodeId server = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0),
                                Time::zero());
   NodeId client = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0),

@@ -14,7 +14,7 @@
 
 #include "core/experiment.hpp"
 #include "pfs/buffer_cache.hpp"
-#include "pfs/io_server.hpp"
+#include "support/io_server_harness.hpp"
 #include "util/rng.hpp"
 
 namespace saisim::pfs {
@@ -397,55 +397,7 @@ TEST(BufferCacheModel, OneSet) { model_check(geometry(1, 8), 4); }
 
 // ---- Deep-server timeline tests ------------------------------------------
 
-/// One deep server driven with raw packets (same shape as the harness in
-/// pfs_io_server_test.cpp).
-struct Harness {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  NodeId server_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  NodeId client_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  IoServer server;
-
-  struct Arrival {
-    net::Packet packet;
-    Time at;
-  };
-  std::vector<Arrival> arrivals;
-  u64 next_id = 1;
-
-  explicit Harness(BufferCacheConfig cache, IoServerConfig io = {},
-                   ServerSchedConfig sched = {})
-      : server(s, net, server_node, io, cache, sched) {
-    net.set_receiver(client_node, [this](net::Packet p) {
-      arrivals.push_back({std::move(p), s.now()});
-    });
-  }
-
-  void send(net::PacketKind kind, RequestId req, u64 offset, u64 span,
-            Time at) {
-    s.at(at, [this, kind, req, offset, span] {
-      net::Packet p;
-      p.id = next_id++;
-      p.kind = kind;
-      p.src = client_node;
-      p.dst = server_node;
-      p.request = req;
-      p.owner_process = 1;
-      p.payload_bytes = kind == net::PacketKind::kPfsWriteData ? span : 256;
-      p.file_offset = offset;
-      p.span_bytes = span;
-      net.send(std::move(p));
-    });
-  }
-
-  Time latency_of(RequestId req, Time sent) const {
-    for (const Arrival& a : arrivals) {
-      if (a.packet.request == req) return a.at - sent;
-    }
-    ADD_FAILURE() << "no reply for request " << req;
-    return Time::zero();
-  }
-};
+using Harness = test::IoServerHarness;
 
 TEST(BufferCacheTimeline, WriteBackAcksAtCacheSpeedAndFlushesBehind) {
   IoServerConfig io;
@@ -453,7 +405,7 @@ TEST(BufferCacheTimeline, WriteBackAcksAtCacheSpeedAndFlushesBehind) {
   wb.capacity_bytes = 1ull << 20;
   BufferCacheConfig wt = wb;
   wt.write_back = false;
-  Harness hb(wb, io), ht(wt, io);
+  Harness hb(io, wb), ht(io, wt);
   hb.send(net::PacketKind::kPfsWriteData, 1, 0, kStrip, Time::zero());
   ht.send(net::PacketKind::kPfsWriteData, 1, 0, kStrip, Time::zero());
   hb.s.run();  // returning at all proves the flush daemon goes quiescent
@@ -475,7 +427,7 @@ TEST(BufferCacheTimeline, FlushDaemonDrainsInPeriodSizedBatches) {
   cfg.capacity_bytes = 1ull << 20;
   cfg.flush_batch = 16;
   cfg.flush_period = Time::ms(10);
-  Harness h(cfg);
+  Harness h({}, cfg);
   // One 128 KiB write = 32 dirty blocks = two flush bursts, one per tick.
   h.send(net::PacketKind::kPfsWriteData, 1, 0, 2 * kStrip, Time::zero());
   h.s.run();
@@ -490,7 +442,7 @@ TEST(BufferCacheTimeline, DirtyThresholdTriggersUrgentFlush) {
   cfg.ways = 8;
   cfg.dirty_flush_threshold = 0.25;  // 16 of 64 blocks
   cfg.flush_period = Time::sec(1);   // the periodic tick alone is too late
-  Harness h(cfg);
+  Harness h({}, cfg);
   h.send(net::PacketKind::kPfsWriteData, 1, 0, kStrip, Time::zero());
   u64 dirty_at_1ms = ~0ull;
   h.s.at(Time::ms(1), [&] { dirty_at_1ms = h.server.cache().dirty_blocks(); });
@@ -504,7 +456,7 @@ TEST(BufferCacheTimeline, ReadaheadTurnsAStreamIntoHits) {
   BufferCacheConfig cfg;
   cfg.capacity_bytes = 1ull << 20;
   cfg.readahead_blocks = 16;  // one strip ahead
-  Harness h(cfg);
+  Harness h({}, cfg);
   // Sequential strip stream, spaced so each request (and its prefetch)
   // finishes before the next arrives.
   h.send(net::PacketKind::kPfsRequest, 1, 0, kStrip, Time::zero());
@@ -529,7 +481,7 @@ TEST(BufferCacheTimeline, StridedStreamIsDetectedAcrossStripeGaps) {
   BufferCacheConfig cfg;
   cfg.capacity_bytes = 4ull << 20;
   cfg.readahead_blocks = 16;
-  Harness h(cfg);
+  Harness h({}, cfg);
   const u64 stride_bytes = 8 * kStrip;  // 8-server striping
   for (int i = 0; i < 4; ++i) {
     h.send(net::PacketKind::kPfsRequest, i, stride_bytes * static_cast<u64>(i),

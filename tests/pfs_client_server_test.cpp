@@ -2,56 +2,30 @@
 // server and NIC wired over the simulated network.
 #include <gtest/gtest.h>
 
-#include "pfs/io_server.hpp"
-#include "pfs/meta_server.hpp"
-#include "pfs/pfs_client.hpp"
-#include "sais/sais_client.hpp"
+#include <optional>
+
+#include "support/test_cluster.hpp"
 
 namespace saisim::pfs {
 namespace {
-
-constexpr Frequency kFreq = Frequency::ghz(2.0);
 
 struct PfsFixture : ::testing::Test {
   static constexpr int kServers = 4;
   static constexpr u64 kStrip = 64ull << 10;
 
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  cpu::CpuSystem cpus{s, 4, kFreq};
-  mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
-                           Bandwidth::unlimited()};
-  mem::AddressSpace space{64};
-
-  std::vector<NodeId> server_nodes;
-  NodeId meta_node = kNoNode;
-  NodeId client_node = kNoNode;
-  std::vector<std::unique_ptr<IoServer>> servers;
-  std::unique_ptr<MetaServer> meta;
-  std::unique_ptr<apic::IoApic> apic_;
-  std::unique_ptr<net::ClientNic> nic;
-  std::unique_ptr<PfsClient> client;
+  std::optional<Cluster> cluster;
+  PfsClient* client = nullptr;
+  net::ClientNic* nic = nullptr;
 
   void build(IoServerConfig server_cfg = {}, PfsClientConfig client_cfg = {},
              net::NicConfig nic_cfg = {}) {
-    for (int i = 0; i < kServers; ++i) {
-      server_nodes.push_back(
-          net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0)));
-    }
-    meta_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-    client_node = net.add_node(Bandwidth::gbit(3.0), Bandwidth::gbit(3.0));
-    for (NodeId n : server_nodes) {
-      servers.push_back(std::make_unique<IoServer>(s, net, n, server_cfg));
-    }
-    meta = std::make_unique<MetaServer>(s, net, meta_node);
-    apic_ = std::make_unique<apic::IoApic>(
-        s, cpus, std::make_unique<apic::SourceAwarePolicy>());
-    nic = std::make_unique<net::ClientNic>(s, net, client_node, *apic_, memory,
-                                           kFreq, nic_cfg);
-    client = std::make_unique<PfsClient>(s, net, *nic, client_node,
-                                         StripeLayout(kStrip, kServers),
-                                         server_nodes, meta_node, space,
-                                         client_cfg);
+    ExperimentConfig cfg = test::cluster_config();
+    cfg.server.io = server_cfg;
+    cfg.client.pfs = client_cfg;
+    cfg.client.nic = nic_cfg;
+    cluster.emplace(cfg);
+    client = &cluster->client(0).pfs();
+    nic = &cluster->client(0).nic();
   }
 };
 
@@ -59,9 +33,9 @@ TEST_F(PfsFixture, OpenRoundTrip) {
   build();
   bool opened = false;
   client->open(1, [&](Time) { opened = true; });
-  s.run();
+  cluster->sim().run();
   EXPECT_TRUE(opened);
-  EXPECT_EQ(meta->lookups(), 1u);
+  EXPECT_EQ(cluster->meta().stats().lookups, 1u);
 }
 
 TEST_F(PfsFixture, ReadCompletesWithAllStrips) {
@@ -69,7 +43,7 @@ TEST_F(PfsFixture, ReadCompletesWithAllStrips) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 1ull << 20,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->strips, 16u);
   EXPECT_EQ(result->retransmitted_strips, 0u);
@@ -82,11 +56,11 @@ TEST_F(PfsFixture, ReadCompletesWithAllStrips) {
 TEST_F(PfsFixture, EachServerServesItsStrips) {
   build();
   client->read(1, std::nullopt, 0, 1ull << 20, nullptr);
-  s.run();
+  cluster->sim().run();
   // 16 strips round-robin over 4 servers = 4 each.
-  for (const auto& sv : servers) {
-    EXPECT_EQ(sv->stats().requests, 4u);
-    EXPECT_EQ(sv->stats().bytes_served, 4 * kStrip);
+  for (int i = 0; i < kServers; ++i) {
+    EXPECT_EQ(cluster->server(i).stats().requests, 4u);
+    EXPECT_EQ(cluster->server(i).stats().bytes_served, 4 * kStrip);
   }
 }
 
@@ -99,14 +73,14 @@ TEST_F(PfsFixture, StripConsumerInvokedPerStrip) {
                  ++strips_seen;
                  bytes_seen += p.payload_bytes;
                });
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(strips_seen, 8u);
   EXPECT_EQ(bytes_seen, 512ull << 10);
 }
 
 TEST_F(PfsFixture, HintTravelsToServerAndBack) {
   build();
-  sais::SaisClient sais_stack(*client, *nic);
+  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
   CoreId handled_on = kNoCore;
   int handled = 0;
   client->read(1, CoreId{3}, 0, 256ull << 10, nullptr,
@@ -115,7 +89,7 @@ TEST_F(PfsFixture, HintTravelsToServerAndBack) {
                  handled_on = handler;
                  ++handled;
                });
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(handled, 4);
   EXPECT_EQ(handled_on, 3);  // SrcParser + IMComposer steered to core 3
   EXPECT_EQ(sais_stack.messager().stamped(), 4u);
@@ -124,20 +98,20 @@ TEST_F(PfsFixture, HintTravelsToServerAndBack) {
 
 TEST_F(PfsFixture, WithoutHintNoOptionsOnWire) {
   build();
-  sais::SaisClient sais_stack(*client, *nic);
+  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
   client->read(1, std::nullopt, 0, 128ull << 10, nullptr,
                [&](const net::Packet& p, CoreId, Time) {
                  EXPECT_FALSE(p.ip_options.has_value());
                });
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(sais_stack.messager().skipped(), 2u);
 }
 
 TEST_F(PfsFixture, HintBeyondEncodingGoesUnstamped) {
   build();
-  sais::SaisClient sais_stack(*client, *nic);
+  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
   client->read(1, CoreId{40}, 0, 128ull << 10, nullptr);
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(sais_stack.messager().unencodable(), 2u);
   EXPECT_EQ(sais_stack.messager().stamped(), 0u);
 }
@@ -149,6 +123,7 @@ TEST_F(PfsFixture, RetransmitRecoversFromRxOverrun) {
   client_cfg.retransmit_timeout = Time::ms(5);
   build({}, client_cfg, nic_cfg);
   // Stall all cores briefly so the first wave of strips overruns the ring.
+  cpu::CpuSystem& cpus = cluster->client(0).cpus();
   for (int c = 0; c < cpus.num_cores(); ++c) {
     cpus.core(c).submit(cpu::WorkItem{
         .prio = cpu::Priority::kInterrupt,
@@ -159,7 +134,7 @@ TEST_F(PfsFixture, RetransmitRecoversFromRxOverrun) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 1ull << 20,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(nic->stats().dropped, 0u);
   EXPECT_GT(client->stats().retransmits, 0u);
@@ -172,25 +147,25 @@ TEST_F(PfsFixture, SlowServerDelaysCompletion) {
   std::optional<ReadResult> fast;
   client->read(1, std::nullopt, 0, 256ull << 10,
                [&](const ReadResult& r) { fast = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(fast.has_value());
   const Time fast_latency = fast->completed_at - fast->issued_at;
 
   // Degrade server 0 the way experiments do: a straggler on the fabric
   // slows every packet to and from it.
   net::FaultConfig fault;
-  fault.straggler_node = server_nodes[0];
+  fault.straggler_node = cluster->server_node(0);
   fault.straggler_delay = Time::ms(50);
   net::FaultInjector straggler(fault);
-  net.set_fault_injector(&straggler);
+  cluster->network().set_fault_injectors({&straggler});
   std::optional<ReadResult> slow;
   client->read(1, std::nullopt, 1ull << 30, 256ull << 10,
                [&](const ReadResult& r) { slow = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(slow.has_value());
   EXPECT_GT(slow->completed_at - slow->issued_at, fast_latency + Time::ms(40));
   EXPECT_GT(straggler.stats().straggler_delays, 0u);
-  net.set_fault_injector(nullptr);
+  cluster->network().set_fault_injectors({});
 }
 
 TEST_F(PfsFixture, ConcurrentReadsFromMultipleProcesses) {
@@ -200,7 +175,7 @@ TEST_F(PfsFixture, ConcurrentReadsFromMultipleProcesses) {
     client->read(pid, std::nullopt, static_cast<u64>(pid) << 24, 512ull << 10,
                  [&](const ReadResult&) { ++completed; });
   }
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(completed, 3);
   EXPECT_EQ(client->stats().reads_completed, 3u);
   EXPECT_EQ(client->stats().strips_received, 24u);
@@ -214,18 +189,20 @@ TEST_F(PfsFixture, ServerCacheHitsSkipDisk) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 256ull << 10,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_LT(result->completed_at - result->issued_at, Time::ms(10));
   u64 hits = 0;
-  for (const auto& sv : servers) hits += sv->stats().cache_hits;
+  for (int i = 0; i < kServers; ++i) {
+    hits += cluster->server(i).stats().cache_hits;
+  }
   EXPECT_EQ(hits, 4u);
 }
 
 TEST_F(PfsFixture, ReadLatencyStatRecorded) {
   build();
   client->read(1, std::nullopt, 0, 128ull << 10, nullptr);
-  s.run();
+  cluster->sim().run();
   EXPECT_EQ(client->stats().read_latency_us.count(), 1u);
   EXPECT_GT(client->stats().read_latency_us.mean(), 0.0);
 }

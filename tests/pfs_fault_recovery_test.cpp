@@ -7,57 +7,26 @@
 
 #include <optional>
 
-#include "pfs/io_server.hpp"
-#include "pfs/meta_server.hpp"
-#include "pfs/pfs_client.hpp"
 #include "pfs/protocol.hpp"
+#include "support/test_cluster.hpp"
 
 namespace saisim::pfs {
 namespace {
 
-constexpr Frequency kFreq = Frequency::ghz(2.0);
-
 // Plain struct (not a ::testing::Test) so the determinism test below can
 // instantiate two independent rigs inside one TEST body.
 struct FaultRig {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  cpu::CpuSystem cpus{s, 4, kFreq};
-  mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
-                           Bandwidth::unlimited()};
-  mem::AddressSpace space{64};
-
-  std::vector<NodeId> server_nodes;
-  std::vector<std::unique_ptr<IoServer>> servers;
-  std::unique_ptr<MetaServer> meta;
-  std::unique_ptr<apic::IoApic> apic_;
-  std::unique_ptr<net::ClientNic> nic;
-  std::unique_ptr<net::FaultInjector> faults;
-  std::unique_ptr<PfsClient> client;
-  NodeId meta_node = kNoNode;
+  std::optional<Cluster> cluster;
+  PfsClient* client = nullptr;
+  net::ClientNic* nic = nullptr;
 
   void build(net::FaultConfig fault_cfg = {}, PfsClientConfig pfs_cfg = {}) {
-    if (net::fault_enabled(fault_cfg)) {
-      faults = std::make_unique<net::FaultInjector>(fault_cfg);
-      net.set_fault_injector(faults.get());
-    }
-    for (int i = 0; i < 4; ++i)
-      server_nodes.push_back(
-          net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0)));
-    meta_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-    const NodeId client_node =
-        net.add_node(Bandwidth::gbit(3.0), Bandwidth::gbit(3.0));
-    for (NodeId n : server_nodes)
-      servers.push_back(
-          std::make_unique<IoServer>(s, net, n, IoServerConfig{}));
-    meta = std::make_unique<MetaServer>(s, net, meta_node);
-    apic_ = std::make_unique<apic::IoApic>(
-        s, cpus, std::make_unique<apic::SourceAwarePolicy>());
-    nic = std::make_unique<net::ClientNic>(s, net, client_node, *apic_,
-                                           memory, kFreq, net::NicConfig{});
-    client = std::make_unique<PfsClient>(
-        s, net, *nic, client_node, StripeLayout(64ull << 10, 4), server_nodes,
-        meta_node, space, pfs_cfg);
+    ExperimentConfig cfg = test::cluster_config();
+    cfg.fault = fault_cfg;
+    cfg.client.pfs = pfs_cfg;
+    cluster.emplace(cfg);
+    client = &cluster->client(0).pfs();
+    nic = &cluster->client(0).nic();
   }
 };
 
@@ -74,7 +43,7 @@ TEST_F(FaultFixture, ReadRecoversFromPacketLoss) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 512ull << 10,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->failed);
   EXPECT_EQ(result->strips, 8u);
@@ -97,9 +66,9 @@ TEST_F(FaultFixture, WriteRecoversFromDroppedDataOrAck) {
   std::optional<ReadResult> result;
   client->write(1, std::nullopt, 0, buffer,
                 [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   // Before PendingWrite::timeout was armed, any dropped data or ack packet
-  // hung this run forever (s.run() only returns because retransmits
+  // hung this run forever (run() only returns because retransmits
   // eventually push every ack through).
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->failed);
@@ -117,11 +86,12 @@ TEST_F(FaultFixture, ReadBudgetExhaustionFailsGracefully) {
   build(fc, pc);
 
   const u64 bytes = 512ull << 10;
+  const mem::AddressSpace& space = cluster->client(0).address_space();
   const u64 live_before = space.live_bytes();
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, bytes,
                [&](const ReadResult& r) { result = r; });
-  s.run();  // used to SAISIM_CHECK-abort; must now drain cleanly
+  cluster->sim().run();  // used to SAISIM_CHECK-abort; must now drain cleanly
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   EXPECT_EQ(result->lost_strips, 8u);
@@ -144,7 +114,7 @@ TEST_F(FaultFixture, WriteBudgetExhaustionFailsGracefully) {
   std::optional<ReadResult> result;
   client->write(1, std::nullopt, 0, buffer,
                 [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   EXPECT_EQ(result->lost_strips, 4u);
@@ -164,7 +134,7 @@ TEST_F(FaultFixture, RtoBackoffIsCappedAtConfiguredCeiling) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 64ull << 10,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   // Timeouts fire at 100ms (retry 1), +min(200, 200) = 300ms (retry 2),
@@ -189,7 +159,10 @@ TEST_F(FaultFixture, StripProgressResetsRtoToBase) {
 
   // Black-hole every server: requests vanish without a drop record, so
   // the only data the client ever sees is what this test injects.
-  for (NodeId n : server_nodes) net.set_receiver(n, [](net::Packet) {});
+  for (int i = 0; i < 4; ++i) {
+    cluster->network().set_receiver(cluster->server_node(i),
+                                    [](net::Packet) {});
+  }
 
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 128ull << 10,  // 2 strips, servers 0+1
@@ -198,18 +171,18 @@ TEST_F(FaultFixture, StripProgressResetsRtoToBase) {
   // Mid-backoff (between the retry-1 and retry-2 timeouts), deliver strip
   // 0 by hand. on_rx keys purely off request/strip_index, and dma_write
   // does not validate the landing address, so a minimal packet suffices.
-  s.after(Time::ms(250), [&] {
+  cluster->sim().after(Time::ms(250), [&] {
     net::Packet reply;
     reply.kind = net::PacketKind::kPfsData;
-    reply.src = server_nodes[0];
+    reply.src = cluster->server_node(0);
     reply.dst = nic->node();
     reply.request = 1;
     reply.strip_index = 0;
     reply.payload_bytes = 64ull << 10;
-    net.send(std::move(reply));
+    cluster->network().send(std::move(reply));
   });
 
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   EXPECT_EQ(result->strips, 2u);
@@ -221,7 +194,7 @@ TEST_F(FaultFixture, DuplicateMetaReplyIsCountedNotFatal) {
   build();
   bool opened = false;
   client->open(1, [&](Time) { opened = true; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(opened);
 
   // Re-deliver the (already consumed) metadata reply — the shape a
@@ -229,12 +202,12 @@ TEST_F(FaultFixture, DuplicateMetaReplyIsCountedNotFatal) {
   net::Packet stale;
   stale.kind = net::PacketKind::kMetaReply;
   stale.request = 1;
-  stale.src = meta_node;
+  stale.src = cluster->meta_node();
   stale.dst = nic->node();
   stale.payload_bytes = kWriteAckBytes;
   const u64 dups_before = client->stats().duplicate_strips;
-  net.send(stale);
-  s.run();  // used to SAISIM_CHECK-abort in on_rx
+  cluster->network().send(stale);
+  cluster->sim().run();  // used to SAISIM_CHECK-abort in on_rx
   EXPECT_EQ(client->stats().duplicate_strips, dups_before + 1);
 }
 
@@ -248,7 +221,7 @@ TEST_F(FaultFixture, OpenRetriesUntilMetaReplyArrives) {
 
   bool opened = false;
   client->open(1, [&](Time) { opened = true; });
-  s.run();
+  cluster->sim().run();
   EXPECT_TRUE(opened);
 }
 
@@ -260,7 +233,7 @@ TEST_F(FaultFixture, DuplicatedDataStripsAreDeduped) {
   std::optional<ReadResult> result;
   client->read(1, std::nullopt, 0, 512ull << 10,
                [&](const ReadResult& r) { result = r; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->failed);
   // Every packet delivered twice, yet each strip counts exactly once.
@@ -289,10 +262,10 @@ TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
     std::optional<ReadResult> result;
     f.client->read(1, std::nullopt, 0, 512ull << 10,
                    [&](const ReadResult& r) { result = r; });
-    f.s.run();
+    f.cluster->sim().run();
     EXPECT_TRUE(result.has_value());
     return Outcome{result->completed_at, f.client->stats().retransmits,
-                   f.faults->stats().packets_dropped};
+                   f.cluster->fault_injectors()[0]->stats().packets_dropped};
   };
   const Outcome a = run_once();
   const Outcome b = run_once();

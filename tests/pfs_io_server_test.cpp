@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <string>
 
-#include "pfs/io_server.hpp"
 #include "pfs/protocol.hpp"
+#include "support/io_server_harness.hpp"
 #include "trace/tracer.hpp"
 #include "util/rng.hpp"
 
@@ -18,61 +18,7 @@ namespace {
 
 constexpr u64 kStrip = 64ull << 10;
 
-/// One server, one client node, raw packets in, arrivals (with receive
-/// timestamps) out. No PFS client in the loop, so reply timing is a pure
-/// function of the server model plus a fixed network path.
-struct Harness {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  NodeId server_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  NodeId client_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-  IoServer server;
-
-  struct Arrival {
-    net::Packet packet;
-    Time at;
-  };
-  std::vector<Arrival> arrivals;
-  u64 next_id = 1;
-
-  explicit Harness(IoServerConfig io = {}, BufferCacheConfig cache = {},
-                   ServerSchedConfig sched = {})
-      : server(s, net, server_node, io, cache, sched) {
-    net.set_receiver(client_node, [this](net::Packet p) {
-      arrivals.push_back({std::move(p), s.now()});
-    });
-  }
-
-  void send_read(RequestId req, u64 offset, u64 span, Time at,
-                 ProcessId proc = 1) {
-    send(net::PacketKind::kPfsRequest, req, offset, span, at, proc);
-  }
-
-  void send_write(RequestId req, u64 offset, u64 bytes, Time at,
-                  ProcessId proc = 1) {
-    send(net::PacketKind::kPfsWriteData, req, offset, bytes, at, proc);
-  }
-
-  void send(net::PacketKind kind, RequestId req, u64 offset, u64 bytes,
-            Time at, ProcessId proc) {
-    s.at(at, [this, kind, req, offset, bytes, proc] {
-      net::Packet p;
-      p.id = next_id++;
-      p.kind = kind;
-      p.src = client_node;
-      p.dst = server_node;
-      p.request = req;
-      p.owner_process = proc;
-      p.strip_index = static_cast<u32>(req % 16);
-      // A read request is a small control message; write data carries the
-      // strip itself.
-      p.payload_bytes = kind == net::PacketKind::kPfsRequest ? 256 : bytes;
-      p.file_offset = offset;
-      p.span_bytes = bytes;
-      net.send(std::move(p));
-    });
-  }
-};
+using Harness = test::IoServerHarness;
 
 TEST(IoServerModel, DiskSerializesConcurrentRequests) {
   IoServerConfig io;

@@ -13,10 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "pfs/io_server.hpp"
-#include "pfs/meta_server.hpp"
-#include "pfs/pfs_client.hpp"
 #include "pfs/straggler_sched.hpp"
+#include "support/test_cluster.hpp"
 #include "sweep/runner.hpp"
 
 namespace saisim::pfs {
@@ -198,42 +196,18 @@ TEST(StragglerSched, HedgeDelayAndTarget) {
 // ---------------------------------------------------------------------------
 // Hedge lifecycle against a live protocol stack
 
-constexpr Frequency kFreq = Frequency::ghz(2.0);
-
 struct SchedRig {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  cpu::CpuSystem cpus{s, 4, kFreq};
-  mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
-                           Bandwidth::unlimited()};
-  mem::AddressSpace space{64};
-
-  std::vector<NodeId> server_nodes;
-  std::vector<std::unique_ptr<IoServer>> servers;
-  std::unique_ptr<MetaServer> meta;
-  std::unique_ptr<apic::IoApic> apic_;
-  std::unique_ptr<net::ClientNic> nic;
-  std::unique_ptr<PfsClient> client;
-  NodeId meta_node = kNoNode;
+  std::optional<Cluster> cluster;
+  PfsClient* client = nullptr;
+  net::ClientNic* nic = nullptr;
 
   void build(ClientSchedConfig sched_cfg, PfsClientConfig pfs_cfg = {}) {
-    for (int i = 0; i < 4; ++i)
-      server_nodes.push_back(
-          net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0)));
-    meta_node = net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-    const NodeId client_node =
-        net.add_node(Bandwidth::gbit(3.0), Bandwidth::gbit(3.0));
-    for (NodeId n : server_nodes)
-      servers.push_back(
-          std::make_unique<IoServer>(s, net, n, IoServerConfig{}));
-    meta = std::make_unique<MetaServer>(s, net, meta_node);
-    apic_ = std::make_unique<apic::IoApic>(
-        s, cpus, std::make_unique<apic::SourceAwarePolicy>());
-    nic = std::make_unique<net::ClientNic>(s, net, client_node, *apic_,
-                                           memory, kFreq, net::NicConfig{});
-    client = std::make_unique<PfsClient>(
-        s, net, *nic, client_node, StripeLayout(64ull << 10, 4), server_nodes,
-        meta_node, space, pfs_cfg, sched_cfg);
+    ExperimentConfig cfg = test::cluster_config();
+    cfg.client.sched = sched_cfg;
+    cfg.client.pfs = pfs_cfg;
+    cluster.emplace(cfg);
+    client = &cluster->client(0).pfs();
+    nic = &cluster->client(0).nic();
   }
 
   // One full-stripe read to put a warm, healthy estimate on every server.
@@ -241,7 +215,7 @@ struct SchedRig {
     std::optional<ReadResult> r;
     client->read(1, std::nullopt, 0, 256ull << 10,
                  [&](const ReadResult& res) { r = res; });
-    s.run();
+    cluster->sim().run();
     ASSERT_TRUE(r.has_value());
     ASSERT_FALSE(r->failed);
     for (u64 srv = 0; srv < 4; ++srv)
@@ -264,12 +238,13 @@ TEST_F(SchedFixture, HedgeWinsAgainstBlackHoledServer) {
   // Server 0 dies silently: its requests vanish, no reply ever comes. The
   // estimator still holds a healthy (warm) estimate for it, so the next
   // strip goes to the primary — only the hedge timer can rescue it.
-  net.set_receiver(server_nodes[0], [](net::Packet) {});
+  cluster->network().set_receiver(cluster->server_node(0),
+                                  [](net::Packet) {});
 
   std::optional<ReadResult> r;
   client->read(1, std::nullopt, 0, 64ull << 10,  // one strip, on server 0
                [&](const ReadResult& res) { r = res; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   EXPECT_EQ(client->stats().hedges_issued, 1u);
@@ -294,7 +269,7 @@ TEST_F(SchedFixture, HedgeLosesCleanlyWhenBothServersReply) {
   std::optional<ReadResult> r;
   client->read(1, std::nullopt, 0, 64ull << 10,
                [&](const ReadResult& res) { r = res; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   EXPECT_EQ(client->stats().hedges_issued, 1u);
@@ -317,13 +292,14 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
   pc.retransmit_timeout = Time::ms(100);
   build(sc, pc);
   warm_estimator();
-  net.set_receiver(server_nodes[0], [](net::Packet) {});
+  cluster->network().set_receiver(cluster->server_node(0),
+                                  [](net::Packet) {});
 
   std::optional<ReadResult> r;
   const RequestId id =
       client->read(1, std::nullopt, 0, 64ull << 10,
                    [&](const ReadResult& res) { r = res; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(r.has_value());
   ASSERT_EQ(client->stats().hedges_won, 1u);
 
@@ -332,13 +308,13 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
   const u64 dups_before = client->stats().duplicate_strips;
   net::Packet stale;
   stale.kind = net::PacketKind::kPfsData;
-  stale.src = server_nodes[0];
+  stale.src = cluster->server_node(0);
   stale.dst = nic->node();
   stale.request = id;
   stale.strip_index = 0;
   stale.payload_bytes = 64ull << 10;
-  net.send(std::move(stale));
-  s.run();  // double-erase or handle leak would abort here
+  cluster->network().send(std::move(stale));
+  cluster->sim().run();  // double-erase or handle leak would abort here
   EXPECT_EQ(client->stats().duplicate_strips, dups_before + 1);
   EXPECT_EQ(client->stats().reads_completed, 2u);
 
@@ -346,7 +322,7 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
   std::optional<ReadResult> r2;
   client->read(1, std::nullopt, 64ull << 10, 64ull << 10,
                [&](const ReadResult& res) { r2 = res; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(r2.has_value());
   EXPECT_FALSE(r2->failed);
 }
@@ -369,7 +345,7 @@ TEST_F(SchedFixture, RedirectRoutesAroundDetectedStraggler) {
   std::optional<ReadResult> r;
   client->read(1, std::nullopt, 0, 256ull << 10,
                [&](const ReadResult& res) { r = res; });
-  s.run();
+  cluster->sim().run();
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   // The strip laid out on server 0 went to server 1 instead.

@@ -3,57 +3,20 @@
 // placement has (almost) nothing to steer.
 #include <gtest/gtest.h>
 
-#include "pfs/io_server.hpp"
-#include "pfs/meta_server.hpp"
-#include "pfs/pfs_client.hpp"
 #include "pfs/protocol.hpp"
-#include "sais/sais_client.hpp"
-#include "workload/ior_process.hpp"
+#include "support/test_cluster.hpp"
 
 namespace saisim::pfs {
 namespace {
 
-constexpr Frequency kFreq = Frequency::ghz(2.0);
-
 struct WriteFixture : ::testing::Test {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  cpu::CpuSystem cpus{s, 4, kFreq};
-  mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
-                           Bandwidth::unlimited()};
-  mem::AddressSpace space{64};
-
-  std::vector<NodeId> server_nodes;
-  std::vector<std::unique_ptr<IoServer>> servers;
-  std::unique_ptr<MetaServer> meta;
-  std::unique_ptr<apic::IoApic> apic_;
-  std::unique_ptr<net::ClientNic> nic;
-  std::unique_ptr<PfsClient> client;
-
-  void build() {
-    for (int i = 0; i < 4; ++i)
-      server_nodes.push_back(
-          net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0)));
-    const NodeId meta_node =
-        net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-    const NodeId client_node =
-        net.add_node(Bandwidth::gbit(3.0), Bandwidth::gbit(3.0));
-    for (NodeId n : server_nodes)
-      servers.push_back(
-          std::make_unique<IoServer>(s, net, n, IoServerConfig{}));
-    meta = std::make_unique<MetaServer>(s, net, meta_node);
-    apic_ = std::make_unique<apic::IoApic>(
-        s, cpus, std::make_unique<apic::SourceAwarePolicy>());
-    nic = std::make_unique<net::ClientNic>(s, net, client_node, *apic_,
-                                           memory, kFreq, net::NicConfig{});
-    client = std::make_unique<PfsClient>(
-        s, net, *nic, client_node, StripeLayout(64ull << 10, 4), server_nodes,
-        meta_node, space);
-  }
+  Cluster cluster{test::cluster_config()};
+  sim::Simulation& s = cluster.sim();
+  net::Network& net = cluster.network();
+  PfsClient* client = &cluster.client(0).pfs();
 };
 
 TEST_F(WriteFixture, WriteCompletesWhenAllStripsAcked) {
-  build();
   const auto buffer = client->allocate_buffer(512ull << 10);
   std::optional<ReadResult> result;
   client->write(1, std::nullopt, 0, buffer,
@@ -66,20 +29,18 @@ TEST_F(WriteFixture, WriteCompletesWhenAllStripsAcked) {
 }
 
 TEST_F(WriteFixture, ServersPersistTheBytes) {
-  build();
   const auto buffer = client->allocate_buffer(1ull << 20);
   client->write(1, std::nullopt, 0, buffer, nullptr);
   s.run();
   u64 written = 0;
-  for (const auto& sv : servers) {
-    EXPECT_EQ(sv->stats().write_requests, 4u);
-    written += sv->stats().bytes_written;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster.server(i).stats().write_requests, 4u);
+    written += cluster.server(i).stats().bytes_written;
   }
   EXPECT_EQ(written, 1ull << 20);
 }
 
 TEST_F(WriteFixture, WriteLatencyIncludesDiskSerialization) {
-  build();
   const auto buffer = client->allocate_buffer(256ull << 10);
   std::optional<ReadResult> result;
   client->write(1, std::nullopt, 0, buffer,
@@ -92,7 +53,6 @@ TEST_F(WriteFixture, WriteLatencyIncludesDiskSerialization) {
 }
 
 TEST_F(WriteFixture, DuplicateAcksAreCounted) {
-  build();
   const auto buffer = client->allocate_buffer(128ull << 10);
   client->write(1, std::nullopt, 0, buffer, nullptr);
   s.run();
@@ -104,8 +64,8 @@ TEST_F(WriteFixture, DuplicateAcksAreCounted) {
   // Request already completed: must be counted, not crash.
   const u64 dups_before = client->stats().duplicate_strips;
   // Simulate via the public rx path: send from a server node.
-  stale.src = server_nodes[0];
-  stale.dst = nic->node();
+  stale.src = cluster.server_node(0);
+  stale.dst = cluster.client(0).nic().node();
   stale.payload_bytes = kWriteAckBytes;
   stale.dma_addr = 0;
   net.send(stale);
@@ -114,7 +74,6 @@ TEST_F(WriteFixture, DuplicateAcksAreCounted) {
 }
 
 TEST_F(WriteFixture, ConcurrentReadsAndWritesCoexist) {
-  build();
   int completed = 0;
   client->read(1, std::nullopt, 0, 256ull << 10,
                [&](const ReadResult&) { ++completed; });

@@ -1,55 +1,19 @@
 // IOR process and background-load tests over a full client/server stack.
 #include <gtest/gtest.h>
 
-#include "pfs/io_server.hpp"
-#include "pfs/meta_server.hpp"
-#include "sais/sais_client.hpp"
-#include "workload/background_load.hpp"
-#include "workload/ior_process.hpp"
+#include "support/test_cluster.hpp"
 
 namespace saisim::workload {
 namespace {
 
-constexpr Frequency kFreq = Frequency::ghz(2.0);
-
 struct WorkloadFixture : ::testing::Test {
-  sim::Simulation s;
-  net::Network net{s, Time::us(5)};
-  cpu::CpuSystem cpus{s, 4, kFreq};
-  mem::MemorySystem memory{4, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
-                           Bandwidth::unlimited()};
-  mem::AddressSpace space{64};
-
-  std::vector<NodeId> server_nodes;
-  std::vector<std::unique_ptr<pfs::IoServer>> servers;
-  std::unique_ptr<pfs::MetaServer> meta;
-  std::unique_ptr<apic::IoApic> apic_;
-  std::unique_ptr<net::ClientNic> nic;
-  std::unique_ptr<pfs::PfsClient> client;
-  std::unique_ptr<sais::SaisClient> sais_stack;
-
-  void build(bool install_sais) {
-    for (int i = 0; i < 4; ++i)
-      server_nodes.push_back(
-          net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0)));
-    const NodeId meta_node =
-        net.add_node(Bandwidth::gbit(1.0), Bandwidth::gbit(1.0));
-    const NodeId client_node =
-        net.add_node(Bandwidth::gbit(3.0), Bandwidth::gbit(3.0));
-    for (NodeId n : server_nodes)
-      servers.push_back(std::make_unique<pfs::IoServer>(s, net, n,
-                                                        pfs::IoServerConfig{}));
-    meta = std::make_unique<pfs::MetaServer>(s, net, meta_node);
-    apic_ = std::make_unique<apic::IoApic>(
-        s, cpus, std::make_unique<apic::SourceAwarePolicy>());
-    nic = std::make_unique<net::ClientNic>(s, net, client_node, *apic_,
-                                           memory, kFreq, net::NicConfig{});
-    client = std::make_unique<pfs::PfsClient>(
-        s, net, *nic, client_node, pfs::StripeLayout(64ull << 10, 4),
-        server_nodes, meta_node, space);
-    if (install_sais)
-      sais_stack = std::make_unique<sais::SaisClient>(*client, *nic);
-  }
+  Cluster cluster{test::cluster_config()};
+  sim::Simulation& s = cluster.sim();
+  cpu::CpuSystem& cpus = cluster.client(0).cpus();
+  mem::MemorySystem& memory = cluster.client(0).memory();
+  mem::AddressSpace& space = cluster.client(0).address_space();
+  pfs::PfsClient* client = &cluster.client(0).pfs();
+  const sais::SaisClient* sais_stack = cluster.client(0).sais();
 
   IorConfig small_ior() {
     IorConfig cfg;
@@ -60,7 +24,6 @@ struct WorkloadFixture : ::testing::Test {
 };
 
 TEST_F(WorkloadFixture, ProcessReadsConfiguredVolume) {
-  build(true);
   IorProcess proc(s, cpus, memory, *client, 1, 0, true, small_ior());
   std::optional<IorProcessStats> stats;
   proc.start([&](const IorProcessStats& st) { stats = st; });
@@ -73,7 +36,6 @@ TEST_F(WorkloadFixture, ProcessReadsConfiguredVolume) {
 }
 
 TEST_F(WorkloadFixture, HintsSentOnlyWhenSaisAware) {
-  build(true);
   IorProcess hinted(s, cpus, memory, *client, 1, 2, true, small_ior());
   hinted.start(nullptr);
   s.run();
@@ -89,7 +51,6 @@ TEST_F(WorkloadFixture, HintsSentOnlyWhenSaisAware) {
 }
 
 TEST_F(WorkloadFixture, SaisProcessConsumesOnHomeCoreWithHits) {
-  build(true);
   IorProcess proc(s, cpus, memory, *client, 1, 2, true, small_ior());
   proc.start(nullptr);
   s.run();
@@ -104,7 +65,6 @@ TEST_F(WorkloadFixture, SaisProcessConsumesOnHomeCoreWithHits) {
 }
 
 TEST_F(WorkloadFixture, UnhintedProcessSuffersCacheToCacheTraffic) {
-  build(true);
   IorProcess proc(s, cpus, memory, *client, 1, 2, false, small_ior());
   proc.start(nullptr);
   s.run();
@@ -113,7 +73,6 @@ TEST_F(WorkloadFixture, UnhintedProcessSuffersCacheToCacheTraffic) {
 }
 
 TEST_F(WorkloadFixture, ComputeCostScalesWithConfiguredCycles) {
-  build(true);
   IorConfig cheap = small_ior();
   cheap.compute_centicycles_per_byte = 0;
   IorProcess p1(s, cpus, memory, *client, 1, 0, true, cheap);
@@ -139,7 +98,6 @@ TEST_F(WorkloadFixture, ComputeCostScalesWithConfiguredCycles) {
 }
 
 TEST_F(WorkloadFixture, IncrementalCopyModeOverlapsMigration) {
-  build(true);
   IorConfig cfg = small_ior();
   cfg.incremental_copy = true;
   IorProcess proc(s, cpus, memory, *client, 1, 1, false, cfg);
@@ -151,7 +109,6 @@ TEST_F(WorkloadFixture, IncrementalCopyModeOverlapsMigration) {
 }
 
 TEST_F(WorkloadFixture, WriteModeMovesConfiguredVolume) {
-  build(true);
   IorConfig cfg = small_ior();
   cfg.mode = IorMode::kWrite;
   IorProcess proc(s, cpus, memory, *client, 1, 0, true, cfg);
@@ -162,12 +119,13 @@ TEST_F(WorkloadFixture, WriteModeMovesConfiguredVolume) {
   EXPECT_EQ(stats->bytes_read, 1ull << 20);
   EXPECT_EQ(client->stats().writes_completed, 4u);
   u64 written = 0;
-  for (const auto& sv : servers) written += sv->stats().bytes_written;
+  for (int i = 0; i < 4; ++i) {
+    written += cluster.server(i).stats().bytes_written;
+  }
   EXPECT_EQ(written, 1ull << 20);
 }
 
 TEST_F(WorkloadFixture, RandomPatternDrawsAlignedOffsetsInRegion) {
-  build(true);
   IorConfig cfg = small_ior();
   cfg.pattern = AccessPattern::kRandom;
   cfg.file_offset_start = 1ull << 30;
@@ -182,7 +140,6 @@ TEST_F(WorkloadFixture, RandomPatternDrawsAlignedOffsetsInRegion) {
 }
 
 TEST_F(WorkloadFixture, WakeMigrationMovesTheConsumer) {
-  build(true);
   IorConfig cfg = small_ior();
   cfg.wake_migration_probability = 1.0;  // migrate on every wake
   // Home core 3: the least-loaded scan prefers core 0 on an idle machine,
@@ -198,7 +155,6 @@ TEST_F(WorkloadFixture, WakeMigrationMovesTheConsumer) {
 }
 
 TEST_F(WorkloadFixture, NoMigrationByDefault) {
-  build(true);
   IorProcess proc(s, cpus, memory, *client, 1, 0, true, small_ior());
   proc.start(nullptr);
   s.run();
@@ -206,7 +162,6 @@ TEST_F(WorkloadFixture, NoMigrationByDefault) {
 }
 
 TEST_F(WorkloadFixture, BackgroundLoadTicksOnEveryCore) {
-  build(true);
   BackgroundConfig bg;
   bg.period = Time::ms(1);
   BackgroundLoad background(s, cpus, memory, space, bg);
@@ -219,7 +174,6 @@ TEST_F(WorkloadFixture, BackgroundLoadTicksOnEveryCore) {
 }
 
 TEST_F(WorkloadFixture, BackgroundHotSetHitsAfterWarmup) {
-  build(true);
   BackgroundLoad background(s, cpus, memory, space, BackgroundConfig{});
   background.start(Time::ms(10));
   s.run();
