@@ -132,6 +132,56 @@ void BM_MemWalkC2cPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MemWalkC2cPingPong);
 
+/// Re-walk of lines this core holds away from both hint ways. Three 128 KiB
+/// buffers give every set 4 lines of each, oldest first; alternately
+/// re-walking the second and the third finds each line below its set's MRU
+/// and above its LRU, so every line is an owned hit relinked at the way
+/// the owner directory records for it.
+void BM_MemWalkOwnedAwayFromHints(benchmark::State& state) {
+  auto ms = make_mem();
+  const u64 buf = 128ull << 10;
+  for (u64 k = 0; k < 3; ++k) {
+    ms.access(0, k * buf, buf, mem::MemorySystem::AccessType::kRead,
+              Time::zero());
+  }
+  Time now = Time::zero();
+  for (auto _ : state) {
+    now += ms.access(0, buf, buf, mem::MemorySystem::AccessType::kRead, now);
+    now += ms.access(0, 2 * buf, buf, mem::MemorySystem::AccessType::kRead,
+                     now);
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 2 *
+                          static_cast<i64>(buf));
+}
+BENCHMARK(BM_MemWalkOwnedAwayFromHints);
+
+/// DMA landings over resident lines: eight strips fill one core's L2, two
+/// ways per set each. Each iteration lands a strip over the oldest one,
+/// invalidating its 1024 lines in their middle ways, and the core reads it
+/// back into the same ways (the NIC RX pattern on a busy client).
+void BM_DmaOverResidentLines(benchmark::State& state) {
+  auto ms = make_mem();
+  constexpr u64 kStrips = 8;
+  for (u64 k = 0; k < kStrips; ++k) {
+    ms.access(0, k * kStrip, kStrip, mem::MemorySystem::AccessType::kRead,
+              Time::zero());
+  }
+  Time now = Time::zero();
+  u64 next = 0;
+  for (auto _ : state) {
+    const Address strip = next * kStrip;
+    now += ms.dma_write(strip, kStrip, now);
+    now += ms.access(0, strip, kStrip, mem::MemorySystem::AccessType::kRead,
+                     now);
+    benchmark::DoNotOptimize(now);
+    next = (next + 1) % kStrips;
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 2 *
+                          static_cast<i64>(kStrip));
+}
+BENCHMARK(BM_DmaOverResidentLines);
+
 /// Owner-directory churn: fill a strip's worth of owner entries, then DMA
 /// over the same range to invalidate them (insert + erase per line, the
 /// NIC RX landing pattern).

@@ -10,17 +10,17 @@
 // (head = LRU, tail = MRU). A 16-way set takes 176 B. The victim is the
 // lowest invalid way, else the list head: O(1), no stamp comparison.
 //
-// MemorySystem::access never scans a set to learn that a line is absent:
-// the owner directory already knows which core holds each line. The cache
-// answers only what the directory cannot, cheaply. probe_run() walks a
-// contiguous line range with the set cursor carried between lines and
-// consumes the lines it finds in one of two hint ways, the set's tail
-// (a streaming re-walk matches one tag and relinks nothing) and its head
-// (a re-walk of a buffer that spans each set more than once wants the LRU
-// line next). It stops at the first line neither way holds. fill() places
-// a line the directory has proved absent with no lookup at all, and
-// probe() is the full set scan, kept for a line the directory says this
-// core holds away from both hints.
+// MemorySystem::access never scans a set: the owner directory already
+// knows which core holds each line, and in which way. The cache answers
+// only what the directory cannot, cheaply. probe_run() walks a contiguous
+// line range with the set cursor carried between lines and consumes the
+// lines it finds in one of two hint ways, the set's tail (a streaming
+// re-walk matches one tag and relinks nothing) and its head (a re-walk of
+// a buffer that spans each set more than once wants the LRU line next). It
+// stops at the first line neither way holds. fill() places a line the
+// directory has proved absent with no lookup at all and reports the way it
+// took. touch_way() and invalidate_way() settle a line at the way the
+// directory recorded for it, checking only that way's tag.
 #pragma once
 
 #include <algorithm>
@@ -81,18 +81,6 @@ class Cache {
 
   LineAddr line_of(Address addr) const { return addr / cfg_.line_bytes; }
 
-  /// True if the line is present; refreshes LRU on hit and, for a store,
-  /// marks the line dirty. Scans the whole set.
-  bool probe(LineAddr line, bool mark_dirty_on_hit = false) {
-    const u64 i = find(line);
-    if (i == kAbsent) return false;
-    const u64 set = set_index(line);
-    touch(sets_[set], links_.data() + set * cfg_.ways,
-          static_cast<u32>(i - set * cfg_.ways));
-    if (mark_dirty_on_hit) tags_[i] |= kDirty;
-    return true;
-  }
-
   struct Eviction {
     LineAddr line;
     bool dirty;
@@ -117,7 +105,30 @@ class Cache {
                  : probe_run_impl<false>(first, count);
   }
 
-  /// Presence check without touching LRU state.
+  /// Hit on `line`, held in `way` of its set: refresh LRU and, for a
+  /// store, mark the line dirty. O(1); aborts if `way` does not hold it.
+  void touch_way(LineAddr line, u32 way, bool dirty) {
+    const u64 set = set_index(line);
+    u64& tag = held_tag(set, line, way);
+    touch(sets_[set], links_.data() + set * cfg_.ways, way);
+    if (dirty) tag |= kDirty;
+  }
+
+  /// Drop `line`, held in `way` of its set; returns whether it was dirty.
+  /// O(1); aborts if `way` does not hold it.
+  bool invalidate_way(LineAddr line, u32 way) {
+    const u64 set = set_index(line);
+    u64& tag = held_tag(set, line, way);
+    const bool dirty = (tag & kDirty) != 0;
+    SetState& st = sets_[set];
+    unlink(st, links_.data() + set * cfg_.ways, way);
+    st.valid &= ~(1ull << way);
+    tag = 0;
+    --resident_;
+    return dirty;
+  }
+
+  /// Presence check without touching LRU state. Scans the set.
   bool contains(LineAddr line) const { return find(line) != kAbsent; }
 
   bool is_dirty(LineAddr line) const {
@@ -135,15 +146,18 @@ class Cache {
   /// Insert a line (must not be present). Returns the victim, if any.
   std::optional<Eviction> insert(LineAddr line, bool dirty) {
     SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
-    return fill(line, dirty);
+    u32 way = 0;
+    return fill(line, dirty, way);
   }
 
   /// Insert a line the caller knows is absent (the memory walk learns it
   /// from the owner directory). Same victim as insert(), picked in O(1)
-  /// with no lookup. Returns the victim, if any.
-  std::optional<Eviction> fill(LineAddr line, bool dirty) {
+  /// with no lookup. Sets `way` to the way the line took and returns the
+  /// victim, if any (which that way held).
+  std::optional<Eviction> fill(LineAddr line, bool dirty, u32& way) {
     const PendingInsert p = pick_victim(set_index(line));
     commit_insert(p, line, dirty);
+    way = p.way;
     return p.evicted;
   }
 
@@ -152,25 +166,6 @@ class Cache {
     const u64 i = find(line);
     SAISIM_CHECK(i != kAbsent);
     tags_[i] |= kDirty;
-  }
-
-  /// Drop a line if present; returns whether it was dirty.
-  struct Invalidation {
-    bool was_present;
-    bool was_dirty;
-  };
-  Invalidation invalidate(LineAddr line) {
-    const u64 i = find(line);
-    if (i == kAbsent) return {false, false};
-    const bool dirty = (tags_[i] & kDirty) != 0;
-    const u64 set = set_index(line);
-    const u32 way = static_cast<u32>(i - set * cfg_.ways);
-    SetState& st = sets_[set];
-    unlink(st, links_.data() + set * cfg_.ways, way);
-    st.valid &= ~(1ull << way);
-    tags_[i] = 0;
-    --resident_;
-    return {true, dirty};
   }
 
   u64 resident_lines() const { return resident_; }
@@ -195,6 +190,16 @@ class Cache {
   };
 
   u64 set_index(LineAddr line) const { return line & set_mask_; }
+
+  /// The tag of `way` in `set`, which must hold `line`: the owner
+  /// directory recorded that way for it.
+  u64& held_tag(u64 set, LineAddr line, u32 way) {
+    u64* const tag = tags_.data() + set * cfg_.ways + way;
+    SAISIM_CHECK_MSG(
+        way < cfg_.ways && (*tag & ~kDirty) == ((line << 2) | kValid),
+        "owner map out of sync with cache");
+    return *tag;
+  }
 
   /// Victim for the next insert into `set`: the lowest invalid way (an
   /// insert with room evicts nothing), otherwise the LRU way.

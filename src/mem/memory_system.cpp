@@ -1,14 +1,16 @@
 // The client memory walk. access() settles each line of a range by the
-// cheapest source that knows the answer:
+// cheapest source that knows the answer, each in O(1):
 //
 //   1. hint run  - the core's cache consumes lines held in its sets' tail
 //                  or head way (Cache::probe_run), with no set scan;
 //   2. fill run  - the owner directory reports the lines no cache holds
-//                  (OwnerDirectory::absent_run) and the walk fills them
-//                  from DRAM, each victim picked in O(1);
-//   3. owned     - otherwise the directory names the owner: this core (a
-//                  hit away from both hints, found by a set scan) or
-//                  another (a cache-to-cache transfer).
+//                  (OwnerDirectory::absent_run), enters them all at once
+//                  (assign_run) and the walk fills them from DRAM, each
+//                  victim picked in O(1);
+//   3. owned     - otherwise the directory names the owner and its way:
+//                  this core (a hit away from both hints, relinked at that
+//                  way) or another (a cache-to-cache transfer that drops
+//                  the line from that way of the other cache).
 //
 // Lines are visited in address order, each victim is the one a full LRU
 // lookup would pick, and every miss books DRAM at the instant its walk
@@ -21,6 +23,39 @@
 #include "trace/tracer.hpp"
 
 namespace saisim::mem {
+
+namespace {
+
+constexpr u64 kPsPerSecond = 1'000'000'000'000;
+
+/// floor(cycles * 1e12 / hz) picoseconds, carried as a quotient and a
+/// remainder so that advancing the cycle count by a fixed step costs an add
+/// and a compare instead of a division. Exact:
+/// floor((a + b) / d) = floor(a / d) + floor(b / d) + carry, where the
+/// carry is 1 exactly when (a mod d) + (b mod d) >= d.
+struct CycleClock {
+  u64 ps = 0;
+  u64 rem = 0;
+
+  /// The clock at `cycles` (non-negative): one 128-bit division.
+  static CycleClock at(i64 cycles, u64 hz) {
+    const u128 scaled =
+        static_cast<u128>(static_cast<u64>(cycles)) * kPsPerSecond;
+    const u64 ps = static_cast<u64>(scaled / hz);
+    return {ps, static_cast<u64>(scaled - static_cast<u128>(ps) * hz)};
+  }
+
+  void advance(const CycleClock& step, u64 hz) {
+    ps += step.ps;
+    rem += step.rem;
+    if (rem >= hz) {
+      rem -= hz;
+      ++ps;
+    }
+  }
+};
+
+}  // namespace
 
 MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
                            const MemoryTimings& timings, Frequency core_freq,
@@ -107,10 +142,16 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   const bool dram_limited = !dram_bw_.is_unlimited();
   // The drain clock sees the access's own progression at a miss: latency
   // cycles and queueing accrued up to it. Materialising that Time costs a
-  // division, so it is computed only for a bandwidth-limited controller.
+  // division, so it is computed only for a bandwidth-limited controller,
+  // and a fill run carries it from line to line (CycleClock) instead.
   const auto miss_instant = [&] {
     return now + core_freq_.duration(Cycles{cycles}) + dram_queue;
   };
+  // Consecutive fill-run misses are `fill_cycles` apart on that clock.
+  const i64 fill_cycles = reuse_cycles + timings_.dram_access.count();
+  const u64 hz = static_cast<u64>(core_freq_.hertz());
+  const CycleClock fill_step =
+      dram_limited ? CycleClock::at(fill_cycles, hz) : CycleClock{};
 
   // Misses fill consecutive lines and a streamed buffer's LRU victims leave
   // in address order, so each stream keeps its own directory page hint.
@@ -128,35 +169,47 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
 
     // Fill run: lines no cache holds, up to the directory page's end, come
     // from DRAM. Nothing the loop does can make a later line of the run
-    // present, so one mask read settles them all.
+    // present, so one mask read settles them all and one mask write enters
+    // them; the loop records the way each line takes.
     const u64 absent = owner_.absent_run(fill_at, line, last - line + 1);
-    for (const LineAddr end = line + absent; line < end; ++line) {
-      cycles += reuse_cycles;
-      const Time at = dram_limited ? miss_instant() : Time::zero();
-      cycles += timings_.dram_access.count();
-      owner_.assign(fill_at, line, core);
-      u64 booked = 1;
-      if (const auto ev = cache.fill(line, is_write)) {
-        ++evictions;
-        owner_.erase(evict_at, ev->line);
-        if (ev->dirty) {
-          ++writebacks;
-          booked = 2;
+    if (absent > 0) {
+      u8* const ways = owner_.assign_run(fill_at, line, absent, core);
+      CycleClock clock = dram_limited
+                             ? CycleClock::at(cycles + reuse_cycles, hz)
+                             : CycleClock{};
+      for (u64 i = 0; i < absent; ++i, ++line) {
+        u64 booked = 1;
+        u32 way = 0;
+        if (const auto ev = cache.fill(line, is_write, way)) {
+          ++evictions;
+          owner_.erase(evict_at, ev->line);
+          if (ev->dirty) {
+            ++writebacks;
+            booked = 2;
+          }
+        }
+        ways[i] = static_cast<u8>(way);
+        if (dram_limited) {
+          const Time at = now + Time::ps(static_cast<i64>(clock.ps)) +
+                          dram_queue;
+          dram_queue += dram_book_lines(booked, at);
+          clock.advance(fill_step, hz);
         }
       }
-      if (dram_limited) dram_queue += dram_book_lines(booked, at);
+      cycles += static_cast<i64>(absent) * fill_cycles;
+      misses_dram += absent;
+      continue;
     }
-    misses_dram += absent;
-    if (absent > 0) continue;
 
     // Owned line: one directory call settles the lookup and the ownership
-    // move.
+    // move, and names the way the owner's cache holds the line in.
     cycles += reuse_cycles;
-    const CoreId prev = owner_.assign(fill_at, line, core);
+    u8* way = nullptr;
+    const CoreId prev = owner_.assign(fill_at, line, core, way);
     if (prev == core) {
-      // Resident here, away from both hints.
-      SAISIM_CHECK_MSG(cache.probe(line, is_write),
-                       "owner map out of sync with cache");
+      // Resident here, away from both hints. touch_way checks that the
+      // recorded way holds the line.
+      cache.touch_way(line, *way, is_write);
       ++hits;
       cycles += hit_cycles;
       ++line;
@@ -165,11 +218,11 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // Another core's cache owns it: a cache-to-cache transfer. Dirty data
     // moves with ownership, so no write-back to DRAM happens here.
     const Time at = dram_limited ? miss_instant() : Time::zero();
-    const auto inv = caches_[static_cast<u64>(prev)].invalidate(line);
-    SAISIM_CHECK(inv.was_present);
+    caches_[static_cast<u64>(prev)].invalidate_way(line, *way);
     ++misses_c2c;
     cycles += timings_.c2c_transfer.count();
-    if (const auto ev = cache.fill(line, is_write)) {
+    u32 filled = 0;
+    if (const auto ev = cache.fill(line, is_write, filled)) {
       ++evictions;
       owner_.erase(evict_at, ev->line);
       if (ev->dirty) {
@@ -177,6 +230,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         if (dram_limited) dram_queue += dram_book_lines(1, at);
       }
     }
+    *way = static_cast<u8>(filled);
     ++line;
   }
   c2c_transfers_ += misses_c2c;
@@ -219,8 +273,8 @@ Time MemorySystem::dma_write(Address addr, u64 bytes, Time now) {
   // Invalidate any stale cached copies (coherent DMA). The directory sweeps
   // the range a page at a time and reports only the lines some cache holds.
   const u64 invalidated = owner_.erase_range(
-      first, last, [this](LineAddr line, CoreId prev) {
-        caches_[static_cast<u64>(prev)].invalidate(line);
+      first, last, [this](LineAddr line, CoreId prev, u32 way) {
+        caches_[static_cast<u64>(prev)].invalidate_way(line, way);
       });
   SAISIM_TRACE_EVENT(util::Subsystem::kMem, trace::EventType::kDmaWrite, now,
                      -1, -1, -1, static_cast<i64>(bytes),

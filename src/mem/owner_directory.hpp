@@ -18,7 +18,10 @@
 // residency oracle: a line is in core C's cache exactly when the directory
 // says C owns it. absent_run() reads one presence mask to tell the walk how
 // many of the next lines no cache holds, so a miss run is filled from DRAM
-// with no tag scan.
+// with no tag scan, and assign_run() enters the whole run with one mask
+// write. Next to each owner byte a page keeps the way of the owner's cache
+// that holds the line, so the walk relinks or invalidates a line it did
+// not find in a hint way without scanning the set.
 //
 // A page whose last line leaves returns to the pool, so the population is
 // bounded by the resident lines, not by the bump allocator's ever-growing
@@ -72,8 +75,11 @@ class OwnerDirectory {
 
   /// Set the owner of `line`, inserting it if absent. Returns the previous
   /// owner (kNoCore if the line was not present), so the access path settles
-  /// lookup and ownership move in one call.
-  CoreId assign(Cursor& at, LineAddr line, CoreId owner) {
+  /// lookup and ownership move in one call. Points `way` at the line's way
+  /// byte: the previous owner's way if there was one, for the caller to
+  /// overwrite with the new owner's. The pointer stays valid until the next
+  /// call that may add a page (assign, assign_run).
+  CoreId assign(Cursor& at, LineAddr line, CoreId owner, u8*& way) {
     SAISIM_CHECK(owner >= 0 && owner < kMaxOwners);
     if (!seek(at, line)) at.slot = acquire(page_key(line));
     Page& p = pages_[at.slot];
@@ -87,11 +93,34 @@ class OwnerDirectory {
       ++size_;
     }
     slot = static_cast<u8>(owner);
+    way = &p.way[offset(line)];
     return prev;
+  }
+  CoreId assign(Cursor& at, LineAddr line, CoreId owner) {
+    u8* way = nullptr;
+    return assign(at, line, owner, way);
   }
   CoreId assign(LineAddr line, CoreId owner) {
     Cursor at;
     return assign(at, line, owner);
+  }
+
+  /// Give `owner` the `count` lines from `line`, all absent and all in
+  /// `line`'s page (an absent_run result): one presence-mask write and one
+  /// owner fill. Returns the run's way bytes, for the caller to set as it
+  /// places each line; valid as for assign().
+  u8* assign_run(Cursor& at, LineAddr line, u64 count, CoreId owner) {
+    SAISIM_CHECK(owner >= 0 && owner < kMaxOwners);
+    const u64 off = offset(line);
+    SAISIM_CHECK(count > 0 && count <= kPageLines - off);
+    if (!seek(at, line)) at.slot = acquire(page_key(line));
+    Page& p = pages_[at.slot];
+    const u64 run = (~u64{0} >> (kPageLines - count)) << off;
+    SAISIM_CHECK_MSG((p.present & run) == 0, "assign_run over a present line");
+    p.present |= run;
+    size_ += count;
+    std::fill_n(p.owner.data() + off, count, static_cast<u8>(owner));
+    return &p.way[off];
   }
 
   /// How many consecutive lines from `line` no cache holds, counting at
@@ -121,9 +150,9 @@ class OwnerDirectory {
     return erase(at, line);
   }
 
-  /// Remove every line of [first, last], calling `on_erase(line, owner)`
-  /// for each present one in ascending line order. `on_erase` must not use
-  /// the directory. Returns the number of lines removed.
+  /// Remove every line of [first, last], calling `on_erase(line, owner,
+  /// way)` for each present one in ascending line order. `on_erase` must
+  /// not use the directory. Returns the number of lines removed.
   template <class F>
   u64 erase_range(LineAddr first, LineAddr last, F&& on_erase) {
     u64 erased = 0;
@@ -144,7 +173,7 @@ class OwnerDirectory {
       erased += n;
       for (; hits != 0; hits &= hits - 1) {
         const u64 i = static_cast<u64>(std::countr_zero(hits));
-        on_erase(base + i, CoreId{p.owner[i]});
+        on_erase(base + i, CoreId{p.owner[i]}, u32{p.way[i]});
       }
       if (p.present == 0) release(slot);
     }
@@ -156,12 +185,14 @@ class OwnerDirectory {
   /// Owners are stored in one byte.
   static constexpr CoreId kMaxOwners = 256;
 
-  /// Bit i of `present` says line i of the page has an owner, `owner[i]`.
+  /// Bit i of `present` says line i of the page has an owner, `owner[i]`,
+  /// whose cache holds it in way `way[i]` of its set (ways are at most 64).
   /// A pooled page has key 0 and links the free list through `present`.
   struct Page {
     u64 key = 0;  // page number + 1
     u64 present = 0;
     std::array<u8, kPageLines> owner{};
+    std::array<u8, kPageLines> way{};
   };
 
   static u64 pages_for(u64 lines) {

@@ -1,7 +1,9 @@
 // Private-cache tests: LRU/eviction mechanics, the batched probe_run hint
-// walk and the O(1) fill, directed edge cases of the per-set recency list
-// (64-way sets, unlinking the head, tail, a middle and the sole way), and
-// a seeded model check against the stamp-scan reference implementation.
+// walk, the O(1) fill and the way-addressed touch and invalidate (and their
+// "owner map out of sync" aborts), directed edge cases of the per-set
+// recency list (64-way sets, unlinking the head, tail, a middle and the sole
+// way), and a seeded model check against the stamp-scan reference
+// implementation.
 #include "mem/cache.hpp"
 
 #include <gtest/gtest.h>
@@ -22,9 +24,13 @@ CacheConfig tiny_cache() {
 TEST(Cache, MissThenHit) {
   Cache c(tiny_cache());
   const LineAddr line = c.line_of(0x1000);
-  EXPECT_FALSE(c.probe(line));
-  EXPECT_FALSE(c.insert(line, false).has_value());
-  EXPECT_TRUE(c.probe(line));
+  EXPECT_FALSE(c.contains(line));
+  u32 way = 99;
+  EXPECT_FALSE(c.fill(line, false, way).has_value());
+  EXPECT_EQ(way, 0u);  // the set's lowest invalid way
+  c.touch_way(line, way, true);
+  EXPECT_TRUE(c.contains(line));
+  EXPECT_TRUE(c.is_dirty(line));
   EXPECT_EQ(c.resident_lines(), 1u);
 }
 
@@ -38,9 +44,9 @@ TEST(Cache, LruEvictionWithinSet) {
   Cache c(tiny_cache());
   // Three lines mapping to the same set (4 sets => stride 4 lines).
   const LineAddr a = 0, b = 4, d = 8;
-  c.insert(a, false);
-  c.insert(b, false);
-  EXPECT_TRUE(c.probe(a));  // a is now MRU; b is LRU
+  c.insert(a, false);  // way 0
+  c.insert(b, false);  // way 1
+  c.touch_way(a, 0, false);  // a is now MRU; b is LRU
   const auto ev = c.insert(d, false);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->line, b);
@@ -68,14 +74,37 @@ TEST(Cache, MarkDirtySticks) {
 
 TEST(Cache, InvalidateRemovesAndReportsDirty) {
   Cache c(tiny_cache());
-  c.insert(5, true);
-  const auto inv = c.invalidate(5);
-  EXPECT_TRUE(inv.was_present);
-  EXPECT_TRUE(inv.was_dirty);
+  u32 way = 0;
+  c.fill(5, true, way);
+  u32 clean_way = 0;
+  c.fill(9, false, clean_way);  // same set, the other way
+  EXPECT_TRUE(c.invalidate_way(5, way));
   EXPECT_FALSE(c.contains(5));
+  EXPECT_EQ(c.resident_lines(), 1u);
+  EXPECT_FALSE(c.invalidate_way(9, clean_way));
   EXPECT_EQ(c.resident_lines(), 0u);
-  const auto inv2 = c.invalidate(5);
-  EXPECT_FALSE(inv2.was_present);
+}
+
+// The owner directory names the way; a way that does not hold the line
+// means the directory and the cache disagree, which must abort.
+TEST(Cache, TouchAtAWayNotHoldingTheLineAborts) {
+  Cache c(tiny_cache());  // 4 sets x 2 ways
+  c.insert(0, false);     // set 0, way 0
+  c.insert(4, false);     // set 0, way 1
+  EXPECT_DEATH(c.touch_way(0, 1, false), "owner map out of sync");
+  EXPECT_DEATH(c.touch_way(8, 0, true), "owner map out of sync");
+  EXPECT_DEATH(c.touch_way(0, 2, false), "owner map out of sync");
+}
+
+TEST(Cache, InvalidateAtAWayNotHoldingTheLineAborts) {
+  Cache c(tiny_cache());
+  c.insert(0, false);  // set 0, way 0
+  c.insert(4, true);   // set 0, way 1
+  EXPECT_DEATH(c.invalidate_way(4, 0), "owner map out of sync");
+  EXPECT_DEATH(c.invalidate_way(4, 2), "owner map out of sync");
+  EXPECT_TRUE(c.invalidate_way(4, 1));
+  // The way is empty now: invalidating the line again is out of sync too.
+  EXPECT_DEATH(c.invalidate_way(4, 1), "owner map out of sync");
 }
 
 TEST(Cache, DoubleInsertAborts) {
@@ -126,12 +155,14 @@ TEST(Cache, ProbeRunMarksDirtyOnHits) {
 
 TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
   Cache c(tiny_cache());  // 2 ways per set
-  c.insert(0, false);     // set 0
-  c.insert(4, true);      // set 0, both ways now full
-  c.probe(4);             // make line 4 the more recent way
+  c.insert(0, false);     // set 0, way 0
+  c.insert(4, true);      // set 0, way 1: both ways now full
+  c.touch_way(4, 1, false);  // make line 4 the more recent way
   EXPECT_EQ(c.probe_run(8, 1, false), 0u);  // set 0, absent
   // fill() takes the LRU way with no lookup, exactly like insert().
-  const auto evicted = c.fill(8, false);
+  u32 way = 99;
+  const auto evicted = c.fill(8, false, way);
+  EXPECT_EQ(way, 0u);
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(evicted->line, 0u);
   EXPECT_FALSE(evicted->dirty);
@@ -144,7 +175,9 @@ TEST(Cache, FillPrefersInvalidWay) {
   Cache c(tiny_cache());
   c.insert(0, false);  // set 0, one way still invalid
   EXPECT_EQ(c.find_victim(4).way, 1u);
-  EXPECT_FALSE(c.fill(4, false).has_value());  // fills the empty way
+  u32 way = 0;
+  EXPECT_FALSE(c.fill(4, false, way).has_value());  // fills the empty way
+  EXPECT_EQ(way, 1u);
   EXPECT_TRUE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
   EXPECT_EQ(c.resident_lines(), 2u);
@@ -161,12 +194,13 @@ TEST(Cache, ProbeRunTakesTheHeadHint) {
   EXPECT_EQ(c.insert(8, false)->line, 0u);
 }
 
-// A line in neither hint way stops the run; probe() scans the set for it.
+// A line in neither hint way stops the run; touch_way() relinks it at the
+// way the owner directory recorded for it.
 TEST(Cache, ProbeRunStopsAtAMiddleWay) {
   Cache c(CacheConfig{.capacity_bytes = 256, .line_bytes = 64, .ways = 4});
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);  // order 0 1 2 3
   EXPECT_EQ(c.probe_run(1, 1, false), 0u);
-  EXPECT_TRUE(c.probe(1, true));  // order 0 2 3 1
+  c.touch_way(1, 1, true);  // order 0 2 3 1
   EXPECT_TRUE(c.is_dirty(1));
   EXPECT_EQ(c.insert(10, false)->line, 0u);
   EXPECT_EQ(c.insert(11, false)->line, 2u);
@@ -209,22 +243,26 @@ TEST(CacheRecency, FullSixtyFourWaySet) {
     const Cache::PendingInsert p = c.find_victim(l);
     EXPECT_EQ(p.way, l);  // an empty way is always the lowest one
     EXPECT_FALSE(p.evicted.has_value());
-    c.fill(l, l == 0);
+    u32 way = 99;
+    c.fill(l, l == 0, way);
+    EXPECT_EQ(way, l);
   }
   EXPECT_EQ(c.resident_lines(), 64u);
   // Full: the victim is the LRU way, and hits reorder the list.
-  EXPECT_TRUE(c.probe(0));
-  EXPECT_TRUE(c.probe(63));
+  c.touch_way(0, 0, false);
+  c.touch_way(63, 63, false);
   const Cache::PendingInsert p = c.find_victim(100);
   ASSERT_TRUE(p.evicted.has_value());
   EXPECT_EQ(p.evicted->line, 1u);
   EXPECT_EQ(p.way, 1u);
   // Freeing the last way makes it the only candidate.
-  EXPECT_TRUE(c.invalidate(63).was_present);
+  EXPECT_FALSE(c.invalidate_way(63, 63));  // clean
   const Cache::PendingInsert q = c.find_victim(100);
   EXPECT_EQ(q.way, 63u);
   EXPECT_FALSE(q.evicted.has_value());
-  c.fill(100, false);
+  u32 way = 0;
+  c.fill(100, false, way);
+  EXPECT_EQ(way, 63u);
   EXPECT_EQ(eviction_order(c, 200, 3), (std::vector<LineAddr>{1, 2, 3}));
   EXPECT_EQ(c.resident_lines(), 64u);
 }
@@ -232,7 +270,7 @@ TEST(CacheRecency, FullSixtyFourWaySet) {
 TEST(CacheRecency, InvalidateHeadKeepsOrder) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
-  c.invalidate(0);  // head (LRU)
+  c.invalidate_way(0, 0);  // head (LRU)
   EXPECT_EQ(c.find_victim(10).way, 0u);
   c.insert(10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 3, 10}));
@@ -241,8 +279,8 @@ TEST(CacheRecency, InvalidateHeadKeepsOrder) {
 TEST(CacheRecency, InvalidateTailKeepsOrder) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
-  EXPECT_TRUE(c.probe(1));  // order 0 2 3 1
-  c.invalidate(1);          // tail (MRU)
+  c.touch_way(1, 1, false);  // order 0 2 3 1
+  c.invalidate_way(1, 1);    // tail (MRU)
   EXPECT_EQ(c.find_victim(10).way, 1u);
   c.insert(10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{0, 2, 3, 10}));
@@ -251,8 +289,8 @@ TEST(CacheRecency, InvalidateTailKeepsOrder) {
 TEST(CacheRecency, InvalidateMiddleKeepsOrder) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
-  c.invalidate(2);
-  c.invalidate(1);  // ways 1 and 2 free: the refill takes way 1 first
+  c.invalidate_way(2, 2);
+  c.invalidate_way(1, 1);  // ways 1 and 2 free: the refill takes way 1 first
   EXPECT_EQ(c.find_victim(10).way, 1u);
   c.insert(10, false);
   EXPECT_EQ(c.find_victim(11).way, 2u);
@@ -265,11 +303,11 @@ TEST(CacheRecency, InvalidateSoleWayThenRefill) {
   Cache c(one_set(4));
   c.insert(0, false);
   c.insert(1, true);
-  c.invalidate(0);
-  c.invalidate(1);  // now the sole valid way
+  EXPECT_FALSE(c.invalidate_way(0, 0));
+  EXPECT_TRUE(c.invalidate_way(1, 1));  // now the sole valid way
   EXPECT_EQ(c.resident_lines(), 0u);
   EXPECT_FALSE(c.contains(1));
-  EXPECT_FALSE(c.probe(1));
+  EXPECT_EQ(c.probe_run(1, 1, false), 0u);
   for (LineAddr l = 10; l < 14; ++l) {
     EXPECT_EQ(c.find_victim(l).way, l - 10);
     c.insert(l, false);
@@ -281,12 +319,14 @@ TEST(CacheRecency, InvalidateSoleWayThenRefill) {
 TEST(CacheRecency, ProbeAfterTailInvalidated) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 3; ++l) c.insert(l, false);
-  c.invalidate(2);  // the tail, i.e. the lookup hint
+  c.invalidate_way(2, 2);  // the tail, i.e. the lookup hint
   EXPECT_EQ(c.probe_run(2, 1, false), 0u);
   const Cache::PendingInsert p = c.find_victim(2);
   EXPECT_EQ(p.way, 2u);
   EXPECT_FALSE(p.evicted.has_value());
-  EXPECT_FALSE(c.fill(2, false).has_value());  // order 0 1 2
+  u32 way = 0;
+  EXPECT_FALSE(c.fill(2, false, way).has_value());  // order 0 1 2
+  EXPECT_EQ(way, 2u);
   EXPECT_EQ(c.probe_run(0, 1, true), 1u);
   EXPECT_TRUE(c.is_dirty(0));
   c.insert(3, false);
@@ -296,7 +336,7 @@ TEST(CacheRecency, ProbeAfterTailInvalidated) {
 TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
-  c.invalidate(1);  // set 1 is now empty
+  c.invalidate_way(1, 0);  // set 1 is now empty
   EXPECT_EQ(c.probe_run(0, 4, false), 1u);
   const Cache::PendingInsert p = c.find_victim(1);
   EXPECT_EQ(p.set, 1u);
@@ -325,12 +365,16 @@ class StampScanCache {
     return count;
   }
 
-  bool probe(LineAddr line, bool dirty) {
+  /// A hit on a resident line.
+  void touch(LineAddr line, bool dirty) {
     Entry* e = find(line);
-    if (e == nullptr) return false;
     e->stamp = ++clock_;
     e->dirty |= dirty;
-    return true;
+  }
+
+  /// The way that holds a resident line: what the owner directory records.
+  u32 way_of(LineAddr line) {
+    return static_cast<u32>(find(line) - &entries_[(line % sets_) * ways_]);
   }
 
   bool contains(LineAddr line) { return find(line) != nullptr; }
@@ -370,12 +414,12 @@ class StampScanCache {
 
   void mark_dirty(LineAddr line) { find(line)->dirty = true; }
 
-  Cache::Invalidation invalidate(LineAddr line) {
+  /// Drop a resident line; returns whether it was dirty.
+  bool invalidate(LineAddr line) {
     Entry* e = find(line);
-    if (e == nullptr) return {false, false};
     e->valid = false;
     --resident_;
-    return {true, e->dirty};
+    return e->dirty;
   }
 
   u64 resident_lines() const { return resident_; }
@@ -437,7 +481,9 @@ void expect_same_pending(const Cache::PendingInsert& got,
 /// about twice the capacity, comparing every result, every victim slot and
 /// the resident count each step, and every line's residency and dirtiness
 /// every 1k steps. A hint run that stops is settled the way the memory walk
-/// settles it: a resident line by a full probe(), an absent one by fill().
+/// settles it: a resident line by touch_way() at the way the reference
+/// holds it in (the way the owner directory records), an absent one by
+/// fill(). Invalidations are way-addressed the same way.
 void model_check(u32 ways, u64 sets, u64 seed) {
   const CacheConfig cfg{.capacity_bytes = 64 * sets * ways, .line_bytes = 64,
                         .ways = ways};
@@ -466,15 +512,17 @@ void model_check(u32 ways, u64 sets, u64 seed) {
         ++stopped_runs;
         if (ref.contains(stop)) {
           ++stopped_resident;
-          ASSERT_TRUE(cache.probe(stop, dirty)) << "step " << step;
-          ref.probe(stop, dirty);
+          cache.touch_way(stop, ref.way_of(stop), dirty);
+          ref.touch(stop, dirty);
         } else {
           const Cache::PendingInsert want = ref.find_victim(stop);
           ASSERT_NO_FATAL_FAILURE(
               expect_same_pending(cache.find_victim(stop), want, step));
           const bool fill_dirty = rng.chance(0.5);
+          u32 way = 0;
           ASSERT_NO_FATAL_FAILURE(expect_same_eviction(
-              cache.fill(stop, fill_dirty), want.evicted, step));
+              cache.fill(stop, fill_dirty, way), want.evicted, step));
+          ASSERT_EQ(way, want.way) << "step " << step;
           ref.commit_insert(want, stop, fill_dirty);
           if (want.evicted) ++evictions;
         }
@@ -488,11 +536,14 @@ void model_check(u32 ways, u64 sets, u64 seed) {
         if (want) ++evictions;
       }
     } else if (op < 80) {
-      const Cache::Invalidation want = ref.invalidate(line);
-      const Cache::Invalidation got = cache.invalidate(line);
-      ASSERT_EQ(got.was_present, want.was_present) << "step " << step;
-      ASSERT_EQ(got.was_dirty, want.was_dirty) << "step " << step;
-      if (want.was_present) ++invalidations;
+      if (ref.contains(line)) {
+        const u32 way = ref.way_of(line);
+        ASSERT_EQ(cache.invalidate_way(line, way), ref.invalidate(line))
+            << "step " << step;
+        ++invalidations;
+      } else {
+        ASSERT_FALSE(cache.contains(line)) << "step " << step;
+      }
     } else if (op < 85) {
       if (ref.contains(line)) {
         cache.mark_dirty(line);

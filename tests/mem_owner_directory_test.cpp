@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -197,9 +198,10 @@ TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
     dir.assign(l, owner_of(l));
   }
   std::vector<std::pair<LineAddr, CoreId>> seen;
-  const u64 erased = dir.erase_range(P - 1, 4 * P, [&](LineAddr l, CoreId o) {
-    seen.emplace_back(l, o);
-  });
+  const u64 erased =
+      dir.erase_range(P - 1, 4 * P, [&](LineAddr l, CoreId o, u32) {
+        seen.emplace_back(l, o);
+      });
   std::vector<std::pair<LineAddr, CoreId>> want;
   for (const LineAddr l : {P - 1, P, 3 * P + 3, 4 * P - 1, 4 * P}) {
     want.emplace_back(l, owner_of(l));
@@ -209,8 +211,121 @@ TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
   EXPECT_EQ(dir.size(), 2u);
   EXPECT_EQ(dir.find(P - 2), owner_of(P - 2));
   EXPECT_EQ(dir.find(4 * P + 1), owner_of(4 * P + 1));
-  EXPECT_EQ(dir.erase_range(0, 10 * P, [](LineAddr, CoreId) {}), 2u);
+  EXPECT_EQ(dir.erase_range(0, 10 * P, [](LineAddr, CoreId, u32) {}), 2u);
   EXPECT_EQ(dir.size(), 0u);
+}
+
+// ---- Way bytes and the bulk fill-run assign --------------------------------
+
+/// Every present line of [first, last] as (line, owner, way), via the DMA
+/// sweep, which empties the range.
+std::vector<std::tuple<LineAddr, CoreId, u32>> drain(OwnerDirectory& dir,
+                                                     LineAddr first,
+                                                     LineAddr last) {
+  std::vector<std::tuple<LineAddr, CoreId, u32>> out;
+  dir.erase_range(first, last, [&](LineAddr l, CoreId o, u32 w) {
+    out.emplace_back(l, o, w);
+  });
+  return out;
+}
+
+// assign() points at the line's way byte: a fresh line's byte is the
+// caller's to set, and a moved line's still holds the old owner's way.
+TEST(OwnerDirectory, AssignExposesTheWayByte) {
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  u8* way = nullptr;
+  EXPECT_EQ(dir.assign(at, 9, 1, way), kNoCore);
+  ASSERT_NE(way, nullptr);
+  *way = 13;
+  u8* again = nullptr;
+  EXPECT_EQ(dir.assign(at, 9, 4, again), 1);
+  EXPECT_EQ(again, way);
+  EXPECT_EQ(*again, 13);
+  *again = 2;
+  EXPECT_EQ(drain(dir, 0, 100),
+            (std::vector<std::tuple<LineAddr, CoreId, u32>>{{9, 4, 2}}));
+}
+
+TEST(OwnerDirectory, EraseRangeReportsEachLinesWay) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  std::vector<std::tuple<LineAddr, CoreId, u32>> want;
+  for (const LineAddr l : {P - 1, P, P + 7, 3 * P + 63}) {
+    u8* way = nullptr;
+    dir.assign(at, l, static_cast<CoreId>(l % 5), way);
+    *way = static_cast<u8>(l % 64);
+    want.emplace_back(l, static_cast<CoreId>(l % 5), static_cast<u32>(l % 64));
+  }
+  EXPECT_EQ(drain(dir, 0, 4 * P), want);
+  EXPECT_EQ(dir.size(), 0u);
+}
+
+TEST(OwnerDirectory, AssignRunFillsAWholePage) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  ASSERT_EQ(dir.absent_run(at, 2 * P, 1000), P);
+  u8* const ways = dir.assign_run(at, 2 * P, P, 6);
+  for (u64 i = 0; i < P; ++i) ways[i] = static_cast<u8>(P - 1 - i);
+  EXPECT_EQ(dir.size(), P);
+  EXPECT_EQ(dir.absent_run(at, 2 * P, 1000), 0u);
+  EXPECT_EQ(dir.find(2 * P - 1), kNoCore);
+  EXPECT_EQ(dir.find(3 * P), kNoCore);
+  std::vector<std::tuple<LineAddr, CoreId, u32>> want;
+  for (u64 i = 0; i < P; ++i) {
+    want.emplace_back(2 * P + i, 6, static_cast<u32>(P - 1 - i));
+  }
+  EXPECT_EQ(drain(dir, 0, 10 * P), want);
+}
+
+// A run inside a page that has other owners: only the run's bits, owner
+// bytes and way bytes change.
+TEST(OwnerDirectory, AssignRunAtAnOffsetLeavesItsNeighbours) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  u8* way = nullptr;
+  dir.assign(at, P + 3, 1, way);
+  *way = 7;
+  dir.assign(at, P + 20, 2, way);
+  *way = 8;
+  ASSERT_EQ(dir.absent_run(at, P + 4, 1000), 16u);
+  u8* const ways = dir.assign_run(at, P + 4, 10, 3);
+  for (u64 i = 0; i < 10; ++i) ways[i] = static_cast<u8>(i);
+  EXPECT_EQ(dir.size(), 12u);
+  EXPECT_EQ(dir.absent_run(at, P + 14, 1000), 6u);
+  EXPECT_EQ(dir.find(P + 2), kNoCore);
+  std::vector<std::tuple<LineAddr, CoreId, u32>> want{{P + 3, 1, 7}};
+  for (u64 i = 0; i < 10; ++i) {
+    want.emplace_back(P + 4 + i, 3, static_cast<u32>(i));
+  }
+  want.emplace_back(P + 20, 2, 8);
+  EXPECT_EQ(drain(dir, P, 2 * P - 1), want);
+}
+
+// The run's page does not exist yet: assign_run creates it, and the page
+// returns to the pool once the run's lines leave again.
+TEST(OwnerDirectory, AssignRunCreatesAnAbsentPage) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign(at, 0, 0);  // another page; `at` points at it
+  ASSERT_EQ(dir.absent_run(at, 5 * P + 60, 100), 4u);
+  u8* const ways = dir.assign_run(at, 5 * P + 60, 4, 9);
+  for (u64 i = 0; i < 4; ++i) ways[i] = static_cast<u8>(40 + i);
+  EXPECT_EQ(dir.size(), 5u);
+  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(dir.find(5 * P + 60 + i), 9);
+  EXPECT_EQ(dir.find(0), 0);
+  EXPECT_EQ(drain(dir, 5 * P, 6 * P),
+            (std::vector<std::tuple<LineAddr, CoreId, u32>>{
+                {5 * P + 60, 9, 40},
+                {5 * P + 61, 9, 41},
+                {5 * P + 62, 9, 42},
+                {5 * P + 63, 9, 43}}));
+  EXPECT_EQ(dir.size(), 1u);
+  EXPECT_EQ(dir.absent_run(at, 5 * P, 100), P);
 }
 
 // Simulated addresses only grow (the bump allocator never reuses them), so
@@ -231,36 +346,56 @@ TEST(OwnerDirectory, SlidingWindowReusesReleasedPages) {
   EXPECT_EQ(dir.capacity(), reserved);
 }
 
-// Cursor walks, point erases and range erases, checked against an ordered
-// map after every step.
+// Cursor walks, point erases, fill runs and range erases, checked against
+// an ordered map of (owner, way) after every step.
 TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {
   OwnerDirectory dir(64);
-  std::map<LineAddr, CoreId> model;
+  std::map<LineAddr, std::pair<CoreId, u32>> model;
   Rng rng(11);
   OwnerDirectory::Cursor at;
+  u64 runs = 0;
   for (int step = 0; step < 20'000; ++step) {
     const LineAddr line = rng.below(2048);
     const auto it = model.find(line);
-    const CoreId present = it == model.end() ? kNoCore : it->second;
-    switch (rng.below(3)) {
+    const CoreId present = it == model.end() ? kNoCore : it->second.first;
+    switch (rng.below(4)) {
       case 0: {
         const auto owner = static_cast<CoreId>(rng.below(8));
-        ASSERT_EQ(dir.assign(at, line, owner), present) << "step " << step;
-        model[line] = owner;
+        u8* way = nullptr;
+        ASSERT_EQ(dir.assign(at, line, owner, way), present) << "step " << step;
+        if (present != kNoCore) {
+          ASSERT_EQ(*way, it->second.second) << "step " << step;
+        }
+        *way = static_cast<u8>(rng.below(64));
+        model[line] = {owner, *way};
         break;
       }
       case 1:
         ASSERT_EQ(dir.erase(at, line), present) << "step " << step;
         model.erase(line);
         break;
+      case 2: {
+        const u64 absent = dir.absent_run(at, line, 1 + rng.below(80));
+        if (absent == 0) break;
+        ++runs;
+        const auto owner = static_cast<CoreId>(rng.below(8));
+        u8* const ways = dir.assign_run(at, line, absent, owner);
+        for (u64 i = 0; i < absent; ++i) {
+          ASSERT_EQ(model.count(line + i), 0u) << "step " << step;
+          ways[i] = static_cast<u8>(rng.below(64));
+          model[line + i] = {owner, ways[i]};
+        }
+        break;
+      }
       default: {
         const LineAddr last = line + rng.below(200);
-        std::vector<std::pair<LineAddr, CoreId>> seen, want;
-        dir.erase_range(line, last,
-                        [&](LineAddr l, CoreId o) { seen.emplace_back(l, o); });
+        std::vector<std::tuple<LineAddr, CoreId, u32>> seen, want;
+        dir.erase_range(line, last, [&](LineAddr l, CoreId o, u32 w) {
+          seen.emplace_back(l, o, w);
+        });
         for (auto m = model.lower_bound(line);
              m != model.end() && m->first <= last;) {
-          want.emplace_back(*m);
+          want.emplace_back(m->first, m->second.first, m->second.second);
           m = model.erase(m);
         }
         ASSERT_EQ(seen, want) << "step " << step;
@@ -268,7 +403,10 @@ TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {
     }
     ASSERT_EQ(dir.size(), model.size()) << "step " << step;
   }
-  for (const auto& [line, owner] : model) ASSERT_EQ(dir.find(line), owner);
+  EXPECT_GT(runs, 1000u);
+  for (const auto& [line, entry] : model) {
+    ASSERT_EQ(dir.find(line), entry.first);
+  }
 }
 
 }  // namespace

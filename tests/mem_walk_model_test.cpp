@@ -12,7 +12,10 @@
 // every counter, the DRAM controller's busy time and every line's
 // residency after every step, over random multi-line reads and writes
 // with block reuse, DMA landings, 1-8 cores, direct-mapped to 64-way
-// geometries, and unlimited or oversubscribed DRAM.
+// geometries, and unlimited or oversubscribed DRAM. One case adds accesses
+// long enough that cycles x 10^12 passes 2^64 inside them, where
+// Frequency::duration leaves its 64-bit fast path and the walk's carried
+// fill-run clock must still agree with it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,6 +61,7 @@ class ReferenceWalk {
     Time queue = Time::zero();
     CoreCacheStats& st = stats_[static_cast<u64>(core)];
     for (LineAddr line = first; line <= last; ++line) {
+      max_cycles_ = std::max(max_cycles_, cycles);
       st.accesses += 1 + static_cast<u64>(reuse);
       st.hits += static_cast<u64>(reuse);
       cycles += hit * reuse;
@@ -123,6 +127,8 @@ class ReferenceWalk {
   Time queued() const { return queued_; }
   /// Bookings that found the backlog already past the allowance.
   u64 queued_on_backlog() const { return queued_on_backlog_; }
+  /// The largest cycle count any access reached at a line.
+  i64 max_cycles() const { return max_cycles_; }
 
  private:
   struct Entry {
@@ -192,6 +198,7 @@ class ReferenceWalk {
   Time busy_ = Time::zero();
   Time queued_ = Time::zero();
   u64 queued_on_backlog_ = 0;
+  i64 max_cycles_ = 0;
 };
 
 void expect_same_stats(const CoreCacheStats& got, const CoreCacheStats& want,
@@ -214,7 +221,13 @@ struct WalkCase {
   u32 ways;
   bool limited;  // oversubscribed DRAM with a small burst allowance
   u64 seed;
+  bool long_accesses = false;  // a few accesses of kLongLines lines
 };
+
+/// A long access. 2^64 / 10^12 is about 18.4M cycles, or about 69k DRAM
+/// fills at 266 cycles each (230 for DRAM, 3 x 12 for reuse), so cycles x
+/// 10^12 passes 2^64 about three quarters of the way in.
+constexpr u64 kLongLines = 96 * 1024;
 
 void walk_model_check(const WalkCase& wc) {
   const CacheConfig cfg{.capacity_bytes = kLine * wc.sets * wc.ways,
@@ -244,6 +257,18 @@ void walk_model_check(const WalkCase& wc) {
       const u64 bytes = 1 + rng.below(3 * OwnerDirectory::kPageLines * kLine);
       got = ms.dma_write(addr, bytes, now);
       want = ref.dma_write(addr, bytes, now);
+    } else if (wc.long_accesses && step % 800 == 100) {
+      // From inside the universe, so it starts on resident lines, then
+      // fills fresh ones for the rest of its length.
+      const Address addr = rng.below(universe) * kLine;
+      const auto core = static_cast<CoreId>(rng.below(
+          static_cast<u64>(wc.cores)));
+      const bool write = rng.chance(0.5);
+      got = ms.access(core, addr, kLongLines * kLine,
+                      write ? MemorySystem::AccessType::kWrite
+                            : MemorySystem::AccessType::kRead,
+                      now, 3);
+      want = ref.access(core, addr, kLongLines * kLine, write, now, 3);
     } else {
       // Half the accesses re-walk the previous range, from any core: hint
       // runs, owned lines away from the hints and c2c moves.
@@ -294,6 +319,10 @@ void walk_model_check(const WalkCase& wc) {
     EXPECT_GT(ref.queued(), Time::zero());
     EXPECT_GT(ref.queued_on_backlog(), 0u);
   }
+  if (wc.long_accesses) {
+    EXPECT_GT(static_cast<u128>(ref.max_cycles()) * 1'000'000'000'000,
+              static_cast<u128>(UINT64_MAX));
+  }
 }
 
 TEST(MemWalkModel, OneCoreOneSetFourWays) {
@@ -323,6 +352,10 @@ TEST(MemWalkModel, SixCoresOneSetFourWaysLimitedDram) {
 TEST(MemWalkModel, EightCoresDirectMapped) {
   walk_model_check({.cores = 8, .sets = 4, .ways = 1, .limited = false,
                     .seed = 7});
+}
+TEST(MemWalkModel, TwoCoresFourWaysLimitedDramLongAccesses) {
+  walk_model_check({.cores = 2, .sets = 8, .ways = 4, .limited = true,
+                    .seed = 8, .long_accesses = true});
 }
 
 }  // namespace
