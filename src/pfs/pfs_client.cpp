@@ -94,30 +94,56 @@ void PfsClient::send_open_request(RequestId id, const PendingOpen& po) {
 RequestId PfsClient::read(ProcessId proc, std::optional<CoreId> hint,
                           u64 file_offset, u64 bytes, ReadCallback on_complete,
                           StripConsumer strip_consumer) {
-  const RequestId id = next_request_++;
-  const u32 nspans = layout_.count_spans(file_offset, bytes);
-  PendingRead pr;
-  pr.proc = proc;
-  pr.hint = hint;
-  pr.spans = alloc_span_block(nspans);
-  pr.nspans = nspans;
-  layout_.decompose_into(file_offset, bytes, pr.spans);
-  pr.outstanding = nspans;
-  pr.retries_left = cfg_.max_retransmits;
-  pr.current_timeout = cfg_.retransmit_timeout;
-  pr.buffer = address_space_.allocate(bytes);
-  pr.issued_at = now();
-  pr.on_complete = std::move(on_complete);
-  pr.strip_consumer = std::move(strip_consumer);
+  return issue(false, proc, hint, file_offset, address_space_.allocate(bytes),
+               std::move(on_complete), std::move(strip_consumer));
+}
 
-  ++stats_.reads_issued;
-  PendingRead& stored = pending_.emplace(static_cast<u64>(id), std::move(pr));
-  SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsIssue,
-                     now(), self_, hint.value_or(kNoCore), id,
-                     static_cast<i64>(bytes), static_cast<i64>(nspans));
-  if (sched_ == nullptr) {
-    for (u32 s = 0; s < stored.nspans; ++s) {
-      send_strip_request(id, stored, s);
+RequestId PfsClient::write(ProcessId proc, std::optional<CoreId> hint,
+                           u64 file_offset, mem::AddressRange buffer,
+                           ReadCallback on_complete) {
+  return issue(true, proc, hint, file_offset, buffer, std::move(on_complete),
+               nullptr);
+}
+
+RequestId PfsClient::issue(bool write, ProcessId proc,
+                           std::optional<CoreId> hint, u64 file_offset,
+                           mem::AddressRange buffer, ReadCallback on_complete,
+                           StripConsumer strip_consumer) {
+  const RequestId id = next_request_++;
+  const u32 nspans = layout_.count_spans(file_offset, buffer.bytes);
+  PendingOp op;
+  op.write = write;
+  op.proc = proc;
+  op.hint = hint;
+  op.spans = alloc_span_block(nspans);
+  op.nspans = nspans;
+  layout_.decompose_into(file_offset, buffer.bytes, op.spans);
+  op.outstanding = nspans;
+  op.retries_left = cfg_.max_retransmits;
+  op.current_timeout = cfg_.retransmit_timeout;
+  op.buffer = buffer;
+  op.issued_at = now();
+  op.on_complete = std::move(on_complete);
+  op.strip_consumer = std::move(strip_consumer);
+
+  ++(write ? stats_.writes_issued : stats_.reads_issued);
+  PendingOp& stored = pending_.emplace(static_cast<u64>(id), std::move(op));
+  if (!write) {
+    SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsIssue,
+                       now(), self_, hint.value_or(kNoCore), id,
+                       static_cast<i64>(buffer.bytes),
+                       static_cast<i64>(nspans));
+  }
+  if (sched_ != nullptr) stored.ctl = alloc_ctl_block(nspans);
+  if (stored.ctl == nullptr || write) {
+    // Layout order, each strip to its layout server: the fifo path, and
+    // every write — write data must land on the owning server (no
+    // redirect, no hedging), but its acks still feed the per-server
+    // estimator, so samples from writes warm the read dispatch.
+    for (u32 s = 0; s < nspans; ++s) {
+      if (stored.ctl != nullptr)
+        stored.ctl[s].target = static_cast<u32>(stored.spans[s].server);
+      send_strip(id, stored, s);
     }
   } else {
     // Dispatch stage: pick each strip's target (redirecting away from slow
@@ -125,7 +151,6 @@ RequestId PfsClient::read(ProcessId proc, std::optional<CoreId> hint,
     // round trip overlaps everyone else's instead of extending the tail.
     // The sort is stable and all warmup estimates tie at zero, so a healthy
     // fleet issues in exactly the fifo order.
-    stored.ctl = alloc_ctl_block(nspans);
     issue_order_.resize(nspans);
     // Mark this read's own servers so a redirect never lands a strip on a
     // peer that is already serving another strip of the same read.
@@ -144,7 +169,7 @@ RequestId PfsClient::read(ProcessId proc, std::optional<CoreId> hint,
                      });
     for (u32 k = 0; k < nspans; ++k) {
       const u32 s = issue_order_[k];
-      send_strip_request(id, stored, s);
+      send_strip(id, stored, s);
       arm_hedge(id, stored, s);
     }
   }
@@ -152,61 +177,67 @@ RequestId PfsClient::read(ProcessId proc, std::optional<CoreId> hint,
   return id;
 }
 
-void PfsClient::send_strip_request(RequestId id, PendingRead& pr,
-                                   u64 span_idx) {
-  // The scheduler's dispatch decision (redirect away from a slow primary)
-  // lives in the ctl block; without it the strip goes where the layout put
-  // it, exactly the pre-scheduler path.
-  u64 target = static_cast<u64>(pr.spans[span_idx].server);
-  if (pr.ctl != nullptr) {
-    target = pr.ctl[span_idx].target;
-    pr.ctl[span_idx].sent_at = now();
+void PfsClient::send_strip(RequestId id, PendingOp& op, u64 span_idx) {
+  // The dispatch decision lives in the ctl block; without it the strip goes
+  // where the layout put it, exactly the pre-scheduler path.
+  u64 target = static_cast<u64>(op.spans[span_idx].server);
+  if (op.ctl != nullptr) {
+    target = op.ctl[span_idx].target;
+    op.ctl[span_idx].sent_at = now();
   }
-  ++stats_.strips_requested;
-  send_strip_copy(id, pr, span_idx, target);
+  ++(op.write ? stats_.strips_written : stats_.strips_requested);
+  send_strip_copy(id, op, span_idx, target);
 }
 
-void PfsClient::send_strip_copy(RequestId id, const PendingRead& pr,
+void PfsClient::send_strip_copy(RequestId id, const PendingOp& op,
                                 u64 span_idx, u64 server_idx) {
-  const StripSpan& span = pr.spans[span_idx];
-  net::Packet req;
-  req.id = next_packet_id_++;
-  req.kind = net::PacketKind::kPfsRequest;
-  req.src = self_;
-  req.dst = servers_[server_idx];
-  req.request = id;
-  req.owner_process = pr.proc;
-  req.strip_index = static_cast<u32>(span_idx);
-  req.payload_bytes = cfg_.request_msg_bytes;
-  // The reply strip lands at its offset within the read buffer.
-  req.dma_addr = pr.buffer.base + (span.file_offset - pr.spans[0].file_offset);
-  req.file_offset = span.file_offset;
-  req.span_bytes = span.bytes;
-  // HintMessager hook: the SAIs stack stamps aff_core_id into the request's
+  const StripSpan& span = op.spans[span_idx];
+  net::Packet pkt;
+  pkt.id = next_packet_id_++;
+  pkt.src = self_;
+  pkt.dst = servers_[server_idx];
+  pkt.request = id;
+  pkt.owner_process = op.proc;
+  pkt.strip_index = static_cast<u32>(span_idx);
+  if (op.write) {
+    pkt.kind = net::PacketKind::kPfsWriteData;
+    pkt.payload_bytes = span.bytes;
+    // Acks land in the client's control scratch region.
+    pkt.dma_addr = control_scratch_.base;
+  } else {
+    pkt.kind = net::PacketKind::kPfsRequest;
+    pkt.payload_bytes = cfg_.request_msg_bytes;
+    // The reply strip lands at its offset within the read buffer.
+    pkt.dma_addr =
+        op.buffer.base + (span.file_offset - op.spans[0].file_offset);
+  }
+  pkt.file_offset = span.file_offset;
+  pkt.span_bytes = span.bytes;
+  // HintMessager hook: the SAIs stack stamps aff_core_id into the packet's
   // options here; baseline kernels leave it empty.
-  if (decorator_) decorator_(req, pr.hint);
-  network_.send(std::move(req));
+  if (decorator_) decorator_(pkt, op.hint);
+  network_.send(std::move(pkt));
 }
 
-void PfsClient::arm_hedge(RequestId id, PendingRead& pr, u32 span_idx) {
+void PfsClient::arm_hedge(RequestId id, PendingOp& op, u32 span_idx) {
   if (servers_.size() < 2) return;
-  const Time delay = sched_->hedge_delay(pr.ctl[span_idx].target);
+  const Time delay = sched_->hedge_delay(op.ctl[span_idx].target);
   if (delay <= Time::zero()) return;
-  pr.ctl[span_idx].hedge_timer =
+  op.ctl[span_idx].hedge_timer =
       sim().after(delay, [this, id, span_idx] { on_hedge_timer(id, span_idx); });
 }
 
 void PfsClient::on_hedge_timer(RequestId id, u32 span_idx) {
-  PendingRead* pr = pending_.find(static_cast<u64>(id));
-  if (pr == nullptr) return;  // completed in the same tick
-  StripCtl& ctl = pr->ctl[span_idx];
+  PendingOp* op = pending_.find(static_cast<u64>(id));
+  if (op == nullptr) return;  // completed in the same tick
+  StripCtl& ctl = op->ctl[span_idx];
   ctl.hedge_timer.reset();  // fired — the handle must not be cancelled again
-  if (bit_test(bits_of(pr->spans, pr->nspans), span_idx)) return;
+  if (bit_test(bits_of(op->spans, op->nspans), span_idx)) return;
   // No reply within hedge_quantile x the expected latency: issue a
   // duplicate on the other path and let the first arrival win (the loser's
   // reply hits the dedup bitmap like any stale retransmit).
   ctl.hedge_target = static_cast<u32>(sched_->hedge_target(
-      static_cast<u64>(pr->spans[span_idx].server), ctl.target));
+      static_cast<u64>(op->spans[span_idx].server), ctl.target));
   ctl.hedged = true;
   ctl.hedge_sent_at = now();
   ++stats_.hedges_issued;
@@ -214,121 +245,25 @@ void PfsClient::on_hedge_timer(RequestId id, u32 span_idx) {
                      now(), self_, kNoCore, id, static_cast<i64>(span_idx),
                      static_cast<i64>(ctl.hedge_target),
                      (now() - ctl.sent_at).picoseconds());
-  send_strip_copy(id, *pr, span_idx, ctl.hedge_target);
+  send_strip_copy(id, *op, span_idx, ctl.hedge_target);
 }
 
-void PfsClient::note_read_strip(PendingRead& pr, u64 span_idx,
-                                const net::Packet& p, Time at) {
-  StripCtl& ctl = pr.ctl[span_idx];
+void PfsClient::note_strip(PendingOp& op, u64 span_idx, const net::Packet& p,
+                           Time at) {
+  StripCtl& ctl = op.ctl[span_idx];
   sim().cancel_if_armed(ctl.hedge_timer);
-  const u64 src = server_index_of(p.src);
-  if (ctl.hedged && src == ctl.hedge_target && ctl.hedge_target != ctl.target) {
-    // The duplicate beat the primary: the hedge paid for itself.
-    ++stats_.hedges_won;
-    sched_->record_rtt(src, at - ctl.hedge_sent_at);
-    return;
+  // Writes are never hedged, so an ack always times its primary copy.
+  if (ctl.hedged) {
+    const u64 src = server_index_of(p.src);
+    if (src == ctl.hedge_target && ctl.hedge_target != ctl.target) {
+      // The duplicate beat the primary: the hedge paid for itself.
+      ++stats_.hedges_won;
+      sched_->record_rtt(src, at - ctl.hedge_sent_at);
+      return;
+    }
+    ++stats_.hedges_wasted;
   }
-  if (ctl.hedged) ++stats_.hedges_wasted;
   sched_->record_rtt(ctl.target, at - ctl.sent_at);
-}
-
-RequestId PfsClient::write(ProcessId proc, std::optional<CoreId> hint,
-                           u64 file_offset, mem::AddressRange buffer,
-                           ReadCallback on_complete) {
-  const RequestId id = next_request_++;
-  const u32 nspans = layout_.count_spans(file_offset, buffer.bytes);
-  PendingWrite pw;
-  pw.proc = proc;
-  pw.hint = hint;
-  pw.spans = alloc_span_block(nspans);
-  pw.nspans = nspans;
-  layout_.decompose_into(file_offset, buffer.bytes, pw.spans);
-  pw.outstanding = nspans;
-  pw.retries_left = cfg_.max_retransmits;
-  pw.current_timeout = cfg_.retransmit_timeout;
-  pw.buffer = buffer;
-  pw.issued_at = now();
-  pw.on_complete = std::move(on_complete);
-
-  ++stats_.writes_issued;
-  PendingWrite& stored =
-      pending_writes_.emplace(static_cast<u64>(id), std::move(pw));
-  // Write data must land on the owning server (no redirect, no hedging),
-  // but acks still feed the per-server estimator — a slow server's write
-  // path is just as slow, and samples from writes warm the read dispatch.
-  if (sched_ != nullptr) stored.ctl = alloc_ctl_block(nspans);
-  for (u32 s = 0; s < stored.nspans; ++s) {
-    send_strip_write(id, stored, s);
-  }
-  arm_write_timeout(id);
-  return id;
-}
-
-void PfsClient::send_strip_write(RequestId id, PendingWrite& pw,
-                                 u64 span_idx) {
-  const StripSpan& span = pw.spans[span_idx];
-  if (pw.ctl != nullptr) {
-    pw.ctl[span_idx].target = static_cast<u32>(span.server);
-    pw.ctl[span_idx].sent_at = now();
-  }
-  net::Packet data;
-  data.id = next_packet_id_++;
-  data.kind = net::PacketKind::kPfsWriteData;
-  data.src = self_;
-  data.dst = servers_[static_cast<u64>(span.server)];
-  data.request = id;
-  data.owner_process = pw.proc;
-  data.strip_index = static_cast<u32>(span_idx);
-  data.payload_bytes = span.bytes;
-  // Acks land in the client's control scratch region.
-  data.dma_addr = control_scratch_.base;
-  data.file_offset = span.file_offset;
-  data.span_bytes = span.bytes;
-  if (decorator_) decorator_(data, pw.hint);
-  ++stats_.strips_written;
-  network_.send(std::move(data));
-}
-
-void PfsClient::on_write_ack(const net::Packet& p, CoreId handler, Time at) {
-  PendingWrite* pw = pending_writes_.find(static_cast<u64>(p.request));
-  if (pw == nullptr) {
-    ++stats_.duplicate_strips;
-    return;
-  }
-  const u64 s = p.strip_index;
-  SAISIM_CHECK(s < pw->nspans);
-  u64* acked = bits_of(pw->spans, pw->nspans);
-  if (bit_test(acked, s)) {
-    ++stats_.duplicate_strips;
-    return;
-  }
-  bit_set(acked, s);
-  // Same reset-on-progress as the read path: an ack proves the path is
-  // alive, so later timeouts of this request restart from base.
-  pw->current_timeout = cfg_.retransmit_timeout;
-  if (pw->ctl != nullptr) {
-    sched_->record_rtt(pw->ctl[s].target, at - pw->ctl[s].sent_at);
-  }
-  SAISIM_CHECK(pw->outstanding > 0);
-  if (--pw->outstanding > 0) return;
-
-  sim().cancel(pw->timeout);
-  ReadResult result;
-  result.request = p.request;
-  result.buffer = pw->buffer;
-  result.issued_at = pw->issued_at;
-  result.completed_at = at;
-  result.strips = pw->nspans;
-  result.retransmitted_strips = pw->retransmitted;
-  result.final_handler = handler;
-  auto cb = std::move(pw->on_complete);
-  if (pw->ctl != nullptr) release_ctl_block(pw->ctl, pw->nspans);
-  release_span_block(pw->spans, pw->nspans);
-  pending_writes_.erase(static_cast<u64>(p.request));
-  ++stats_.writes_completed;
-  stats_.write_latency_us.add(
-      (result.completed_at - result.issued_at).microseconds());
-  if (cb) cb(result);
 }
 
 Time PfsClient::backoff(Time current) const {
@@ -339,128 +274,101 @@ Time PfsClient::backoff(Time current) const {
 }
 
 void PfsClient::arm_timeout(RequestId id) {
-  PendingRead* pr = pending_.find(static_cast<u64>(id));
-  SAISIM_CHECK(pr != nullptr);
-  pr->timeout =
-      sim().after(pr->current_timeout, [this, id] { on_timeout(id); });
+  PendingOp* op = pending_.find(static_cast<u64>(id));
+  SAISIM_CHECK(op != nullptr);
+  op->timeout =
+      sim().after(op->current_timeout, [this, id] { on_timeout(id); });
 }
 
 void PfsClient::on_timeout(RequestId id) {
-  PendingRead* pr = pending_.find(static_cast<u64>(id));
-  if (pr == nullptr) return;  // completed in the same tick
-  pr->timeout.reset();
-  if (pr->retries_left <= 0) {
-    fail_read(id);
+  PendingOp* op = pending_.find(static_cast<u64>(id));
+  if (op == nullptr) return;  // completed in the same tick
+  op->timeout.reset();
+  if (op->retries_left <= 0) {
+    finish(id, now(), kNoCore, true);
     return;
   }
-  --pr->retries_left;
-  const u64* received = bits_of(pr->spans, pr->nspans);
-  for (u64 s = 0; s < pr->nspans; ++s) {
-    if (bit_test(received, s)) continue;
+  --op->retries_left;
+  const u64* done = bits_of(op->spans, op->nspans);
+  for (u64 s = 0; s < op->nspans; ++s) {
+    if (bit_test(done, s)) continue;
     ++stats_.retransmits;
-    ++pr->retransmitted;
+    ++op->retransmitted;
     SAISIM_LOG_AT(util::Subsystem::kPfs, LogLevel::kDebug,
-                  "retransmitting strip " << s << " of request " << id
-                                          << " (retries left "
-                                          << pr->retries_left << ")");
+                  "retransmitting " << (op->write ? "write strip " : "strip ")
+                                    << s << " of request " << id
+                                    << " (retries left " << op->retries_left
+                                    << ")");
     // Retransmits supersede hedging: both copies are now being re-sent by
     // the RTO machinery, so a still-armed hedge timer for this strip is
     // disarmed rather than left to fire a third copy.
-    if (pr->ctl != nullptr) sim().cancel_if_armed(pr->ctl[s].hedge_timer);
-    send_strip_request(id, *pr, s);
+    if (op->ctl != nullptr) sim().cancel_if_armed(op->ctl[s].hedge_timer);
+    send_strip(id, *op, s);
   }
-  pr->current_timeout = backoff(pr->current_timeout);
+  op->current_timeout = backoff(op->current_timeout);
   arm_timeout(id);
 }
 
-void PfsClient::fail_read(RequestId id) {
-  PendingRead* pr = pending_.find(static_cast<u64>(id));
-  SAISIM_CHECK(pr != nullptr);
+void PfsClient::finish(RequestId id, Time at, CoreId handler, bool failed) {
+  PendingOp* op = pending_.find(static_cast<u64>(id));
+  SAISIM_CHECK(op != nullptr);
+  // On success the RTO is still armed; on failure it is what just fired.
+  sim().cancel_if_armed(op->timeout);
+  const bool write = op->write;
   ReadResult result;
   result.request = id;
-  result.buffer = pr->buffer;
-  result.issued_at = pr->issued_at;
-  result.completed_at = now();
-  result.strips = pr->nspans;
-  result.retransmitted_strips = pr->retransmitted;
-  result.failed = true;
-  result.lost_strips = pr->outstanding;
-  SAISIM_LOG_AT(util::Subsystem::kPfs, LogLevel::kWarn,
-                "read " << id << " failed: " << result.lost_strips
-                        << " strips still missing after "
-                        << result.retransmitted_strips << " retransmits");
-  SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsComplete,
-                     now(), self_, kNoCore, id,
-                     static_cast<i64>(result.buffer.bytes),
-                     static_cast<i64>(result.retransmitted_strips));
-  auto cb = std::move(pr->on_complete);
-  address_space_.release(pr->buffer);
-  if (pr->ctl != nullptr) {
+  result.buffer = op->buffer;
+  result.issued_at = op->issued_at;
+  result.completed_at = at;
+  result.strips = op->nspans;
+  result.retransmitted_strips = op->retransmitted;
+  result.final_handler = handler;
+  result.failed = failed;
+  result.lost_strips = op->outstanding;  // zero on success
+  if (failed) {
+    SAISIM_LOG_AT(util::Subsystem::kPfs, LogLevel::kWarn,
+                  (write ? "write " : "read ")
+                      << id << " failed: " << result.lost_strips
+                      << (write ? " strips unacked after "
+                                : " strips still missing after ")
+                      << result.retransmitted_strips << " retransmits");
+    // A failed read's buffer never reaches the reader; a write's buffer
+    // belongs to the caller.
+    if (!write) address_space_.release(op->buffer);
+  }
+  auto cb = std::move(op->on_complete);
+  if (op->ctl != nullptr) {
     // Lost strips may still carry an armed hedge timer; disarm before the
-    // entry (and with it the handles) goes away.
-    for (u32 i = 0; i < pr->nspans; ++i) {
-      sim().cancel_if_armed(pr->ctl[i].hedge_timer);
+    // entry (and with it the handles) goes away. On success per-strip
+    // arrival already disarmed each one (cancel_if_armed no-ops on reset
+    // handles).
+    for (u32 i = 0; i < op->nspans; ++i) {
+      sim().cancel_if_armed(op->ctl[i].hedge_timer);
     }
-    release_ctl_block(pr->ctl, pr->nspans);
+    release_ctl_block(op->ctl, op->nspans);
   }
-  release_span_block(pr->spans, pr->nspans);
+  release_span_block(op->spans, op->nspans);
   pending_.erase(static_cast<u64>(id));
-  ++stats_.reads_failed;
-  if (cb) cb(result);
-}
-
-void PfsClient::arm_write_timeout(RequestId id) {
-  PendingWrite* pw = pending_writes_.find(static_cast<u64>(id));
-  SAISIM_CHECK(pw != nullptr);
-  pw->timeout =
-      sim().after(pw->current_timeout, [this, id] { on_write_timeout(id); });
-}
-
-void PfsClient::on_write_timeout(RequestId id) {
-  PendingWrite* pw = pending_writes_.find(static_cast<u64>(id));
-  if (pw == nullptr) return;  // completed in the same tick
-  pw->timeout.reset();
-  if (pw->retries_left <= 0) {
-    fail_write(id);
-    return;
+  const Time latency = at - result.issued_at;
+  if (failed) {
+    ++(write ? stats_.writes_failed : stats_.reads_failed);
+  } else if (write) {
+    ++stats_.writes_completed;
+    stats_.write_latency_us.add(latency.microseconds());
+  } else {
+    ++stats_.reads_completed;
+    stats_.read_latency_us.add(latency.microseconds());
+    // Integer-microsecond histogram feeding the run's latency recorder
+    // (trace/counter_registry.hpp).
+    stats_.read_latency_us_hist.add(
+        static_cast<u64>(latency.picoseconds() / 1'000'000));
   }
-  --pw->retries_left;
-  const u64* acked = bits_of(pw->spans, pw->nspans);
-  for (u64 s = 0; s < pw->nspans; ++s) {
-    if (bit_test(acked, s)) continue;
-    ++stats_.retransmits;
-    ++pw->retransmitted;
-    SAISIM_LOG_AT(util::Subsystem::kPfs, LogLevel::kDebug,
-                  "retransmitting write strip " << s << " of request " << id
-                                                << " (retries left "
-                                                << pw->retries_left << ")");
-    send_strip_write(id, *pw, s);
+  if (!write) {
+    SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsComplete,
+                       at, self_, handler, id,
+                       static_cast<i64>(result.buffer.bytes),
+                       static_cast<i64>(result.retransmitted_strips));
   }
-  pw->current_timeout = backoff(pw->current_timeout);
-  arm_write_timeout(id);
-}
-
-void PfsClient::fail_write(RequestId id) {
-  PendingWrite* pw = pending_writes_.find(static_cast<u64>(id));
-  SAISIM_CHECK(pw != nullptr);
-  ReadResult result;
-  result.request = id;
-  result.buffer = pw->buffer;
-  result.issued_at = pw->issued_at;
-  result.completed_at = now();
-  result.strips = pw->nspans;
-  result.retransmitted_strips = pw->retransmitted;
-  result.failed = true;
-  result.lost_strips = pw->outstanding;
-  SAISIM_LOG_AT(util::Subsystem::kPfs, LogLevel::kWarn,
-                "write " << id << " failed: " << result.lost_strips
-                         << " strips unacked after "
-                         << result.retransmitted_strips << " retransmits");
-  auto cb = std::move(pw->on_complete);
-  if (pw->ctl != nullptr) release_ctl_block(pw->ctl, pw->nspans);
-  release_span_block(pw->spans, pw->nspans);
-  pending_writes_.erase(static_cast<u64>(id));
-  ++stats_.writes_failed;
   if (cb) cb(result);
 }
 
@@ -498,74 +406,40 @@ void PfsClient::on_rx(const net::Packet& p, CoreId handler, Time at) {
     if (cb) cb(at);
     return;
   }
-  if (p.kind == net::PacketKind::kPfsWriteAck) {
-    on_write_ack(p, handler, at);
-    return;
-  }
-  SAISIM_CHECK(p.kind == net::PacketKind::kPfsData);
-
-  PendingRead* pr = pending_.find(static_cast<u64>(p.request));
-  if (pr == nullptr) {
+  // A read's data strip or a write's ack: one strip of `p.request` landed.
+  SAISIM_CHECK(p.kind == net::PacketKind::kPfsData ||
+               p.kind == net::PacketKind::kPfsWriteAck);
+  PendingOp* op = pending_.find(static_cast<u64>(p.request));
+  if (op == nullptr) {
     ++stats_.duplicate_strips;  // reply to an already-satisfied retransmit
     return;
   }
+  SAISIM_CHECK(op->write == (p.kind == net::PacketKind::kPfsWriteAck));
   const u64 s = p.strip_index;
-  SAISIM_CHECK(s < pr->nspans);
-  u64* received = bits_of(pr->spans, pr->nspans);
-  if (bit_test(received, s)) {
+  SAISIM_CHECK(s < op->nspans);
+  u64* done = bits_of(op->spans, op->nspans);
+  if (bit_test(done, s)) {
     ++stats_.duplicate_strips;
     return;
   }
-  bit_set(received, s);
-  ++stats_.strips_received;
+  bit_set(done, s);
   // Progress resets the RTO to base: backoff doubles to absorb congestion,
   // but once any strip of this request lands the path is demonstrably
   // alive, and letting one early loss inflate every later timeout of the
   // same request just stretches its recovery (pre-fix behaviour). A no-op
   // on the lossless path, where current_timeout never left base.
-  pr->current_timeout = cfg_.retransmit_timeout;
-  if (pr->ctl != nullptr) note_read_strip(*pr, s, p, at);
-  SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsStrip, at,
-                     self_, handler, p.request, static_cast<i64>(s),
-                     static_cast<i64>(p.payload_bytes));
-  if (pr->strip_consumer) pr->strip_consumer(p, handler, at);
-  SAISIM_CHECK(pr->outstanding > 0);
-  if (--pr->outstanding > 0) return;
-
-  // All peer strips arrived and were protocol-processed; wake the reader.
-  sim().cancel(pr->timeout);
-  ReadResult result;
-  result.request = p.request;
-  result.buffer = pr->buffer;
-  result.issued_at = pr->issued_at;
-  result.completed_at = at;
-  result.strips = pr->nspans;
-  result.retransmitted_strips = pr->retransmitted;
-  result.final_handler = handler;
-  auto cb = std::move(pr->on_complete);
-  if (pr->ctl != nullptr) {
-    // Every strip arrived, so per-strip arrival already disarmed each hedge
-    // timer; the sweep is belt-and-braces against future early-complete
-    // paths (cancel_if_armed no-ops on reset handles).
-    for (u32 i = 0; i < pr->nspans; ++i) {
-      sim().cancel_if_armed(pr->ctl[i].hedge_timer);
-    }
-    release_ctl_block(pr->ctl, pr->nspans);
+  op->current_timeout = cfg_.retransmit_timeout;
+  if (op->ctl != nullptr) note_strip(*op, s, p, at);
+  if (!op->write) {
+    ++stats_.strips_received;
+    SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsStrip, at,
+                       self_, handler, p.request, static_cast<i64>(s),
+                       static_cast<i64>(p.payload_bytes));
   }
-  release_span_block(pr->spans, pr->nspans);
-  pending_.erase(static_cast<u64>(p.request));
-  ++stats_.reads_completed;
-  const Time latency = result.completed_at - result.issued_at;
-  stats_.read_latency_us.add(latency.microseconds());
-  // Integer-microsecond histogram feeding the run's latency recorder
-  // (trace/counter_registry.hpp).
-  stats_.read_latency_us_hist.add(
-      static_cast<u64>(latency.picoseconds() / 1'000'000));
-  SAISIM_TRACE_EVENT(util::Subsystem::kPfs, trace::EventType::kPfsComplete,
-                     at, self_, handler, result.request,
-                     static_cast<i64>(result.buffer.bytes),
-                     static_cast<i64>(result.retransmitted_strips));
-  if (cb) cb(result);
+  if (op->strip_consumer) op->strip_consumer(p, handler, at);
+  SAISIM_CHECK(op->outstanding > 0);
+  // All peer strips arrived (or were acked); wake the caller.
+  if (--op->outstanding == 0) finish(p.request, at, handler, false);
 }
 
 }  // namespace saisim::pfs

@@ -3,7 +3,8 @@
 // A read fans out one request packet per strip to the I/O servers holding
 // the range, tracks per-strip completion as reply interrupts are handled,
 // retransmits strips lost to RX overruns, and reports completion (from
-// softirq context, on whichever core handled the final strip).
+// softirq context, on whichever core handled the final strip). A write runs
+// the same request path with data strips out and acks back.
 //
 // The class is policy-agnostic: a RequestDecorator installed by the SAIs
 // stack stamps the aff_core_id hint into outgoing requests; without it the
@@ -167,15 +168,9 @@ class PfsClient : public sim::Actor {
 
   /// Requests issued but not yet completed (reads + writes) — the
   /// in-flight gauge the telemetry sampler reads.
-  u64 inflight_requests() const {
-    return pending_.size() + pending_writes_.size();
-  }
+  u64 inflight_requests() const { return pending_.size(); }
 
  private:
-  // Per-request span storage lives in one arena block: `nspans` StripSpans
-  // followed by a completion bitmap of (nspans+63)/64 u64 words. The block
-  // is released back to the arena when the request completes or fails, so
-  // steady-state issue/complete cycles allocate nothing.
   // Per-strip dispatch control, allocated (one arena block of nspans
   // entries per request) only when the straggler scheduler is active:
   // which server each copy went to and when, plus the armed hedge timer.
@@ -190,7 +185,18 @@ class PfsClient : public sim::Actor {
     bool hedged = false;
   };
 
-  struct PendingRead {
+  /// One striped read or write in flight. Both directions run the same
+  /// protocol — fan out one packet per strip, retransmit unanswered strips
+  /// on the RTO ladder, complete on the last reply — and differ only in
+  /// what travels: a read sends 256 B requests and gets data strips back, a
+  /// write sends data strips and gets tiny acks back.
+  ///
+  /// Span storage lives in one arena block: `nspans` StripSpans followed by
+  /// the received/acked bitmap of (nspans+63)/64 u64 words. The block is
+  /// released back to the arena when the request completes or fails, so
+  /// steady-state issue/complete cycles allocate nothing.
+  struct PendingOp {
+    bool write = false;
     ProcessId proc = -1;
     std::optional<CoreId> hint;
     StripSpan* spans = nullptr;  // arena block; bitmap words follow
@@ -200,26 +206,10 @@ class PfsClient : public sim::Actor {
     u32 retransmitted = 0;
     int retries_left = 0;
     Time current_timeout = Time::zero();
-    mem::AddressRange buffer;
+    mem::AddressRange buffer;  // reads: allocated here, released on failure
     Time issued_at = Time::zero();
     ReadCallback on_complete;
-    StripConsumer strip_consumer;
-    sim::EventHandle timeout;
-  };
-
-  struct PendingWrite {
-    ProcessId proc = -1;
-    std::optional<CoreId> hint;
-    StripSpan* spans = nullptr;  // arena block; ack bitmap words follow
-    StripCtl* ctl = nullptr;     // estimator feed only (no write hedging)
-    u32 nspans = 0;
-    u32 outstanding = 0;
-    u32 retransmitted = 0;
-    int retries_left = 0;
-    Time current_timeout = Time::zero();
-    mem::AddressRange buffer;
-    Time issued_at = Time::zero();
-    ReadCallback on_complete;
+    StripConsumer strip_consumer;  // reads only
     sim::EventHandle timeout;
   };
 
@@ -251,26 +241,26 @@ class PfsClient : public sim::Actor {
   StripCtl* alloc_ctl_block(u32 nspans);
   void release_ctl_block(StripCtl* ctl, u32 nspans);
 
+  RequestId issue(bool write, ProcessId proc, std::optional<CoreId> hint,
+                  u64 file_offset, mem::AddressRange buffer,
+                  ReadCallback on_complete, StripConsumer strip_consumer);
   void on_rx(const net::Packet& p, CoreId handler, Time at);
-  void send_strip_request(RequestId id, PendingRead& pr, u64 span_idx);
-  void send_strip_copy(RequestId id, const PendingRead& pr, u64 span_idx,
+  void send_strip(RequestId id, PendingOp& op, u64 span_idx);
+  void send_strip_copy(RequestId id, const PendingOp& op, u64 span_idx,
                        u64 server_idx);
-  void arm_hedge(RequestId id, PendingRead& pr, u32 span_idx);
+  void arm_hedge(RequestId id, PendingOp& op, u32 span_idx);
   void on_hedge_timer(RequestId id, u32 span_idx);
-  void note_read_strip(PendingRead& pr, u64 span_idx, const net::Packet& p,
-                       Time at);
+  void note_strip(PendingOp& op, u64 span_idx, const net::Packet& p, Time at);
   u64 server_index_of(NodeId node) const;
-  void send_strip_write(RequestId id, PendingWrite& pw, u64 span_idx);
   void send_open_request(RequestId id, const PendingOpen& po);
-  void on_write_ack(const net::Packet& p, CoreId handler, Time at);
   void arm_timeout(RequestId id);
   void on_timeout(RequestId id);
-  void arm_write_timeout(RequestId id);
-  void on_write_timeout(RequestId id);
   void arm_open_timeout(RequestId id);
   void on_open_timeout(RequestId id);
-  void fail_read(RequestId id);
-  void fail_write(RequestId id);
+  /// Tear down request `id` and fire its completion: success from the last
+  /// strip's arrival (on `handler`), failure once the retry budget is
+  /// spent (handler kNoCore).
+  void finish(RequestId id, Time at, CoreId handler, bool failed);
   Time backoff(Time current) const;
 
   net::Network& network_;
@@ -291,8 +281,8 @@ class PfsClient : public sim::Actor {
   std::vector<u32> issue_order_;
 
   util::Arena arena_;
-  util::FlatIdMap<PendingRead> pending_;
-  util::FlatIdMap<PendingWrite> pending_writes_;
+  /// Reads and writes share one table: both draw ids from next_request_.
+  util::FlatIdMap<PendingOp> pending_;
   util::FlatIdMap<PendingOpen> pending_opens_;
   mem::AddressRange control_scratch_;
   RequestId next_request_ = 1;

@@ -1,4 +1,4 @@
-// Client-side straggler-aware strip dispatch (ROADMAP item 2).
+// Client-side straggler-aware strip dispatch (DESIGN.md §16).
 //
 // bench_fault's verdict on PR 5 was blunt: a single slow server stretches
 // the p99 read tail of *every* interrupt-placement policy equally, because
@@ -12,9 +12,9 @@
 // Three mechanisms, all deterministic (no RNG draws, ever):
 //
 //   * EWMA estimator — one exponentially weighted moving average of strip
-//     round-trip latency per server, fed from the PendingRead/PendingWrite
-//     completion paths. A server is "slow" once its estimate exceeds
-//     slow_threshold x the fleet's fastest estimate.
+//     round-trip latency per server, fed by every strip reply and write
+//     ack on PfsClient's one request path. A server is "slow" once its
+//     estimate exceeds slow_threshold x the fleet's fastest estimate.
 //   * redirect-with-probe — strips whose primary server is slow are
 //     redirected to a rotating healthy replica (I/O servers serve any
 //     offset, so any server can stand in; rotation spreads the displaced

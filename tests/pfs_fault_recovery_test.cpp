@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "pfs/protocol.hpp"
 #include "support/test_cluster.hpp"
@@ -44,6 +45,7 @@ TEST_F(FaultFixture, ReadRecoversFromPacketLoss) {
   client->read(1, std::nullopt, 0, 512ull << 10,
                [&](const ReadResult& r) { result = r; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->failed);
   EXPECT_EQ(result->strips, 8u);
@@ -67,7 +69,8 @@ TEST_F(FaultFixture, WriteRecoversFromDroppedDataOrAck) {
   client->write(1, std::nullopt, 0, buffer,
                 [&](const ReadResult& r) { result = r; });
   cluster->sim().run();
-  // Before PendingWrite::timeout was armed, any dropped data or ack packet
+  test::expect_drained(*client);
+  // When writes had no retransmit timer, any dropped data or ack packet
   // hung this run forever (run() only returns because retransmits
   // eventually push every ack through).
   ASSERT_TRUE(result.has_value());
@@ -77,7 +80,45 @@ TEST_F(FaultFixture, WriteRecoversFromDroppedDataOrAck) {
   EXPECT_GT(client->stats().retransmits, 0u);
 }
 
-TEST_F(FaultFixture, ReadBudgetExhaustionFailsGracefully) {
+// Reads and writes share one request path (pending record, RTO ladder,
+// retry budget, failure path), so every recovery property below runs in
+// both directions. A write's "reply" is the server's ack.
+enum class Dir { kRead, kWrite };
+
+void PrintTo(Dir d, std::ostream* os) {
+  *os << (d == Dir::kRead ? "read" : "write");
+}
+
+struct RecoveryFixture : ::testing::TestWithParam<Dir>, FaultRig {
+  bool writing() const { return GetParam() == Dir::kWrite; }
+
+  /// Issue a `bytes` request at file offset 0 in the fixture's direction;
+  /// its completion lands in `result`.
+  RequestId issue(u64 bytes, std::optional<ReadResult>& result) {
+    auto done = [&result](const ReadResult& r) { result = r; };
+    if (writing()) {
+      return client->write(1, std::nullopt, 0, client->allocate_buffer(bytes),
+                           done);
+    }
+    return client->read(1, std::nullopt, 0, bytes, done);
+  }
+  u64 completed() const {
+    const PfsClientStats& st = client->stats();
+    return writing() ? st.writes_completed : st.reads_completed;
+  }
+  u64 failed() const {
+    const PfsClientStats& st = client->stats();
+    return writing() ? st.writes_failed : st.reads_failed;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(BothDirections, RecoveryFixture,
+                         ::testing::Values(Dir::kRead, Dir::kWrite),
+                         [](const ::testing::TestParamInfo<Dir>& p) {
+                           return p.param == Dir::kRead ? "read" : "write";
+                         });
+
+TEST_P(RecoveryFixture, BudgetExhaustionFailsGracefully) {
   net::FaultConfig fc;
   fc.loss_rate = 1.0;
   PfsClientConfig pc;
@@ -85,44 +126,29 @@ TEST_F(FaultFixture, ReadBudgetExhaustionFailsGracefully) {
   pc.max_retransmits = 2;
   build(fc, pc);
 
-  const u64 bytes = 512ull << 10;
+  // 8 strips read, 4 written.
+  const u64 bytes = writing() ? 256ull << 10 : 512ull << 10;
+  const u32 strips = writing() ? 4u : 8u;
   const mem::AddressSpace& space = cluster->client(0).address_space();
+  std::optional<ReadResult> result;
   const u64 live_before = space.live_bytes();
-  std::optional<ReadResult> result;
-  client->read(1, std::nullopt, 0, bytes,
-               [&](const ReadResult& r) { result = r; });
+  issue(bytes, result);
+  // A write's source buffer is the caller's and stays allocated.
+  const u64 live_issued = writing() ? space.live_bytes() : live_before;
   cluster->sim().run();  // used to SAISIM_CHECK-abort; must now drain cleanly
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
-  EXPECT_EQ(result->lost_strips, 8u);
-  EXPECT_EQ(result->strips, 8u);
-  EXPECT_EQ(client->stats().reads_failed, 1u);
-  EXPECT_EQ(client->stats().reads_completed, 0u);
-  // The failed read's buffer went back to the address space.
-  EXPECT_EQ(space.live_bytes(), live_before);
+  EXPECT_EQ(result->lost_strips, strips);
+  EXPECT_EQ(result->strips, strips);
+  EXPECT_EQ(failed(), 1u);
+  EXPECT_EQ(completed(), 0u);
+  // The failed read's buffer went back to the address space; the write's
+  // did not, because it was never the client's.
+  EXPECT_EQ(space.live_bytes(), live_issued);
 }
 
-TEST_F(FaultFixture, WriteBudgetExhaustionFailsGracefully) {
-  net::FaultConfig fc;
-  fc.loss_rate = 1.0;
-  PfsClientConfig pc;
-  pc.retransmit_timeout = Time::ms(10);
-  pc.max_retransmits = 2;
-  build(fc, pc);
-
-  const auto buffer = client->allocate_buffer(256ull << 10);
-  std::optional<ReadResult> result;
-  client->write(1, std::nullopt, 0, buffer,
-                [&](const ReadResult& r) { result = r; });
-  cluster->sim().run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->failed);
-  EXPECT_EQ(result->lost_strips, 4u);
-  EXPECT_EQ(client->stats().writes_failed, 1u);
-  EXPECT_EQ(client->stats().writes_completed, 0u);
-}
-
-TEST_F(FaultFixture, RtoBackoffIsCappedAtConfiguredCeiling) {
+TEST_P(RecoveryFixture, RtoBackoffIsCappedAtConfiguredCeiling) {
   net::FaultConfig fc;
   fc.loss_rate = 1.0;
   PfsClientConfig pc;
@@ -132,9 +158,9 @@ TEST_F(FaultFixture, RtoBackoffIsCappedAtConfiguredCeiling) {
   build(fc, pc);
 
   std::optional<ReadResult> result;
-  client->read(1, std::nullopt, 0, 64ull << 10,
-               [&](const ReadResult& r) { result = r; });
+  issue(64ull << 10, result);
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   // Timeouts fire at 100ms (retry 1), +min(200, 200) = 300ms (retry 2),
@@ -150,7 +176,7 @@ TEST_F(FaultFixture, RtoBackoffIsCappedAtConfiguredCeiling) {
 // (retry 1) and 300ms (retry 2); a strip hand-delivered at 250ms resets
 // the RTO, so retry 3 fires at 500ms and the budget exhausts at 900ms.
 // Pre-fix the doubling continued 400→800 and failure came at 1500ms.
-TEST_F(FaultFixture, StripProgressResetsRtoToBase) {
+TEST_P(RecoveryFixture, StripProgressResetsRtoToBase) {
   PfsClientConfig pc;
   pc.retransmit_timeout = Time::ms(100);
   pc.max_retransmit_timeout = Time::sec(10);  // cap out of the way
@@ -158,31 +184,33 @@ TEST_F(FaultFixture, StripProgressResetsRtoToBase) {
   build({}, pc);
 
   // Black-hole every server: requests vanish without a drop record, so
-  // the only data the client ever sees is what this test injects.
+  // the only reply the client ever sees is what this test injects.
   for (int i = 0; i < 4; ++i) {
     cluster->network().set_receiver(cluster->server_node(i),
                                     [](net::Packet) {});
   }
 
   std::optional<ReadResult> result;
-  client->read(1, std::nullopt, 0, 128ull << 10,  // 2 strips, servers 0+1
-               [&](const ReadResult& r) { result = r; });
+  const RequestId id = issue(128ull << 10, result);  // 2 strips, servers 0+1
 
   // Mid-backoff (between the retry-1 and retry-2 timeouts), deliver strip
-  // 0 by hand. on_rx keys purely off request/strip_index, and dma_write
-  // does not validate the landing address, so a minimal packet suffices.
+  // 0's reply by hand. on_rx keys purely off request/strip_index, and
+  // dma_write does not validate the landing address, so a minimal packet
+  // suffices.
   cluster->sim().after(Time::ms(250), [&] {
     net::Packet reply;
-    reply.kind = net::PacketKind::kPfsData;
+    reply.kind = writing() ? net::PacketKind::kPfsWriteAck
+                           : net::PacketKind::kPfsData;
     reply.src = cluster->server_node(0);
     reply.dst = nic->node();
-    reply.request = 1;
+    reply.request = id;
     reply.strip_index = 0;
-    reply.payload_bytes = 64ull << 10;
+    reply.payload_bytes = writing() ? kWriteAckBytes : 64ull << 10;
     cluster->network().send(std::move(reply));
   });
 
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);
   EXPECT_EQ(result->strips, 2u);
@@ -195,6 +223,7 @@ TEST_F(FaultFixture, DuplicateMetaReplyIsCountedNotFatal) {
   bool opened = false;
   client->open(1, [&](Time) { opened = true; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(opened);
 
   // Re-deliver the (already consumed) metadata reply — the shape a
@@ -208,6 +237,7 @@ TEST_F(FaultFixture, DuplicateMetaReplyIsCountedNotFatal) {
   const u64 dups_before = client->stats().duplicate_strips;
   cluster->network().send(stale);
   cluster->sim().run();  // used to SAISIM_CHECK-abort in on_rx
+  test::expect_drained(*client);
   EXPECT_EQ(client->stats().duplicate_strips, dups_before + 1);
 }
 
@@ -222,6 +252,7 @@ TEST_F(FaultFixture, OpenRetriesUntilMetaReplyArrives) {
   bool opened = false;
   client->open(1, [&](Time) { opened = true; });
   cluster->sim().run();
+  test::expect_drained(*client);
   EXPECT_TRUE(opened);
 }
 
@@ -234,6 +265,7 @@ TEST_F(FaultFixture, DuplicatedDataStripsAreDeduped) {
   client->read(1, std::nullopt, 0, 512ull << 10,
                [&](const ReadResult& r) { result = r; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->failed);
   // Every packet delivered twice, yet each strip counts exactly once.
@@ -263,6 +295,7 @@ TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
     f.client->read(1, std::nullopt, 0, 512ull << 10,
                    [&](const ReadResult& r) { result = r; });
     f.cluster->sim().run();
+    test::expect_drained(*f.client);
     EXPECT_TRUE(result.has_value());
     return Outcome{result->completed_at, f.client->stats().retransmits,
                    f.cluster->fault_injectors()[0]->stats().packets_dropped};

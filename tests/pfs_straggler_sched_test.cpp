@@ -1,4 +1,4 @@
-// Client-side straggler-aware scheduling (ROADMAP item 2): EWMA estimator
+// Client-side straggler-aware scheduling (DESIGN.md §16): EWMA estimator
 // units (warmup gating, slow detection, recovery), redirect/probe/hedge
 // dispatch decisions, the hedge lifecycle end-to-end against a black-holed
 // server — including the duplicate-reply-after-hedge-won dedup regression —
@@ -216,6 +216,7 @@ struct SchedRig {
     client->read(1, std::nullopt, 0, 256ull << 10,
                  [&](const ReadResult& res) { r = res; });
     cluster->sim().run();
+    test::expect_drained(*client);
     ASSERT_TRUE(r.has_value());
     ASSERT_FALSE(r->failed);
     for (u64 srv = 0; srv < 4; ++srv)
@@ -245,6 +246,7 @@ TEST_F(SchedFixture, HedgeWinsAgainstBlackHoledServer) {
   client->read(1, std::nullopt, 0, 64ull << 10,  // one strip, on server 0
                [&](const ReadResult& res) { r = res; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   EXPECT_EQ(client->stats().hedges_issued, 1u);
@@ -270,6 +272,7 @@ TEST_F(SchedFixture, HedgeLosesCleanlyWhenBothServersReply) {
   client->read(1, std::nullopt, 0, 64ull << 10,
                [&](const ReadResult& res) { r = res; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   EXPECT_EQ(client->stats().hedges_issued, 1u);
@@ -300,6 +303,7 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
       client->read(1, std::nullopt, 0, 64ull << 10,
                    [&](const ReadResult& res) { r = res; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(r.has_value());
   ASSERT_EQ(client->stats().hedges_won, 1u);
 
@@ -315,6 +319,7 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
   stale.payload_bytes = 64ull << 10;
   cluster->network().send(std::move(stale));
   cluster->sim().run();  // double-erase or handle leak would abort here
+  test::expect_drained(*client);
   EXPECT_EQ(client->stats().duplicate_strips, dups_before + 1);
   EXPECT_EQ(client->stats().reads_completed, 2u);
 
@@ -323,6 +328,7 @@ TEST_F(SchedFixture, DuplicateReplyAfterHedgeWonIsDeduped) {
   client->read(1, std::nullopt, 64ull << 10, 64ull << 10,
                [&](const ReadResult& res) { r2 = res; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(r2.has_value());
   EXPECT_FALSE(r2->failed);
 }
@@ -346,11 +352,34 @@ TEST_F(SchedFixture, RedirectRoutesAroundDetectedStraggler) {
   client->read(1, std::nullopt, 0, 256ull << 10,
                [&](const ReadResult& res) { r = res; });
   cluster->sim().run();
+  test::expect_drained(*client);
   ASSERT_TRUE(r.has_value());
   EXPECT_FALSE(r->failed);
   // The strip laid out on server 0 went to server 1 instead.
   EXPECT_EQ(sched->stats().redirected_strips, 1u);
   EXPECT_EQ(client->stats().hedges_issued, 0u);
+}
+
+// Write data always lands on its owner, but each ack still times its
+// strip: samples from writes warm the read dispatch (DESIGN.md §16).
+TEST_F(SchedFixture, WriteAcksFeedTheEstimator) {
+  ClientSchedConfig sc;
+  sc.policy = ClientSchedPolicy::kStragglerAware;
+  sc.min_samples = 1;
+  build(sc);
+
+  std::optional<ReadResult> r;
+  client->write(1, std::nullopt, 0, client->allocate_buffer(256ull << 10),
+                [&](const ReadResult& res) { r = res; });  // one full stripe
+  cluster->sim().run();
+  test::expect_drained(*client);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->failed);
+  EXPECT_EQ(r->strips, 4u);
+  for (u64 srv = 0; srv < 4; ++srv)
+    EXPECT_EQ(client->scheduler()->samples(srv), 1u) << "server " << srv;
+  EXPECT_EQ(client->stats().hedges_issued, 0u);
+  EXPECT_EQ(client->scheduler()->stats().redirected_strips, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ TEST_F(WriteFixture, WriteCompletesWhenAllStripsAcked) {
   client->write(1, std::nullopt, 0, buffer,
                 [&](const ReadResult& r) { result = r; });
   s.run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->strips, 8u);
   EXPECT_EQ(client->stats().writes_completed, 1u);
@@ -32,6 +33,7 @@ TEST_F(WriteFixture, ServersPersistTheBytes) {
   const auto buffer = client->allocate_buffer(1ull << 20);
   client->write(1, std::nullopt, 0, buffer, nullptr);
   s.run();
+  test::expect_drained(*client);
   u64 written = 0;
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(cluster.server(i).stats().write_requests, 4u);
@@ -46,6 +48,7 @@ TEST_F(WriteFixture, WriteLatencyIncludesDiskSerialization) {
   client->write(1, std::nullopt, 0, buffer,
                 [&](const ReadResult& r) { result = r; });
   s.run();
+  test::expect_drained(*client);
   ASSERT_TRUE(result.has_value());
   // 4 strips, one per server: at least one 1ms seek + transfer each.
   EXPECT_GT(result->completed_at - result->issued_at, Time::ms(1));
@@ -56,6 +59,7 @@ TEST_F(WriteFixture, DuplicateAcksAreCounted) {
   const auto buffer = client->allocate_buffer(128ull << 10);
   client->write(1, std::nullopt, 0, buffer, nullptr);
   s.run();
+  test::expect_drained(*client);
   // Re-deliver a stale ack by hand.
   net::Packet stale;
   stale.kind = net::PacketKind::kPfsWriteAck;
@@ -70,6 +74,7 @@ TEST_F(WriteFixture, DuplicateAcksAreCounted) {
   stale.dma_addr = 0;
   net.send(stale);
   s.run();
+  test::expect_drained(*client);
   EXPECT_EQ(client->stats().duplicate_strips, dups_before + 1);
 }
 
@@ -81,6 +86,7 @@ TEST_F(WriteFixture, ConcurrentReadsAndWritesCoexist) {
   client->write(2, std::nullopt, 1ull << 30, buffer,
                 [&](const ReadResult&) { ++completed; });
   s.run();
+  test::expect_drained(*client);
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(client->stats().reads_completed, 1u);
   EXPECT_EQ(client->stats().writes_completed, 1u);

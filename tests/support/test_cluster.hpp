@@ -1,6 +1,8 @@
 // The cluster every PFS integration fixture builds through saisim::Cluster.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include "core/cluster.hpp"
 
 namespace saisim::test {
@@ -20,6 +22,15 @@ inline ExperimentConfig cluster_config() {
   cfg.enable_background = false;
   cfg.seed = 0x5A15;
   return cfg;
+}
+
+/// After a drained sim().run(): every request `client` issued completed or
+/// failed exactly once, and none is left in its pending table.
+inline void expect_drained(const pfs::PfsClient& client) {
+  const pfs::PfsClientStats& st = client.stats();
+  EXPECT_EQ(st.reads_issued, st.reads_completed + st.reads_failed);
+  EXPECT_EQ(st.writes_issued, st.writes_completed + st.writes_failed);
+  EXPECT_EQ(client.inflight_requests(), 0u);
 }
 
 }  // namespace saisim::test
