@@ -18,14 +18,14 @@
 // re-walk matches one tag and relinks nothing) and its head (a re-walk of
 // a buffer that spans each set more than once wants the LRU line next). It
 // stops at the first line neither way holds. fill() places a line the
-// directory has proved absent with no lookup at all and reports the way it
-// took. touch_way() and invalidate_way() settle a line at the way the
+// directory has proved absent with no lookup at all, reports the way it
+// took and returns the victim as the evicted way's raw tag (a Victim, one
+// register). touch_way() and invalidate_way() settle a line at the way the
 // directory recorded for it, checking only that way's tag.
 #pragma once
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -81,17 +81,19 @@ class Cache {
 
   LineAddr line_of(Address addr) const { return addr / cfg_.line_bytes; }
 
-  struct Eviction {
-    LineAddr line;
-    bool dirty;
-  };
+  /// What a fill displaced: the evicted way's raw tag, 0 if the fill took
+  /// an invalid way. One register, so the walk reads the victim without a
+  /// round trip through memory.
+  class Victim {
+   public:
+    constexpr Victim() = default;
+    explicit constexpr Victim(u64 tag) : tag_(tag) {}
+    explicit constexpr operator bool() const { return tag_ != 0; }
+    constexpr LineAddr line() const { return tag_ >> 2; }
+    constexpr bool dirty() const { return (tag_ & kDirty) != 0; }
 
-  /// Result of a victim lookup: where the next insert of that line will
-  /// land, and what it displaces. See find_victim.
-  struct PendingInsert {
-    std::optional<Eviction> evicted;
-    u64 set = 0;
-    u32 way = 0;
+   private:
+    u64 tag_ = 0;
   };
 
   /// Hint run over the contiguous lines [first, first + count), in
@@ -136,29 +138,38 @@ class Cache {
     return i != kAbsent && (tags_[i] & kDirty) != 0;
   }
 
-  /// Where an insert of `line` (which must be absent) would land and what
-  /// it would displace; changes nothing.
-  PendingInsert find_victim(LineAddr line) const {
-    SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
-    return pick_victim(set_index(line));
-  }
-
   /// Insert a line (must not be present). Returns the victim, if any.
-  std::optional<Eviction> insert(LineAddr line, bool dirty) {
+  Victim insert(LineAddr line, bool dirty) {
     SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
     u32 way = 0;
     return fill(line, dirty, way);
   }
 
   /// Insert a line the caller knows is absent (the memory walk learns it
-  /// from the owner directory). Same victim as insert(), picked in O(1)
-  /// with no lookup. Sets `way` to the way the line took and returns the
-  /// victim, if any (which that way held).
-  std::optional<Eviction> fill(LineAddr line, bool dirty, u32& way) {
-    const PendingInsert p = pick_victim(set_index(line));
-    commit_insert(p, line, dirty);
-    way = p.way;
-    return p.evicted;
+  /// from the owner directory), with no lookup. The line takes the set's
+  /// lowest invalid way, else its LRU way, whose line it evicts: the victim
+  /// a full LRU lookup picks. Sets `way` to the way the line took and
+  /// returns the victim. Always inlined: the walk calls it once per line.
+  [[gnu::always_inline]] Victim fill(LineAddr line, bool dirty, u32& way) {
+    const u64 set = set_index(line);
+    SetState& st = sets_[set];
+    Link* const links = links_.data() + set * cfg_.ways;
+    u64* const tags = tags_.data() + set * cfg_.ways;
+    const u64 tag = (line << 2) | kValid | (dirty ? kDirty : 0);
+    const u64 free = ~st.valid & all_ways_;
+    if (free != 0) {
+      way = static_cast<u32>(std::countr_zero(free));
+      tags[way] = tag;
+      append(st, links, way);
+      st.valid |= 1ull << way;
+      ++resident_;
+      return Victim{};
+    }
+    way = st.head;
+    const Victim victim{tags[way]};
+    tags[way] = tag;
+    touch(st, links, way);
+    return victim;
   }
 
   /// Mark a present line dirty (store hit).
@@ -199,38 +210,6 @@ class Cache {
         way < cfg_.ways && (*tag & ~kDirty) == ((line << 2) | kValid),
         "owner map out of sync with cache");
     return *tag;
-  }
-
-  /// Victim for the next insert into `set`: the lowest invalid way (an
-  /// insert with room evicts nothing), otherwise the LRU way.
-  PendingInsert pick_victim(u64 set) const {
-    const SetState& st = sets_[set];
-    PendingInsert p;
-    p.set = set;
-    const u64 free = ~st.valid & all_ways_;
-    if (free != 0) {
-      p.way = static_cast<u32>(std::countr_zero(free));
-    } else {
-      p.way = st.head;
-      const u64 tag = tags_[set * cfg_.ways + st.head];
-      p.evicted = Eviction{tag >> 2, (tag & kDirty) != 0};
-    }
-    return p;
-  }
-
-  /// Write `line` into the slot pick_victim chose for it.
-  void commit_insert(const PendingInsert& p, LineAddr line, bool dirty) {
-    SetState& st = sets_[p.set];
-    Link* const links = links_.data() + p.set * cfg_.ways;
-    tags_[p.set * cfg_.ways + p.way] =
-        (line << 2) | kValid | (dirty ? kDirty : 0);
-    if (p.evicted) {
-      touch(st, links, p.way);
-    } else {
-      append(st, links, p.way);
-      st.valid |= 1ull << p.way;
-      ++resident_;
-    }
   }
 
   /// Link the unlinked way `w` in at the MRU end of the set's list. The

@@ -6,7 +6,9 @@
 //   2. fill run  - the owner directory reports the lines no cache holds
 //                  (OwnerDirectory::absent_run), enters them all at once
 //                  (assign_run) and the walk fills them from DRAM, each
-//                  victim picked in O(1);
+//                  victim picked in O(1), returned in a register
+//                  (Cache::Victim) and erased from the directory with the
+//                  rest of its page's victims (erase_mask);
 //   3. owned     - otherwise the directory names the owner and its way:
 //                  this core (a hit away from both hints, relinked at that
 //                  way) or another (a cache-to-cache transfer that drops
@@ -15,7 +17,9 @@
 // Lines are visited in address order, each victim is the one a full LRU
 // lookup would pick, and every miss books DRAM at the instant its walk
 // reached it, so the result equals a per-line probe-then-insert walk bit
-// for bit.
+// for bit. No hardware division runs per line: the clock at a miss and the
+// DRAM queue penalty divide by run-time constants (the core frequency and
+// the DRAM rate) through exact precomputed reciprocals (U64Divider).
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
@@ -37,12 +41,20 @@ struct CycleClock {
   u64 ps = 0;
   u64 rem = 0;
 
-  /// The clock at `cycles` (non-negative): one 128-bit division.
-  static CycleClock at(i64 cycles, u64 hz) {
-    const u128 scaled =
-        static_cast<u128>(static_cast<u64>(cycles)) * kPsPerSecond;
-    const u64 ps = static_cast<u64>(scaled / hz);
-    return {ps, static_cast<u64>(scaled - static_cast<u128>(ps) * hz)};
+  /// The clock at `cycles` (non-negative), divided by the precomputed
+  /// reciprocal of `hz` while cycles x 10^12 fits 64 bits (below about
+  /// 18.4M cycles, every walk in practice), else by one 128-bit division.
+  static CycleClock at(i64 cycles, const detail::U64Divider& hz) {
+    const auto c = static_cast<u64>(cycles);
+    const u64 d = hz.divisor();
+    if (c <= UINT64_MAX / kPsPerSecond) {
+      const u64 scaled = c * kPsPerSecond;
+      const u64 ps = hz.divide(scaled);
+      return {ps, scaled - ps * d};
+    }
+    const u128 scaled = static_cast<u128>(c) * kPsPerSecond;
+    const u64 ps = static_cast<u64>(scaled / d);
+    return {ps, static_cast<u64>(scaled - static_cast<u128>(ps) * d)};
   }
 
   void advance(const CycleClock& step, u64 hz) {
@@ -66,8 +78,12 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
       dram_bw_(dram_bandwidth),
       owner_(static_cast<u64>(num_cores) * cache_cfg.num_lines()) {
   SAISIM_CHECK(num_cores > 0);
+  SAISIM_CHECK(core_freq_.hertz() > 0);
+  hz_ = detail::U64Divider(static_cast<u64>(core_freq_.hertz()));
   if (!dram_bw_.is_unlimited()) {
     line_xfer_ = dram_bw_.transfer_time(cache_cfg_.line_bytes);
+    dram_bps_ =
+        detail::U64Divider(static_cast<u64>(dram_bw_.bytes_per_second()));
   }
   caches_.reserve(static_cast<u64>(num_cores));
   for (int i = 0; i < num_cores; ++i) caches_.emplace_back(cache_cfg);
@@ -79,11 +95,16 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
 // appears only when the controller is genuinely oversubscribed beyond the
 // burst allowance, and each booking pays only the increment it causes.
 inline Time MemorySystem::dram_enqueue(u64 bytes, Time now) {
+  // dram_bw_.transfer_time(excess), with the division by the DRAM rate done
+  // by its precomputed reciprocal whenever excess x 10^12 fits 64 bits
+  // (excesses below about 18 MB), where transfer_time divides in 64 bits.
   const auto queue_penalty = [this](u64 backlog) {
-    return backlog <= timings_.dram_burst_allowance
-               ? Time::zero()
-               : dram_bw_.transfer_time(backlog -
-                                        timings_.dram_burst_allowance);
+    if (backlog <= timings_.dram_burst_allowance) return Time::zero();
+    const u64 excess = backlog - timings_.dram_burst_allowance;
+    if (excess > UINT64_MAX / kPsPerSecond) {
+      return dram_bw_.transfer_time(excess);
+    }
+    return Time::ps(static_cast<i64>(dram_bps_.divide(excess * kPsPerSecond)));
   };
   if (now > dram_last_update_) {
     const Time elapsed = now - dram_last_update_;
@@ -141,17 +162,19 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   u64 evictions = 0, writebacks = 0;
   const bool dram_limited = !dram_bw_.is_unlimited();
   // The drain clock sees the access's own progression at a miss: latency
-  // cycles and queueing accrued up to it. Materialising that Time costs a
-  // division, so it is computed only for a bandwidth-limited controller,
-  // and a fill run carries it from line to line (CycleClock) instead.
+  // cycles and queueing accrued up to it. Its cycle part is computed only
+  // for a bandwidth-limited controller, by the reciprocal of the core
+  // frequency (CycleClock::at), and a fill run carries it from line to line
+  // instead.
   const auto miss_instant = [&] {
-    return now + core_freq_.duration(Cycles{cycles}) + dram_queue;
+    return now + Time::ps(static_cast<i64>(CycleClock::at(cycles, hz_).ps)) +
+           dram_queue;
   };
   // Consecutive fill-run misses are `fill_cycles` apart on that clock.
   const i64 fill_cycles = reuse_cycles + timings_.dram_access.count();
-  const u64 hz = static_cast<u64>(core_freq_.hertz());
+  const u64 hz = hz_.divisor();
   const CycleClock fill_step =
-      dram_limited ? CycleClock::at(fill_cycles, hz) : CycleClock{};
+      dram_limited ? CycleClock::at(fill_cycles, hz_) : CycleClock{};
 
   // Misses fill consecutive lines and a streamed buffer's LRU victims leave
   // in address order, so each stream keeps its own directory page hint.
@@ -170,20 +193,33 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // Fill run: lines no cache holds, up to the directory page's end, come
     // from DRAM. Nothing the loop does can make a later line of the run
     // present, so one mask read settles them all and one mask write enters
-    // them; the loop records the way each line takes.
+    // them; the loop records the way each line takes. The victims leave the
+    // directory a page at a time: each joins a (page, mask) batch, which is
+    // erased when the next victim is on another page and at the run's end.
+    // Nothing reads the directory in between, and the line being filled
+    // keeps the run's page, and so `ways`, alive.
     const u64 absent = owner_.absent_run(fill_at, line, last - line + 1);
     if (absent > 0) {
       u8* const ways = owner_.assign_run(fill_at, line, absent, core);
       CycleClock clock = dram_limited
-                             ? CycleClock::at(cycles + reuse_cycles, hz)
+                             ? CycleClock::at(cycles + reuse_cycles, hz_)
                              : CycleClock{};
+      u64 victim_page = 0, victim_mask = 0;
       for (u64 i = 0; i < absent; ++i, ++line) {
         u64 booked = 1;
         u32 way = 0;
-        if (const auto ev = cache.fill(line, is_write, way)) {
+        if (const Cache::Victim victim = cache.fill(line, is_write, way)) {
           ++evictions;
-          owner_.erase(evict_at, ev->line);
-          if (ev->dirty) {
+          const u64 page = OwnerDirectory::page_of(victim.line());
+          if (page != victim_page) {
+            if (victim_mask != 0) {
+              owner_.erase_mask(evict_at, victim_page, victim_mask);
+            }
+            victim_page = page;
+            victim_mask = 0;
+          }
+          victim_mask |= OwnerDirectory::bit(victim.line());
+          if (victim.dirty()) {
             ++writebacks;
             booked = 2;
           }
@@ -195,6 +231,9 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
           dram_queue += dram_book_lines(booked, at);
           clock.advance(fill_step, hz);
         }
+      }
+      if (victim_mask != 0) {
+        owner_.erase_mask(evict_at, victim_page, victim_mask);
       }
       cycles += static_cast<i64>(absent) * fill_cycles;
       misses_dram += absent;
@@ -222,10 +261,13 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     ++misses_c2c;
     cycles += timings_.c2c_transfer.count();
     u32 filled = 0;
-    if (const auto ev = cache.fill(line, is_write, filled)) {
+    if (const Cache::Victim victim = cache.fill(line, is_write, filled)) {
       ++evictions;
-      owner_.erase(evict_at, ev->line);
-      if (ev->dirty) {
+      // `line` is present, so the erase cannot release its page and `way`
+      // stays valid.
+      SAISIM_CHECK_MSG(owner_.erase(evict_at, victim.line()) == core,
+                       "owner map out of sync with cache");
+      if (victim.dirty()) {
         ++writebacks;
         if (dram_limited) dram_queue += dram_book_lines(1, at);
       }

@@ -139,6 +139,10 @@ class MemorySystem {
   /// so the access path allocates only while the pool first fills.
   OwnerDirectory owner_;
 
+  /// Reciprocals of the core frequency and the DRAM rate (the latter only
+  /// if limited): the walk's per-line conversions multiply, not divide.
+  detail::U64Divider hz_;
+  detail::U64Divider dram_bps_;
   /// Serialization time of one cache line (precomputed; zero if unlimited).
   Time line_xfer_ = Time::zero();
   /// Leaky-bucket controller state: backlog drains at the DRAM rate.

@@ -1,18 +1,18 @@
 // Page-indexed directory mapping resident cache lines to their owning core.
 //
 // The coherence model is single-owner (MESI-lite with migratory sharing),
-// so the directory is a LineAddr -> CoreId map. The memory walk updates it
-// once per missing line and once per evicted line, and every DMA landing
-// sweeps it over the whole landed range. All three streams run in address
-// order: a miss run fills consecutive lines, the LRU victims of a streamed
-// buffer leave in the order they arrived, and a DMA covers one contiguous
-// buffer. So the directory is indexed by page (kPageLines consecutive
-// lines), not by line: a FlatIdMap sends a page number to a pooled Page
-// that holds one owner byte per line and a presence mask. A walk carries a
-// Cursor (the page it touched last), so consecutive lines cost one mask
-// test and one byte access, and the hash is probed once per page instead of
-// once per line. A range erase tests a page's lines one mask word at a time
-// and skips an absent page after one probe.
+// so the directory is a LineAddr -> CoreId map. The memory walk enters each
+// run of missing lines at once and erases evicted lines a page at a time,
+// and every DMA landing sweeps it over the whole landed range. All three
+// streams run in address order: a miss run fills consecutive lines, the LRU
+// victims of a streamed buffer leave in the order they arrived, and a DMA
+// covers one contiguous buffer. So the directory is indexed by page
+// (kPageLines consecutive lines), not by line: a FlatIdMap sends a page
+// number to a pooled Page that holds one owner byte per line and a presence
+// mask. A walk carries a Cursor (the page it touched last), so consecutive
+// lines cost one mask test and one byte access, and the hash is probed once
+// per page instead of once per line. A range erase tests a page's lines
+// one mask word at a time and skips an absent page after one probe.
 //
 // Coherence is single-owner, so the directory is also the memory walk's
 // residency oracle: a line is in core C's cache exactly when the directory
@@ -150,6 +150,24 @@ class OwnerDirectory {
     return erase(at, line);
   }
 
+  /// The directory page of `line`, and its bit in that page's masks.
+  static u64 page_of(LineAddr line) { return line / kPageLines; }
+  static u64 bit(LineAddr line) { return u64{1} << offset(line); }
+
+  /// Remove the lines of page `page` named by `mask` (bit i is line
+  /// page * kPageLines + i), all of which must be present: a page of the
+  /// lines a cache just evicted. One seek and one presence-mask write for
+  /// the whole batch; releases the page if it empties.
+  void erase_mask(Cursor& at, u64 page, u64 mask) {
+    const bool found = seek(at, page * kPageLines);
+    SAISIM_CHECK_MSG(found && (pages_[at.slot].present & mask) == mask,
+                     "owner map out of sync with cache");
+    Page& p = pages_[at.slot];
+    p.present &= ~mask;
+    size_ -= static_cast<u64>(std::popcount(mask));
+    if (p.present == 0) release(at.slot);
+  }
+
   /// Remove every line of [first, last], calling `on_erase(line, owner,
   /// way)` for each present one in ascending line order. `on_erase` must
   /// not use the directory. Returns the number of lines removed.
@@ -198,9 +216,8 @@ class OwnerDirectory {
   static u64 pages_for(u64 lines) {
     return std::max<u64>(2, (lines + kPageLines - 1) / kPageLines * 2);
   }
-  static u64 page_key(LineAddr line) { return line / kPageLines + 1; }
+  static u64 page_key(LineAddr line) { return page_of(line) + 1; }
   static u64 offset(LineAddr line) { return line % kPageLines; }
-  static u64 bit(LineAddr line) { return u64{1} << offset(line); }
 
   /// Point `at` at `line`'s page; false if that page is absent.
   bool seek(Cursor& at, LineAddr line) const {

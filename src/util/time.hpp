@@ -5,6 +5,7 @@
 // i64 count covers ~106 days of simulated time, far beyond any experiment.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <compare>
 #include <cstdint>
@@ -32,6 +33,49 @@ constexpr i64 muldiv(i64 a, i64 b, i64 d) {
   }
   return static_cast<i64>(static_cast<i128>(a) * b / d);
 }
+
+/// Exact floor(n / d) for a divisor fixed at run time, by a precomputed
+/// reciprocal: one 64x64 -> 128-bit multiply and shifts instead of a
+/// hardware division (the Granlund-Montgomery round-up scheme, as in
+/// libdivide's u64 divider). For d = 2^k the quotient is n >> k. Otherwise,
+/// with k = floor(log2 d), the magic m = floor(2^(64+k) / d) + 1 is exact
+/// for every 64-bit n when d - (2^(64+k) mod d) < 2^k, and the quotient is
+/// mulhi(m, n) >> k. Else m is taken at 2^(65+k); its 65th bit does not fit,
+/// and the "add" step folds it back in as (((n - q) >> 1) + q) >> k.
+class U64Divider {
+ public:
+  constexpr U64Divider() = default;
+  explicit constexpr U64Divider(u64 d) : d_(d) {
+    assert(d > 0);
+    shift_ = static_cast<u8>(63 - std::countl_zero(d));
+    if (std::has_single_bit(d)) return;  // magic_ == 0: a plain shift
+    const u128 pow = u128{1} << (64 + shift_);
+    u64 m = static_cast<u64>(pow / d);
+    const u64 rem = static_cast<u64>(pow - static_cast<u128>(m) * d);
+    if (d - rem >= (u64{1} << shift_)) {
+      // floor(2^(65+k) / d) is exactly 2m (its top bit wraps away): here
+      // rem <= d - 2^k < d / 2, so doubling the remainder carries nothing.
+      m += m;
+      add_ = true;
+    }
+    magic_ = m + 1;
+  }
+
+  constexpr u64 divisor() const { return d_; }
+
+  constexpr u64 divide(u64 n) const {
+    if (magic_ == 0) return n >> shift_;
+    const u64 q =
+        static_cast<u64>((static_cast<u128>(magic_) * n) >> 64);
+    return add_ ? (((n - q) >> 1) + q) >> shift_ : q >> shift_;
+  }
+
+ private:
+  u64 d_ = 1;
+  u64 magic_ = 0;
+  u8 shift_ = 0;
+  bool add_ = false;
+};
 }  // namespace detail
 
 /// A point in (or span of) simulated time, counted in integer picoseconds.

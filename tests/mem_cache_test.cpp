@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "mem/address_space.hpp"
+#include "mem/owner_directory.hpp"
 #include "util/rng.hpp"
 
 namespace saisim::mem {
@@ -21,12 +23,27 @@ CacheConfig tiny_cache() {
   return CacheConfig{.capacity_bytes = 512, .line_bytes = 64, .ways = 2};
 }
 
+/// What fill(line) would do to `c`, found on a copy: the way the line
+/// would take and the victim.
+struct PeekedFill {
+  u32 way = 0;
+  Cache::Victim victim;
+};
+
+PeekedFill would_fill(const Cache& c, LineAddr line) {
+  EXPECT_FALSE(c.contains(line));
+  Cache copy = c;
+  PeekedFill p;
+  p.victim = copy.fill(line, false, p.way);
+  return p;
+}
+
 TEST(Cache, MissThenHit) {
   Cache c(tiny_cache());
   const LineAddr line = c.line_of(0x1000);
   EXPECT_FALSE(c.contains(line));
   u32 way = 99;
-  EXPECT_FALSE(c.fill(line, false, way).has_value());
+  EXPECT_FALSE(c.fill(line, false, way));
   EXPECT_EQ(way, 0u);  // the set's lowest invalid way
   c.touch_way(line, way, true);
   EXPECT_TRUE(c.contains(line));
@@ -47,9 +64,9 @@ TEST(Cache, LruEvictionWithinSet) {
   c.insert(a, false);  // way 0
   c.insert(b, false);  // way 1
   c.touch_way(a, 0, false);  // a is now MRU; b is LRU
-  const auto ev = c.insert(d, false);
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->line, b);
+  const Cache::Victim ev = c.insert(d, false);
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev.line(), b);
   EXPECT_TRUE(c.contains(a));
   EXPECT_FALSE(c.contains(b));
 }
@@ -58,10 +75,10 @@ TEST(Cache, EvictionReportsDirtiness) {
   Cache c(tiny_cache());
   c.insert(0, true);
   c.insert(4, false);
-  const auto ev = c.insert(8, false);  // evicts LRU == line 0 (dirty)
-  ASSERT_TRUE(ev.has_value());
-  EXPECT_EQ(ev->line, 0u);
-  EXPECT_TRUE(ev->dirty);
+  const Cache::Victim ev = c.insert(8, false);  // evicts LRU == line 0 (dirty)
+  ASSERT_TRUE(ev);
+  EXPECT_EQ(ev.line(), 0u);
+  EXPECT_TRUE(ev.dirty());
 }
 
 TEST(Cache, MarkDirtySticks) {
@@ -94,6 +111,35 @@ TEST(Cache, TouchAtAWayNotHoldingTheLineAborts) {
   EXPECT_DEATH(c.touch_way(0, 1, false), "owner map out of sync");
   EXPECT_DEATH(c.touch_way(8, 0, true), "owner map out of sync");
   EXPECT_DEATH(c.touch_way(0, 2, false), "owner map out of sync");
+}
+
+// The memory walk erases each victim from the owner directory, which must
+// hold it: a resident line the directory lost aborts the fill that evicts
+// it.
+TEST(Cache, EvictingALineTheDirectoryLostAborts) {
+  Cache c(tiny_cache());  // 4 sets x 2 ways
+  OwnerDirectory dir;
+  for (const LineAddr line : {LineAddr{0}, LineAddr{4}}) {
+    c.insert(line, false);
+    dir.assign(line, 0);
+  }
+  // Settle one fill as the walk's fill run does: place the line, then
+  // erase the victim.
+  const auto fill = [&](LineAddr line) {
+    u32 way = 0;
+    const Cache::Victim victim = c.fill(line, false, way);
+    ASSERT_TRUE(victim);
+    dir.assign(line, 0);
+    OwnerDirectory::Cursor at;
+    dir.erase_mask(at, OwnerDirectory::page_of(victim.line()),
+                   OwnerDirectory::bit(victim.line()));
+  };
+  dir.erase(0);  // the directory loses line 0, set 0's LRU line
+  EXPECT_DEATH(fill(8), "owner map out of sync");
+  c.touch_way(0, 0, false);  // line 4, which the directory holds, is LRU now
+  fill(8);
+  EXPECT_EQ(dir.find(4), kNoCore);
+  EXPECT_EQ(dir.find(8), 0);
 }
 
 TEST(Cache, InvalidateAtAWayNotHoldingTheLineAborts) {
@@ -161,11 +207,11 @@ TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
   EXPECT_EQ(c.probe_run(8, 1, false), 0u);  // set 0, absent
   // fill() takes the LRU way with no lookup, exactly like insert().
   u32 way = 99;
-  const auto evicted = c.fill(8, false, way);
+  const Cache::Victim evicted = c.fill(8, false, way);
   EXPECT_EQ(way, 0u);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->line, 0u);
-  EXPECT_FALSE(evicted->dirty);
+  ASSERT_TRUE(evicted);
+  EXPECT_EQ(evicted.line(), 0u);
+  EXPECT_FALSE(evicted.dirty());
   EXPECT_TRUE(c.contains(8));
   EXPECT_FALSE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
@@ -174,9 +220,9 @@ TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
 TEST(Cache, FillPrefersInvalidWay) {
   Cache c(tiny_cache());
   c.insert(0, false);  // set 0, one way still invalid
-  EXPECT_EQ(c.find_victim(4).way, 1u);
+  EXPECT_EQ(would_fill(c, 4).way, 1u);
   u32 way = 0;
-  EXPECT_FALSE(c.fill(4, false, way).has_value());  // fills the empty way
+  EXPECT_FALSE(c.fill(4, false, way));  // fills the empty way
   EXPECT_EQ(way, 1u);
   EXPECT_TRUE(c.contains(0));
   EXPECT_TRUE(c.contains(4));
@@ -191,7 +237,7 @@ TEST(Cache, ProbeRunTakesTheHeadHint) {
   EXPECT_EQ(c.probe_run(0, 8, true), 8u);
   for (LineAddr l = 0; l < 8; ++l) EXPECT_TRUE(c.is_dirty(l));
   // Each hit made its line the MRU, so the LRU order is unchanged.
-  EXPECT_EQ(c.insert(8, false)->line, 0u);
+  EXPECT_EQ(c.insert(8, false).line(), 0u);
 }
 
 // A line in neither hint way stops the run; touch_way() relinks it at the
@@ -202,8 +248,8 @@ TEST(Cache, ProbeRunStopsAtAMiddleWay) {
   EXPECT_EQ(c.probe_run(1, 1, false), 0u);
   c.touch_way(1, 1, true);  // order 0 2 3 1
   EXPECT_TRUE(c.is_dirty(1));
-  EXPECT_EQ(c.insert(10, false)->line, 0u);
-  EXPECT_EQ(c.insert(11, false)->line, 2u);
+  EXPECT_EQ(c.insert(10, false).line(), 0u);
+  EXPECT_EQ(c.insert(11, false).line(), 2u);
 }
 
 TEST(Cache, ConstLookupsDoNotDisturbLru) {
@@ -214,9 +260,9 @@ TEST(Cache, ConstLookupsDoNotDisturbLru) {
   // Read-only queries on the LRU line must not refresh it.
   EXPECT_TRUE(cc.contains(0));
   EXPECT_FALSE(cc.is_dirty(0));
-  const auto evicted = c.insert(8, false);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->line, 0u);
+  const Cache::Victim evicted = c.insert(8, false);
+  ASSERT_TRUE(evicted);
+  EXPECT_EQ(evicted.line(), 0u);
 }
 
 // ---- Recency-list edge cases ----------------------------------------------
@@ -232,7 +278,9 @@ CacheConfig one_set(u32 ways) {
 std::vector<LineAddr> eviction_order(Cache& c, LineAddr next, u64 n) {
   std::vector<LineAddr> out;
   while (out.size() < n) {
-    if (const auto ev = c.insert(next++, false)) out.push_back(ev->line);
+    if (const Cache::Victim ev = c.insert(next++, false)) {
+      out.push_back(ev.line());
+    }
   }
   return out;
 }
@@ -240,28 +288,22 @@ std::vector<LineAddr> eviction_order(Cache& c, LineAddr next, u64 n) {
 TEST(CacheRecency, FullSixtyFourWaySet) {
   Cache c(one_set(64));
   for (LineAddr l = 0; l < 64; ++l) {
-    const Cache::PendingInsert p = c.find_victim(l);
-    EXPECT_EQ(p.way, l);  // an empty way is always the lowest one
-    EXPECT_FALSE(p.evicted.has_value());
     u32 way = 99;
-    c.fill(l, l == 0, way);
-    EXPECT_EQ(way, l);
+    EXPECT_FALSE(c.fill(l, l == 0, way));
+    EXPECT_EQ(way, l);  // an empty way is always the lowest one
   }
   EXPECT_EQ(c.resident_lines(), 64u);
   // Full: the victim is the LRU way, and hits reorder the list.
   c.touch_way(0, 0, false);
   c.touch_way(63, 63, false);
-  const Cache::PendingInsert p = c.find_victim(100);
-  ASSERT_TRUE(p.evicted.has_value());
-  EXPECT_EQ(p.evicted->line, 1u);
+  const PeekedFill p = would_fill(c, 100);
+  ASSERT_TRUE(p.victim);
+  EXPECT_EQ(p.victim.line(), 1u);
   EXPECT_EQ(p.way, 1u);
   // Freeing the last way makes it the only candidate.
   EXPECT_FALSE(c.invalidate_way(63, 63));  // clean
-  const Cache::PendingInsert q = c.find_victim(100);
-  EXPECT_EQ(q.way, 63u);
-  EXPECT_FALSE(q.evicted.has_value());
   u32 way = 0;
-  c.fill(100, false, way);
+  EXPECT_FALSE(c.fill(100, false, way));
   EXPECT_EQ(way, 63u);
   EXPECT_EQ(eviction_order(c, 200, 3), (std::vector<LineAddr>{1, 2, 3}));
   EXPECT_EQ(c.resident_lines(), 64u);
@@ -271,7 +313,7 @@ TEST(CacheRecency, InvalidateHeadKeepsOrder) {
   Cache c(one_set(4));
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
   c.invalidate_way(0, 0);  // head (LRU)
-  EXPECT_EQ(c.find_victim(10).way, 0u);
+  EXPECT_EQ(would_fill(c, 10).way, 0u);
   c.insert(10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 3, 10}));
 }
@@ -281,7 +323,7 @@ TEST(CacheRecency, InvalidateTailKeepsOrder) {
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
   c.touch_way(1, 1, false);  // order 0 2 3 1
   c.invalidate_way(1, 1);    // tail (MRU)
-  EXPECT_EQ(c.find_victim(10).way, 1u);
+  EXPECT_EQ(would_fill(c, 10).way, 1u);
   c.insert(10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{0, 2, 3, 10}));
 }
@@ -291,9 +333,9 @@ TEST(CacheRecency, InvalidateMiddleKeepsOrder) {
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
   c.invalidate_way(2, 2);
   c.invalidate_way(1, 1);  // ways 1 and 2 free: the refill takes way 1 first
-  EXPECT_EQ(c.find_victim(10).way, 1u);
+  EXPECT_EQ(would_fill(c, 10).way, 1u);
   c.insert(10, false);
-  EXPECT_EQ(c.find_victim(11).way, 2u);
+  EXPECT_EQ(would_fill(c, 11).way, 2u);
   c.insert(11, false);
   EXPECT_EQ(eviction_order(c, 20, 4),
             (std::vector<LineAddr>{0, 3, 10, 11}));
@@ -309,7 +351,7 @@ TEST(CacheRecency, InvalidateSoleWayThenRefill) {
   EXPECT_FALSE(c.contains(1));
   EXPECT_EQ(c.probe_run(1, 1, false), 0u);
   for (LineAddr l = 10; l < 14; ++l) {
-    EXPECT_EQ(c.find_victim(l).way, l - 10);
+    EXPECT_EQ(would_fill(c, l).way, l - 10);
     c.insert(l, false);
   }
   EXPECT_EQ(eviction_order(c, 20, 4),
@@ -321,11 +363,8 @@ TEST(CacheRecency, ProbeAfterTailInvalidated) {
   for (LineAddr l = 0; l < 3; ++l) c.insert(l, false);
   c.invalidate_way(2, 2);  // the tail, i.e. the lookup hint
   EXPECT_EQ(c.probe_run(2, 1, false), 0u);
-  const Cache::PendingInsert p = c.find_victim(2);
-  EXPECT_EQ(p.way, 2u);
-  EXPECT_FALSE(p.evicted.has_value());
   u32 way = 0;
-  EXPECT_FALSE(c.fill(2, false, way).has_value());  // order 0 1 2
+  EXPECT_FALSE(c.fill(2, false, way));  // order 0 1 2
   EXPECT_EQ(way, 2u);
   EXPECT_EQ(c.probe_run(0, 1, true), 1u);
   EXPECT_TRUE(c.is_dirty(0));
@@ -338,10 +377,9 @@ TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
   for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
   c.invalidate_way(1, 0);  // set 1 is now empty
   EXPECT_EQ(c.probe_run(0, 4, false), 1u);
-  const Cache::PendingInsert p = c.find_victim(1);
-  EXPECT_EQ(p.set, 1u);
+  const PeekedFill p = would_fill(c, 1);
   EXPECT_EQ(p.way, 0u);
-  EXPECT_FALSE(p.evicted.has_value());
+  EXPECT_FALSE(p.victim);
 }
 
 // ---- Model check against the stamp-scan reference -------------------------
@@ -352,6 +390,11 @@ TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
 /// set's newest (tail) and oldest (head) valid entries.
 class StampScanCache {
  public:
+  struct Eviction {
+    LineAddr line;
+    bool dirty;
+  };
+
   explicit StampScanCache(const CacheConfig& cfg)
       : ways_(cfg.ways), sets_(cfg.num_sets()), entries_(sets_ * ways_) {}
 
@@ -383,8 +426,15 @@ class StampScanCache {
     return e != nullptr && e->dirty;
   }
 
-  Cache::PendingInsert find_victim(LineAddr line) {
-    Cache::PendingInsert p;
+  /// The slot an insert of `line` takes, and what that slot holds.
+  struct Slot {
+    u64 set = 0;
+    u32 way = 0;
+    std::optional<Eviction> evicted;
+  };
+
+  Slot find_victim(LineAddr line) {
+    Slot p;
     p.set = line % sets_;
     const Entry* set = &entries_[p.set * ways_];
     const Entry* victim = nullptr;
@@ -396,18 +446,17 @@ class StampScanCache {
       if (victim == nullptr || set[w].stamp < victim->stamp) victim = &set[w];
     }
     p.way = static_cast<u32>(victim - set);
-    if (victim->valid) p.evicted = Cache::Eviction{victim->line, victim->dirty};
+    if (victim->valid) p.evicted = Eviction{victim->line, victim->dirty};
     return p;
   }
 
-  void commit_insert(const Cache::PendingInsert& p, LineAddr line,
-                     bool dirty) {
+  void commit_insert(const Slot& p, LineAddr line, bool dirty) {
     if (!p.evicted) ++resident_;
     entries_[p.set * ways_ + p.way] = Entry{line, ++clock_, true, dirty};
   }
 
-  std::optional<Cache::Eviction> insert(LineAddr line, bool dirty) {
-    const Cache::PendingInsert p = find_victim(line);
+  std::optional<Eviction> insert(LineAddr line, bool dirty) {
+    const Slot p = find_victim(line);
     commit_insert(p, line, dirty);
     return p.evicted;
   }
@@ -459,22 +508,14 @@ class StampScanCache {
   u64 resident_ = 0;
 };
 
-void expect_same_eviction(const std::optional<Cache::Eviction>& got,
-                          const std::optional<Cache::Eviction>& want,
+void expect_same_eviction(Cache::Victim got,
+                          const std::optional<StampScanCache::Eviction>& want,
                           int step) {
-  ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+  ASSERT_EQ(static_cast<bool>(got), want.has_value()) << "step " << step;
   if (want) {
-    ASSERT_EQ(got->line, want->line) << "step " << step;
-    ASSERT_EQ(got->dirty, want->dirty) << "step " << step;
+    ASSERT_EQ(got.line(), want->line) << "step " << step;
+    ASSERT_EQ(got.dirty(), want->dirty) << "step " << step;
   }
-}
-
-void expect_same_pending(const Cache::PendingInsert& got,
-                         const Cache::PendingInsert& want, int step) {
-  ASSERT_EQ(got.set, want.set) << "step " << step;
-  ASSERT_EQ(got.way, want.way) << "step " << step;
-  ASSERT_NO_FATAL_FAILURE(
-      expect_same_eviction(got.evicted, want.evicted, step));
 }
 
 /// Drive both caches with one seeded random op mix over a line universe
@@ -515,9 +556,7 @@ void model_check(u32 ways, u64 sets, u64 seed) {
           cache.touch_way(stop, ref.way_of(stop), dirty);
           ref.touch(stop, dirty);
         } else {
-          const Cache::PendingInsert want = ref.find_victim(stop);
-          ASSERT_NO_FATAL_FAILURE(
-              expect_same_pending(cache.find_victim(stop), want, step));
+          const StampScanCache::Slot want = ref.find_victim(stop);
           const bool fill_dirty = rng.chance(0.5);
           u32 way = 0;
           ASSERT_NO_FATAL_FAILURE(expect_same_eviction(

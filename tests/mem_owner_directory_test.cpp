@@ -346,6 +346,68 @@ TEST(OwnerDirectory, SlidingWindowReusesReleasedPages) {
   EXPECT_EQ(dir.capacity(), reserved);
 }
 
+// ---- erase_mask: a page of the walk's victims at once ---------------------
+
+// One mask names lines from two separate runs of a page; their neighbours
+// and the page's other owner stay.
+TEST(OwnerDirectory, EraseMaskOverTwoRunsOfOnePage) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign_run(at, 3 * P, 8, 2);
+  dir.assign_run(at, 3 * P + 20, 10, 2);
+  dir.assign(at, 3 * P + 40, 5);
+  u64 mask = 0;
+  for (u64 i = 1; i < 6; ++i) mask |= OwnerDirectory::bit(3 * P + i);
+  for (u64 i = 22; i < 30; ++i) mask |= OwnerDirectory::bit(3 * P + i);
+  OwnerDirectory::Cursor evict;
+  dir.erase_mask(evict, 3, mask);
+  EXPECT_EQ(dir.size(), 19u - 13u);
+  for (u64 i = 0; i < P; ++i) {
+    const bool kept = i == 0 || i == 6 || i == 7 || i == 20 || i == 21;
+    const CoreId want = kept ? 2 : i == 40 ? 5 : kNoCore;
+    EXPECT_EQ(dir.find(3 * P + i), want) << i;
+  }
+}
+
+// A mask that takes a page's last lines releases the page, and the next
+// assign_run reuses its pool slot instead of growing the pool.
+TEST(OwnerDirectory, EraseMaskReleasesAnEmptiedPageForReuse) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir(P);  // a pool of two pages
+  const u64 reserved = dir.capacity();
+  OwnerDirectory::Cursor at, evict;
+  dir.assign_run(at, 0, P, 1);
+  dir.assign_run(at, P + 16, 32, 1);
+  dir.erase_mask(evict, 1, ((u64{1} << 32) - 1) << 16);
+  EXPECT_EQ(dir.size(), P);
+  EXPECT_EQ(dir.absent_run(at, P, 1000), P);  // page 1 is gone
+  u8* const ways = dir.assign_run(at, 9 * P, P, 3);
+  ways[0] = 11;
+  EXPECT_EQ(dir.capacity(), reserved);
+  EXPECT_EQ(dir.size(), 2 * P);
+  EXPECT_EQ(dir.find(P + 16), kNoCore);
+  EXPECT_EQ(dir.find(9 * P), 3);
+  EXPECT_EQ(dir.find(0), 1);
+  // `evict` names the slot page 9 took over, and the key check accepts it.
+  dir.erase_mask(evict, 9, OwnerDirectory::bit(9 * P));
+  EXPECT_EQ(dir.find(9 * P), kNoCore);
+  EXPECT_EQ(dir.size(), 2 * P - 1);
+}
+
+// Every masked line must be present: the directory and the caches
+// disagree otherwise.
+TEST(OwnerDirectory, EraseMaskOfAnAbsentLineAborts) {
+  constexpr u64 P = OwnerDirectory::kPageLines;
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  dir.assign_run(at, P, 4, 1);
+  EXPECT_DEATH(dir.erase_mask(at, 1, 0b10010), "owner map out of sync");
+  EXPECT_DEATH(dir.erase_mask(at, 2, 0b1), "owner map out of sync");
+  dir.erase_mask(at, 1, 0b1111);
+  EXPECT_EQ(dir.size(), 0u);
+}
+
 // Cursor walks, point erases, fill runs and range erases, checked against
 // an ordered map of (owner, way) after every step.
 TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {

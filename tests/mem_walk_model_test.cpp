@@ -12,10 +12,12 @@
 // every counter, the DRAM controller's busy time and every line's
 // residency after every step, over random multi-line reads and writes
 // with block reuse, DMA landings, 1-8 cores, direct-mapped to 64-way
-// geometries, and unlimited or oversubscribed DRAM. One case adds accesses
+// geometries, and unlimited or oversubscribed DRAM. Two cases add accesses
 // long enough that cycles x 10^12 passes 2^64 inside them, where
 // Frequency::duration leaves its 64-bit fast path and the walk's carried
-// fill-run clock must still agree with it.
+// fill-run clock must still agree with it; one of them runs the shipped
+// 5333 MB/s controller past its 256 KiB allowance, so the walk's reciprocal
+// queue penalty is checked against Bandwidth::transfer_time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,9 +221,14 @@ struct WalkCase {
   int cores;
   u64 sets;
   u32 ways;
-  bool limited;  // oversubscribed DRAM with a small burst allowance
+  bool limited;  // DRAM at dram_mbps with a burst allowance of `allowance`
   u64 seed;
   bool long_accesses = false;  // a few accesses of kLongLines lines
+  // 400 MB/s moves a line in 160 ns, about one fill's latency, so dirty
+  // write-backs and DMA landings oversubscribe it: the 2 KiB allowance is
+  // soon passed and most bookings see a nonzero `before` penalty.
+  i64 dram_mbps = 400;
+  u64 allowance = 2048;
 };
 
 /// A long access. 2^64 / 10^12 is about 18.4M cycles, or about 69k DRAM
@@ -233,12 +240,9 @@ void walk_model_check(const WalkCase& wc) {
   const CacheConfig cfg{.capacity_bytes = kLine * wc.sets * wc.ways,
                         .line_bytes = kLine,
                         .ways = wc.ways};
-  // 400 MB/s moves a line in 160 ns, about one fill's latency, so dirty
-  // write-backs and DMA landings oversubscribe it: the 2 KiB allowance is
-  // soon passed and most bookings see a nonzero `before` penalty.
-  const Bandwidth dram =
-      wc.limited ? Bandwidth::mb_per_sec(400) : Bandwidth::unlimited();
-  const MemoryTimings t = timings(wc.limited ? 2048 : 256ull << 10);
+  const Bandwidth dram = wc.limited ? Bandwidth::mb_per_sec(wc.dram_mbps)
+                                    : Bandwidth::unlimited();
+  const MemoryTimings t = timings(wc.limited ? wc.allowance : 256ull << 10);
   MemorySystem ms(wc.cores, cfg, t, kFreq, dram);
   ReferenceWalk ref(wc.cores, cfg, t, dram);
 
@@ -356,6 +360,16 @@ TEST(MemWalkModel, EightCoresDirectMapped) {
 TEST(MemWalkModel, TwoCoresFourWaysLimitedDramLongAccesses) {
   walk_model_check({.cores = 2, .sets = 8, .ways = 4, .limited = true,
                     .seed = 8, .long_accesses = true});
+}
+// The client's shipped controller: 5333 MB/s with a 256 KiB allowance. A
+// long access books about 20 ms ahead of the clock, and the accesses after
+// it book behind that instant, where nothing drains, so the backlog passes
+// the allowance and the walk's reciprocal penalty runs against the
+// reference's transfer_time.
+TEST(MemWalkModel, FourCoresSixteenWaysShippedDramLongAccesses) {
+  walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
+                    .seed = 9, .long_accesses = true, .dram_mbps = 5333,
+                    .allowance = 256ull << 10});
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace saisim {
@@ -69,6 +73,35 @@ TEST(Frequency, LargeCycleCountsDoNotOverflow) {
   // An hour of cycles at 3 GHz.
   const Cycles c{3'000'000'000ll * 3600};
   EXPECT_EQ(f.duration(c), Time::sec(3600));
+}
+
+// The precomputed reciprocal against the hardware division, at the edge
+// divisors (1, every power of two, 3, 2^63 + 1, the largest, the DRAM rates
+// the memory model uses) with numerators around multiples of each, and at
+// seeded random pairs of every magnitude.
+TEST(U64Divider, MatchesHardwareDivision) {
+  std::vector<u64> divisors{3, (u64{1} << 63) + 1, UINT64_MAX, 5'333'000'000,
+                            400'000'000};
+  for (int k = 0; k < 64; ++k) divisors.push_back(u64{1} << k);
+  for (const u64 d : divisors) {
+    const detail::U64Divider div(d);
+    EXPECT_EQ(div.divisor(), d);
+    std::vector<u64> numerators{0, d - 1, d, UINT64_MAX};
+    for (const u64 k : {u64{2}, u64{3}, u64{1000}, UINT64_MAX / d}) {
+      const u64 kd = k * d;  // wraps for large d; any n is a fair test
+      numerators.insert(numerators.end(), {kd - 1, kd, kd + 1});
+    }
+    for (const u64 n : numerators) {
+      EXPECT_EQ(div.divide(n), n / d) << n << " / " << d;
+    }
+  }
+  Rng rng(23);
+  for (int i = 0; i < 200'000; ++i) {
+    // Shifting a random word down makes every bit length equally likely.
+    const u64 d = std::max<u64>(1, rng.next_u64() >> rng.below(64));
+    const u64 n = rng.next_u64() >> rng.below(64);
+    ASSERT_EQ(detail::U64Divider(d).divide(n), n / d) << n << " / " << d;
+  }
 }
 
 TEST(Bandwidth, TransferTime) {
