@@ -270,6 +270,10 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         .add(client->io_apic().policy().hinted_routes());
     const net::NicStats& nic = client->nic().stats();
     const pfs::PfsClientStats& pc = client->pfs().stats();
+    // Every request has settled once the last process has finished.
+    SAISIM_CHECK(pc.reads_issued == pc.reads_completed + pc.reads_failed);
+    SAISIM_CHECK(pc.writes_issued == pc.writes_completed + pc.writes_failed);
+    SAISIM_CHECK(client->pfs().inflight_requests() == 0);
     trace::publish(registry, "nic", nic);
     trace::publish(registry, "pfs", pc);
     if (const pfs::StragglerScheduler* sched = client->pfs().scheduler()) {

@@ -43,8 +43,6 @@ class AddressSpace {
     released_ += aligned;
   }
 
-  u64 allocated_bytes() const { return next_; }
-  u64 released_bytes() const { return released_; }
   u64 live_bytes() const { return next_ - released_; }
 
  private:

@@ -4,11 +4,9 @@
 // (512 KiB, 64 B lines). Only tags and LRU state are kept — the simulator
 // never stores payload bytes, it tracks *where* each line currently lives.
 //
-// Layout: one u64 tag per way (line, valid and dirty fused, 0 = invalid),
-// one u8 prev/next pair per way, and per set a valid-way mask plus the
-// head and tail of a doubly-linked recency list over the set's valid ways
-// (head = LRU, tail = MRU). A 16-way set takes 176 B. The victim is the
-// lowest invalid way, else the list head: O(1), no stamp comparison.
+// Tags and LRU order live in util::SetAssocLru, the core the server's
+// buffer cache shares (176 B per 16-way set). A tag fuses line, valid and
+// dirty; this class keeps that encoding and the walk's entry points.
 //
 // MemorySystem::access never scans a set: the owner directory already
 // knows which core holds each line, and in which way. The cache answers
@@ -26,10 +24,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <vector>
 
 #include "util/assert.hpp"
 #include "util/reflect.hpp"
+#include "util/set_assoc_lru.hpp"
 #include "util/types.hpp"
 
 namespace saisim::mem {
@@ -66,18 +64,13 @@ class Cache {
  public:
   explicit Cache(const CacheConfig& cfg) : cfg_(cfg) {
     SAISIM_CHECK(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes));
-    SAISIM_CHECK(cfg.ways > 0 && cfg.ways <= 64);
+    SAISIM_CHECK(cfg.ways > 0 && cfg.ways <= Lru::kMaxWays);
     SAISIM_CHECK(cfg.capacity_bytes % (cfg.line_bytes * cfg.ways) == 0);
     const u64 sets = cfg.num_sets();
     SAISIM_CHECK(std::has_single_bit(sets));
     set_mask_ = sets - 1;
-    all_ways_ = ~0ull >> (64 - cfg.ways);
-    tags_.assign(sets * cfg.ways, 0);
-    links_.assign(sets * cfg.ways, Link{});
-    sets_.assign(sets, SetState{});
+    lru_ = Lru(sets, cfg.ways);
   }
-
-  const CacheConfig& config() const { return cfg_; }
 
   LineAddr line_of(Address addr) const { return addr / cfg_.line_bytes; }
 
@@ -112,7 +105,7 @@ class Cache {
   void touch_way(LineAddr line, u32 way, bool dirty) {
     const u64 set = set_index(line);
     u64& tag = held_tag(set, line, way);
-    touch(sets_[set], links_.data() + set * cfg_.ways, way);
+    lru_.touch(set, way);
     if (dirty) tag |= kDirty;
   }
 
@@ -120,27 +113,22 @@ class Cache {
   /// O(1); aborts if `way` does not hold it.
   bool invalidate_way(LineAddr line, u32 way) {
     const u64 set = set_index(line);
-    u64& tag = held_tag(set, line, way);
-    const bool dirty = (tag & kDirty) != 0;
-    SetState& st = sets_[set];
-    unlink(st, links_.data() + set * cfg_.ways, way);
-    st.valid &= ~(1ull << way);
-    tag = 0;
-    --resident_;
+    const bool dirty = (held_tag(set, line, way) & kDirty) != 0;
+    lru_.invalidate(set, way);
     return dirty;
   }
 
   /// Presence check without touching LRU state. Scans the set.
-  bool contains(LineAddr line) const { return find(line) != kAbsent; }
+  bool contains(LineAddr line) const { return find(line) != nullptr; }
 
   bool is_dirty(LineAddr line) const {
-    const u64 i = find(line);
-    return i != kAbsent && (tags_[i] & kDirty) != 0;
+    const u64* tag = find(line);
+    return tag != nullptr && (*tag & kDirty) != 0;
   }
 
   /// Insert a line (must not be present). Returns the victim, if any.
   Victim insert(LineAddr line, bool dirty) {
-    SAISIM_CHECK_MSG(find(line) == kAbsent, "double insert of cache line");
+    SAISIM_CHECK_MSG(!contains(line), "double insert of cache line");
     u32 way = 0;
     return fill(line, dirty, way);
   }
@@ -151,102 +139,35 @@ class Cache {
   /// a full LRU lookup picks. Sets `way` to the way the line took and
   /// returns the victim. Always inlined: the walk calls it once per line.
   [[gnu::always_inline]] Victim fill(LineAddr line, bool dirty, u32& way) {
-    const u64 set = set_index(line);
-    SetState& st = sets_[set];
-    Link* const links = links_.data() + set * cfg_.ways;
-    u64* const tags = tags_.data() + set * cfg_.ways;
-    const u64 tag = (line << 2) | kValid | (dirty ? kDirty : 0);
-    const u64 free = ~st.valid & all_ways_;
-    if (free != 0) {
-      way = static_cast<u32>(std::countr_zero(free));
-      tags[way] = tag;
-      append(st, links, way);
-      st.valid |= 1ull << way;
-      ++resident_;
-      return Victim{};
-    }
-    way = st.head;
-    const Victim victim{tags[way]};
-    tags[way] = tag;
-    touch(st, links, way);
-    return victim;
+    return Victim{
+        lru_.fill(set_index(line), key_of(line) | (dirty ? kDirty : 0), way)};
   }
 
   /// Mark a present line dirty (store hit).
   void mark_dirty(LineAddr line) {
-    const u64 i = find(line);
-    SAISIM_CHECK(i != kAbsent);
-    tags_[i] |= kDirty;
+    const u64 set = set_index(line);
+    const u32 way = lru_.find(set, key_of(line));
+    SAISIM_CHECK(way != Lru::kNone);
+    lru_.tags(set)[way] |= kDirty;
   }
 
-  u64 resident_lines() const { return resident_; }
+  u64 resident_lines() const { return lru_.size(); }
 
  private:
   static constexpr u64 kValid = 1;
   static constexpr u64 kDirty = 2;
-  static constexpr u64 kAbsent = ~0ull;
+  using Lru = util::SetAssocLru<kDirty>;
 
-  /// Recency-list neighbours of one way, as way indices within its set.
-  struct Link {
-    u8 prev = 0;
-    u8 next = 0;
-  };
-  /// Valid ways, linked head (LRU) to tail (MRU). In an empty set head
-  /// and tail are stale but still name ways of the set, whose tags are 0,
-  /// so a hint compare against either simply fails.
-  struct SetState {
-    u64 valid = 0;
-    u8 head = 0;
-    u8 tail = 0;
-  };
-
+  static u64 key_of(LineAddr line) { return (line << 2) | kValid; }
   u64 set_index(LineAddr line) const { return line & set_mask_; }
 
   /// The tag of `way` in `set`, which must hold `line`: the owner
   /// directory recorded that way for it.
   u64& held_tag(u64 set, LineAddr line, u32 way) {
-    u64* const tag = tags_.data() + set * cfg_.ways + way;
-    SAISIM_CHECK_MSG(
-        way < cfg_.ways && (*tag & ~kDirty) == ((line << 2) | kValid),
-        "owner map out of sync with cache");
-    return *tag;
-  }
-
-  /// Link the unlinked way `w` in at the MRU end of the set's list. The
-  /// list is empty only if `st.valid` is 0, so a fill sets the valid bit
-  /// of `w` after this call.
-  static void append(SetState& st, Link* links, u32 w) {
-    const u8 way = static_cast<u8>(w);
-    if (st.valid == 0) {
-      st.head = way;
-    } else {
-      links[w].prev = st.tail;
-      links[st.tail].next = way;
-    }
-    st.tail = way;
-  }
-
-  static void unlink(SetState& st, Link* links, u32 w) {
-    const u8 prev = links[w].prev;
-    const u8 next = links[w].next;
-    if (w == st.head) {
-      st.head = next;
-    } else {
-      links[prev].next = next;
-    }
-    if (w == st.tail) {
-      st.tail = prev;
-    } else {
-      links[next].prev = prev;
-    }
-  }
-
-  /// Make the valid way `w` the set's MRU. Its valid bit stays set, so
-  /// append links it behind the current tail.
-  static void touch(SetState& st, Link* links, u32 w) {
-    if (w == st.tail) return;
-    unlink(st, links, w);
-    append(st, links, w);
+    u64& tag = lru_.tags(set)[way];
+    SAISIM_CHECK_MSG(way < cfg_.ways && (tag & ~kDirty) == key_of(line),
+                     "owner map out of sync with cache");
+    return tag;
   }
 
   /// probe_run body, specialised on the dirty flag so the inner loop is
@@ -259,12 +180,12 @@ class Cache {
     const u64 sets = set_mask_ + 1;
     const u32 ways = cfg_.ways;
     u64 done = 0;
-    u64 want = (first << 2) | kValid;
+    u64 want = key_of(first);
     u64 set = first & set_mask_;
     while (done < count) {
       const u64 chunk = std::min(count - done, sets - set);
-      u64* tags = tags_.data() + set * ways;
-      SetState* st = sets_.data() + set;
+      u64* tags = lru_.tags(set);
+      Lru::Set* st = lru_.state(set);
       u64 stop = done + chunk;
       while (done < stop) {
         // Tight tail-hit loop: no call is reachable from inside it, so its
@@ -293,37 +214,23 @@ class Cache {
   /// The head hint: a buffer that spans each set more than once defeats
   /// the tail hint on every re-walk, and in address order such a re-walk
   /// wants each set's LRU line next. On a match the head becomes the MRU.
-  u64* head_hit(u64* tags, SetState* st, u64 want) {
+  u64* head_hit(u64* tags, const Lru::Set* st, u64 want) {
     const u32 lru = st->head;
     if ((tags[lru] & ~kDirty) != want) return nullptr;
-    touch(*st, links_.data() + static_cast<u64>(st - sets_.data()) * cfg_.ways,
-          lru);
+    lru_.touch(static_cast<u64>(st - lru_.state(0)), lru);
     return tags + lru;
   }
 
-  /// Index into tags_ of the line's way, or kAbsent. Tries the set's MRU
-  /// way first (one compare on a streaming re-walk), then every way;
-  /// invalid ways hold tag 0, which never matches.
-  u64 find(LineAddr line) const {
+  /// The tag of `line`'s way, or nullptr if no way holds it.
+  const u64* find(LineAddr line) const {
     const u64 set = set_index(line);
-    const u64 base = set * cfg_.ways;
-    const u64 want = (line << 2) | kValid;
-    if ((tags_[base + sets_[set].tail] & ~kDirty) == want) {
-      return base + sets_[set].tail;
-    }
-    for (u32 w = 0; w < cfg_.ways; ++w) {
-      if ((tags_[base + w] & ~kDirty) == want) return base + w;
-    }
-    return kAbsent;
+    const u32 way = lru_.find(set, key_of(line));
+    return way == Lru::kNone ? nullptr : lru_.tags(set) + way;
   }
 
   CacheConfig cfg_;
   u64 set_mask_ = 0;
-  u64 all_ways_ = 0;
-  u64 resident_ = 0;
-  std::vector<u64> tags_;
-  std::vector<Link> links_;
-  std::vector<SetState> sets_;
+  Lru lru_;
 };
 
 }  // namespace saisim::mem

@@ -61,7 +61,15 @@ class OwnerDirectory {
     pages_.reserve(pages_for(expected_lines));
   }
 
-  u64 size() const { return size_; }
+  /// Resident lines, counted on demand (only tests read it). A pooled page
+  /// (key 0) links the free list through `present`, so it counts 0.
+  u64 size() const {
+    u64 n = 0;
+    for (const Page& p : pages_) {
+      if (p.key != 0) n += static_cast<u64>(std::popcount(p.present));
+    }
+    return n;
+  }
   /// Lines the page pool holds before it has to grow.
   u64 capacity() const { return pages_.capacity() * kPageLines; }
 
@@ -85,13 +93,8 @@ class OwnerDirectory {
     Page& p = pages_[at.slot];
     const u64 b = bit(line);
     u8& slot = p.owner[offset(line)];
-    CoreId prev = kNoCore;
-    if ((p.present & b) != 0) {
-      prev = slot;
-    } else {
-      p.present |= b;
-      ++size_;
-    }
+    const CoreId prev = (p.present & b) != 0 ? CoreId{slot} : kNoCore;
+    p.present |= b;
     slot = static_cast<u8>(owner);
     way = &p.way[offset(line)];
     return prev;
@@ -118,7 +121,6 @@ class OwnerDirectory {
     const u64 run = (~u64{0} >> (kPageLines - count)) << off;
     SAISIM_CHECK_MSG((p.present & run) == 0, "assign_run over a present line");
     p.present |= run;
-    size_ += count;
     std::fill_n(p.owner.data() + off, count, static_cast<u8>(owner));
     return &p.way[off];
   }
@@ -141,7 +143,6 @@ class OwnerDirectory {
     if ((p.present & b) == 0) return kNoCore;
     const CoreId owner = p.owner[offset(line)];
     p.present &= ~b;
-    --size_;
     if (p.present == 0) release(at.slot);
     return owner;
   }
@@ -164,7 +165,6 @@ class OwnerDirectory {
                      "owner map out of sync with cache");
     Page& p = pages_[at.slot];
     p.present &= ~mask;
-    size_ -= static_cast<u64>(std::popcount(mask));
     if (p.present == 0) release(at.slot);
   }
 
@@ -186,10 +186,7 @@ class OwnerDirectory {
                  (~u64{0} << lo);
       if (hits == 0) continue;
       p.present &= ~hits;
-      const u64 n = static_cast<u64>(std::popcount(hits));
-      size_ -= n;
-      erased += n;
-      for (; hits != 0; hits &= hits - 1) {
+      for (; hits != 0; hits &= hits - 1, ++erased) {
         const u64 i = static_cast<u64>(std::countr_zero(hits));
         on_erase(base + i, CoreId{p.owner[i]}, u32{p.way[i]});
       }
@@ -254,7 +251,6 @@ class OwnerDirectory {
   std::vector<Page> pages_;
   util::FlatIdMap<u32> index_;
   u32 free_ = kNoSlot;
-  u64 size_ = 0;
 };
 
 }  // namespace saisim::mem

@@ -27,14 +27,12 @@ class Link : public sim::Actor {
     busy_accum_ += ser;
     queue_delay_.add((start - now()).microseconds());
     bytes_ += wire_bytes;
-    ++messages_;
     sim().at(busy_until_ + latency_, std::move(delivered));
   }
 
   Bandwidth bandwidth() const { return bw_; }
   Time latency() const { return latency_; }
   u64 bytes_sent() const { return bytes_; }
-  u64 messages_sent() const { return messages_; }
   /// Cumulative serialization time (for utilisation = busy/elapsed).
   Time busy_time() const { return busy_accum_; }
   /// Queueing delay distribution in microseconds.
@@ -46,7 +44,6 @@ class Link : public sim::Actor {
   Time busy_until_ = Time::zero();
   Time busy_accum_ = Time::zero();
   u64 bytes_ = 0;
-  u64 messages_ = 0;
   stats::Summary queue_delay_;
 };
 

@@ -10,14 +10,15 @@ namespace saisim::pfs {
 
 BufferCache::BufferCache(const BufferCacheConfig& config) : cfg_(config) {
   if (cfg_.capacity_bytes == 0) return;
-  ways_ = static_cast<u64>(cfg_.ways);
-  num_sets_ =
-      std::max<u64>(1, cfg_.capacity_bytes / (cfg_.block_bytes * ways_));
-  pow2_sets_ = std::has_single_bit(num_sets_);
-  SAISIM_CHECK_MSG(num_sets_ * ways_ < kNil,
+  const u32 ways = static_cast<u32>(cfg_.ways);
+  const u64 sets =
+      std::max<u64>(1, cfg_.capacity_bytes / (cfg_.block_bytes * ways));
+  SAISIM_CHECK_MSG(sets * ways < ~u32{0},
                    "buffer cache entry count must fit the u32 dirty links");
-  tags_.assign(num_sets_ * ways_, 0);
-  meta_.resize(num_sets_ * ways_);
+  pow2_sets_ = std::has_single_bit(sets);
+  lru_ = Lru(sets, ways);
+  end_ = static_cast<u32>(sets * ways);
+  meta_.assign(end_ + 1, Meta{end_, end_});
 }
 
 /// Set index hashed from the block number. A plain `block % num_sets`
@@ -26,162 +27,117 @@ BufferCache::BufferCache(const BufferCacheConfig& config) : cfg_(config) {
 /// lands every strip of the stream in the same few sets and thrashes the
 /// prefetched blocks out before they are used. Hashing keeps the mapping a
 /// deterministic property of the data while spreading strides uniformly.
-u64 BufferCache::set_base(u64 block) const {
+u64 BufferCache::set_of(u64 block) const {
   u64 h = block;
   const u64 x = splitmix64(h);
-  return (pow2_sets_ ? x & (num_sets_ - 1) : x % num_sets_) * ways_;
-}
-
-u64 BufferCache::scan(u64 base, u64 key) const {
-  const u64* set = &tags_[base];
-  u64 w = 0;
-  while (w < ways_ && set[w] != 0 && (set[w] & ~kFlags) != key) ++w;
-  return w;
-}
-
-bool BufferCache::is_hit(u64 base, u64 w) const {
-  return w < ways_ && tags_[base + w] != 0;
+  return pow2_sets_ ? x & (lru_.num_sets() - 1) : x % lru_.num_sets();
 }
 
 void BufferCache::link_tail(u32 i) {
-  meta_[i].prev = dirty_tail_;
-  meta_[i].next = kNil;
-  if (dirty_tail_ == kNil) {
-    dirty_head_ = i;
-  } else {
-    meta_[dirty_tail_].next = i;
-  }
-  dirty_tail_ = i;
+  const u32 tail = meta_[end_].prev;
+  meta_[i] = Meta{tail, end_};
+  meta_[tail].next = i;
+  meta_[end_].prev = i;
 }
 
 void BufferCache::unlink(u32 i) {
-  const Meta& m = meta_[i];
-  if (m.prev == kNil) {
-    dirty_head_ = m.next;
-  } else {
-    meta_[m.prev].next = m.next;
-  }
-  if (m.next == kNil) {
-    dirty_tail_ = m.prev;
-  } else {
-    meta_[m.next].prev = m.prev;
-  }
+  const Meta m = meta_[i];
+  meta_[m.prev].next = m.next;
+  meta_[m.next].prev = m.prev;
 }
 
-void BufferCache::touch(u32 i) {
-  meta_[i].stamp = ++tick_;
-  if ((tags_[i] & kDirty) != 0 && dirty_tail_ != i) {
+void BufferCache::touch(u64 set, u32 way) {
+  lru_.touch(set, way);
+  const u32 i = entry(set, way);
+  if ((lru_.tags(set)[way] & kDirty) != 0 && meta_[end_].prev != i) {
     unlink(i);
     link_tail(i);
   }
 }
 
-void BufferCache::demand_hit(u32 i) {
-  touch(i);
-  if ((tags_[i] & kPrefetched) != 0) {
-    tags_[i] &= ~kPrefetched;
+bool BufferCache::demand(u64 set, u64 key) {
+  const u32 way = lru_.find(set, key);
+  if (way == Lru::kNone) {
+    ++stats_.misses;
+    return false;
+  }
+  touch(set, way);
+  u64& tag = lru_.tags(set)[way];
+  if ((tag & kPrefetched) != 0) {
+    tag &= ~kPrefetched;
     ++stats_.readahead_useful;
   }
   ++stats_.hits;
+  return true;
 }
 
-u64 BufferCache::fill(u64 base, u64 w, u64 tag) {
-  if (w == ways_) {  // full set: the least recently stamped way
-    w = 0;
-    for (u64 k = 1; k < ways_; ++k) {
-      if (meta_[base + k].stamp < meta_[base + w].stamp) w = k;
-    }
+u64 BufferCache::fill(u64 set, u64 tag) {
+  u32 way = 0;
+  const u64 victim = lru_.fill(set, tag, way);
+  const u32 i = entry(set, way);
+  const bool forced = (victim & kDirty) != 0;
+  if (victim != 0) ++stats_.evictions;
+  if (forced) {
+    ++stats_.dirty_writebacks;
+    --dirty_;
+    unlink(i);
   }
-  const u32 i = static_cast<u32>(base + w);
-  u64 forced = 0;
-  if (tags_[i] != 0) {
-    ++stats_.evictions;
-    if ((tags_[i] & kDirty) != 0) {
-      ++stats_.dirty_writebacks;
-      --dirty_;
-      unlink(i);
-      forced = 1;
-    }
-  }
-  tags_[i] = tag;
-  meta_[i].stamp = ++tick_;
   if ((tag & kDirty) != 0) {
     ++dirty_;
     link_tail(i);
   }
-  return forced;
+  return forced ? 1 : 0;
 }
 
 bool BufferCache::lookup(u64 block) {
   SAISIM_CHECK(enabled());
-  const u64 base = set_base(block);
-  const u64 w = scan(base, key_of(block));
-  if (!is_hit(base, w)) {
-    ++stats_.misses;
-    return false;
-  }
-  demand_hit(static_cast<u32>(base + w));
-  return true;
-}
-
-bool BufferCache::contains(u64 block) const {
-  if (!enabled()) return false;
-  const u64 base = set_base(block);
-  return is_hit(base, scan(base, key_of(block)));
+  return demand(set_of(block), key_of(block));
 }
 
 u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
   SAISIM_CHECK(enabled());
-  const u64 base = set_base(block);
+  const u64 set = set_of(block);
   const u64 key = key_of(block);
-  const u64 w = scan(base, key);
-  if (!is_hit(base, w)) {
-    return fill(base, w,
+  const u32 way = lru_.find(set, key);
+  if (way == Lru::kNone) {
+    return fill(set,
                 key | (dirty ? kDirty : 0) | (prefetched ? kPrefetched : 0));
   }
-  const u32 i = static_cast<u32>(base + w);
-  touch(i);
-  if (dirty && (tags_[i] & kDirty) == 0) {
-    // Freshly stamped, so its place is the tail.
-    tags_[i] |= kDirty;
+  touch(set, way);
+  u64& tag = lru_.tags(set)[way];
+  if (dirty && (tag & kDirty) == 0) {
+    // Just touched, so its place is the tail.
+    tag |= kDirty;
     ++dirty_;
-    link_tail(i);
+    link_tail(entry(set, way));
   }
-  if (!prefetched) tags_[i] &= ~kPrefetched;
+  if (!prefetched) tag &= ~kPrefetched;
   return 0;
 }
 
 bool BufferCache::lookup_or_fill(u64 block, u64& forced) {
   SAISIM_CHECK(enabled());
-  const u64 base = set_base(block);
-  const u64 key = key_of(block);
-  const u64 w = scan(base, key);
-  if (is_hit(base, w)) {
-    demand_hit(static_cast<u32>(base + w));
-    return true;
-  }
-  ++stats_.misses;
-  forced += fill(base, w, key);
+  const u64 set = set_of(block);
+  if (demand(set, key_of(block))) return true;
+  forced += fill(set, key_of(block));
   return false;
 }
 
 bool BufferCache::prefetch(u64 block, u64& forced) {
   SAISIM_CHECK(enabled());
-  const u64 base = set_base(block);
-  const u64 key = key_of(block);
-  const u64 w = scan(base, key);
-  if (is_hit(base, w)) return false;
-  forced += fill(base, w, key | kPrefetched);
+  const u64 set = set_of(block);
+  if (lru_.find(set, key_of(block)) != Lru::kNone) return false;
+  forced += fill(set, key_of(block) | kPrefetched);
   return true;
 }
 
 u64 BufferCache::take_dirty(u64 max) {
   SAISIM_CHECK(enabled());
   u64 n = 0;
-  for (; n < max && dirty_head_ != kNil; ++n) {
-    const u32 i = dirty_head_;
+  for (; n < max && meta_[end_].next != end_; ++n) {
+    const u32 i = meta_[end_].next;
     unlink(i);
-    tags_[i] &= ~kDirty;
+    lru_.tags(0)[i] &= ~kDirty;
   }
   dirty_ -= n;
   stats_.flushed_blocks += n;

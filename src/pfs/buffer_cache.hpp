@@ -8,12 +8,16 @@
 //
 // The cache only tracks residency and dirtiness; all timing (disk fills,
 // write-back bursts, lookup latency) is charged by the IoServer that owns
-// it. Disabled (the default) when capacity_bytes == 0.
+// it. Disabled (the default) when capacity_bytes == 0. Tags and LRU order
+// live in util::SetAssocLru, the core the client's L2 shares; this class
+// keeps the hashed set index, the block key with its prefetched bit, a
+// dirty list and the stats. An entry takes about 20 B.
 #pragma once
 
 #include <vector>
 
 #include "util/reflect.hpp"
+#include "util/set_assoc_lru.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
 
@@ -50,7 +54,7 @@ void describe(V& v, BufferCacheConfig& c) {
   namespace r = util::reflect;
   v.field("capacity_bytes", c.capacity_bytes, r::non_negative(), "B");
   v.field("block_bytes", c.block_bytes, r::pow2_at_least(512), "B");
-  v.field("ways", c.ways, r::in_range(1, 128));
+  v.field("ways", c.ways, r::in_range(1, 64));
   v.field("write_back", c.write_back);
   v.field("dirty_flush_threshold", c.dirty_flush_threshold,
           r::unit_interval());
@@ -83,9 +87,9 @@ class BufferCache {
 
   explicit BufferCache(const BufferCacheConfig& config);
 
-  bool enabled() const { return num_sets_ > 0; }
+  bool enabled() const { return lru_.num_sets() > 0; }
   u64 block_bytes() const { return cfg_.block_bytes; }
-  u64 num_blocks() const { return num_sets_ * ways_; }
+  u64 num_blocks() const { return lru_.num_sets() * lru_.ways(); }
   u64 dirty_blocks() const { return dirty_; }
   const Stats& stats() const { return stats_; }
 
@@ -94,7 +98,9 @@ class BufferCache {
   bool lookup(u64 block);
 
   /// Residency check with no LRU or stats side effects.
-  bool contains(u64 block) const;
+  bool contains(u64 block) const {
+    return enabled() && lru_.find(set_of(block), key_of(block)) != Lru::kNone;
+  }
 
   /// Install a block (demand fill, write, or prefetch). Returns the number
   /// of dirty victims evicted to make room — forced write-backs the caller
@@ -122,57 +128,47 @@ class BufferCache {
   void note_readahead_issued(u64 blocks) { stats_.readahead_issued += blocks; }
 
  private:
-  // Entry i (set-major, `ways_` per set) is split across two arrays so a
-  // probe reads only the tags: 8 B per way, one 64 B line for an 8-way
-  // set. A tag packs `(block + 1) << 2 | dirty << 1 | prefetched` (block
-  // numbers are byte offsets / block_bytes, far below 2^62); 0 is an
-  // invalid (never filled) way. Entries are never invalidated and a fill
-  // takes the first invalid way, so every set's valid ways are a prefix —
-  // a probe stops at the first 0 tag.
+  // The tags and LRU order live in the shared set-associative core. A tag
+  // packs `(block + 1) << 2 | dirty << 1 | prefetched` (block numbers are
+  // byte offsets / block_bytes, far below 2^62); 0 is an invalid (never
+  // filled) way. Entry i is way i % ways of set i / ways.
   static constexpr u64 kPrefetched = 1;
   static constexpr u64 kDirty = 2;
-  static constexpr u64 kFlags = kDirty | kPrefetched;
-  static constexpr u32 kNil = ~0u;
+  using Lru = util::SetAssocLru<kDirty | kPrefetched>;
 
-  // The part of an entry that only hits, fills and victim choice touch:
-  // its LRU stamp and its links on the dirty list.
+  // An entry's links on the dirty list.
   struct Meta {
-    u64 stamp = 0;  // LRU: monotone touch counter
-    u32 prev = kNil;
-    u32 next = kNil;
+    u32 prev = 0;
+    u32 next = 0;
   };
 
   static u64 key_of(u64 block) { return (block + 1) << 2; }
-  u64 set_base(u64 block) const;
-  /// One pass over the tags of the set at `base`: the way holding `key`,
-  /// else the first invalid way, else ways_ (full set, no match).
-  u64 scan(u64 base, u64 key) const;
-  bool is_hit(u64 base, u64 w) const;
-  /// Hit path shared by lookup and lookup_or_fill.
-  void demand_hit(u32 i);
-  /// New LRU stamp for a resident entry; a dirty one moves to the list tail.
-  void touch(u32 i);
-  /// Install `tag` over the victim way of the set at `base`: `w` from a
-  /// missed scan — the first invalid way, or ways_ for a full set, which
-  /// picks the smallest stamp. Returns 1 if a dirty block was evicted.
-  u64 fill(u64 base, u64 w, u64 tag);
+  u64 set_of(u64 block) const;
+  u32 entry(u64 set, u32 way) const {
+    return static_cast<u32>(set * lru_.ways() + way);
+  }
+  /// Demand probe shared by lookup and lookup_or_fill: counts the hit or
+  /// miss; a hit refreshes LRU and credits a prefetched block once.
+  bool demand(u64 set, u64 key);
+  /// A resident entry becomes its set's MRU; a dirty one moves to the
+  /// dirty list's tail.
+  void touch(u64 set, u32 way);
+  /// Install `tag` over the set's victim way. Returns 1 if a dirty block
+  /// was evicted.
+  u64 fill(u64 set, u64 tag);
 
-  // The dirty list threads every dirty entry in ascending stamp order:
-  // every new stamp is ++tick_, the largest yet, so an entry that turns
-  // dirty or is re-stamped while dirty goes to the tail, and the head is
-  // always the oldest dirty block.
+  // The dirty list threads every dirty entry in order of last touch: an
+  // entry that turns dirty or is touched while dirty goes to the tail, so
+  // the head is always the oldest dirty block. It is circular through the
+  // sentinel meta_[end_]: end_'s next is the head, its prev the tail.
   void link_tail(u32 i);
   void unlink(u32 i);
 
   BufferCacheConfig cfg_;
-  u64 num_sets_ = 0;
   bool pow2_sets_ = false;  // set index by mask instead of %
-  u64 ways_ = 0;
-  std::vector<u64> tags_;  // num_sets_ * ways_, set-major
-  std::vector<Meta> meta_;
-  u32 dirty_head_ = kNil;
-  u32 dirty_tail_ = kNil;
-  u64 tick_ = 0;
+  Lru lru_;
+  std::vector<Meta> meta_;  // num_blocks() entries, then the sentinel
+  u32 end_ = 0;
   u64 dirty_ = 0;
   Stats stats_;
 };

@@ -75,11 +75,6 @@ class Log {
     }                                                       \
   } while (0)
 
-// Legacy un-tagged macros log under the "core" subsystem.
+// The un-tagged macro logs under the "core" subsystem.
 #define SAISIM_LOG(lvl, stream_expr) \
   SAISIM_LOG_AT(::saisim::util::Subsystem::kCore, lvl, stream_expr)
-
-#define SAISIM_TRACE(s) SAISIM_LOG(::saisim::LogLevel::kTrace, s)
-#define SAISIM_DEBUG(s) SAISIM_LOG(::saisim::LogLevel::kDebug, s)
-#define SAISIM_INFO(s) SAISIM_LOG(::saisim::LogLevel::kInfo, s)
-#define SAISIM_WARN(s) SAISIM_LOG(::saisim::LogLevel::kWarn, s)

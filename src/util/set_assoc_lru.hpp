@@ -1,0 +1,154 @@
+// Set-associative LRU tag store shared by the client's private L2
+// (mem::Cache) and the I/O server's buffer cache (pfs::BufferCache). Each
+// owner packs its key and flag bits into a u64 tag per way (0 = invalid);
+// `FlagMask` names the flag bits, which find() ignores. Keys are never 0.
+//
+// Per way a u8 prev/next pair links the set's valid ways into a recency
+// list (head = LRU, tail = MRU); per set a valid-way mask and the list's
+// head and tail. Ways are set-major: tags(s)[w] is entry s * ways() + w. A
+// fill takes the lowest invalid way, else the head: O(1), no scan.
+#pragma once
+
+#include <bit>
+#include <vector>
+
+#include "util/assert.hpp"
+#include "util/types.hpp"
+
+namespace saisim::util {
+
+template <u64 FlagMask>
+class SetAssocLru {
+ public:
+  static constexpr u32 kMaxWays = 64;  // the valid mask's width
+  static constexpr u32 kNone = ~u32{0};  // find(): no way holds the key
+
+  /// Valid ways, linked head (LRU) to tail (MRU). In an empty set head and
+  /// tail are stale but still name ways of the set, whose tags are 0, so a
+  /// hint compare against either simply fails.
+  struct Set {
+    u64 valid = 0;
+    u8 head = 0;
+    u8 tail = 0;
+  };
+
+  SetAssocLru() = default;
+  SetAssocLru(u64 sets, u32 ways)
+      : ways_(ways), tags_(sets * ways, 0), links_(sets * ways), sets_(sets) {
+    SAISIM_CHECK(ways > 0 && ways <= kMaxWays);
+    all_ways_ = ~u64{0} >> (kMaxWays - ways);
+  }
+
+  u32 ways() const { return ways_; }
+  u64 num_sets() const { return sets_.size(); }
+
+  u64* tags(u64 set) { return tags_.data() + set * ways_; }
+  const u64* tags(u64 set) const { return tags_.data() + set * ways_; }
+  Set* state(u64 set) { return sets_.data() + set; }
+
+  /// The way of `set` holding `key`, or kNone. Tries the MRU way first (one
+  /// compare on a streaming re-walk), then every way. No LRU side effect.
+  u32 find(u64 set, u64 key) const {
+    const u64* const t = tags(set);
+    const u32 mru = sets_[set].tail;
+    if ((t[mru] & ~FlagMask) == key) return mru;
+    for (u32 w = 0; w < ways_; ++w) {
+      if ((t[w] & ~FlagMask) == key) return w;
+    }
+    return kNone;
+  }
+
+  /// Place `tag` in `set` with no lookup: the lowest invalid way, else the
+  /// LRU way. The way becomes the MRU. Sets `way` to the way taken and
+  /// returns the tag it displaced (0 if the way was invalid). Always
+  /// inlined: the client walk calls it once per line.
+  [[gnu::always_inline]] u64 fill(u64 set, u64 tag, u32& way) {
+    Set& st = sets_[set];
+    Link* const links = links_.data() + set * ways_;
+    u64* const t = tags_.data() + set * ways_;
+    const u64 free = ~st.valid & all_ways_;
+    if (free != 0) {
+      way = static_cast<u32>(std::countr_zero(free));
+      t[way] = tag;
+      append(st, links, way);
+      st.valid |= u64{1} << way;
+      return 0;
+    }
+    way = st.head;
+    const u64 victim = t[way];
+    t[way] = tag;
+    touch(st, links, way);
+    return victim;
+  }
+
+  /// Make the valid `way` of `set` its MRU.
+  void touch(u64 set, u32 way) {
+    touch(sets_[set], links_.data() + set * ways_, way);
+  }
+
+  /// Drop the valid `way` of `set`: clear its tag and unlink it.
+  void invalidate(u64 set, u32 way) {
+    Set& st = sets_[set];
+    unlink(st, links_.data() + set * ways_, way);
+    st.valid &= ~(u64{1} << way);
+    tags(set)[way] = 0;
+  }
+
+  /// Valid ways over all sets, counted on demand (nothing hot reads it).
+  u64 size() const {
+    u64 n = 0;
+    for (const Set& st : sets_) n += static_cast<u64>(std::popcount(st.valid));
+    return n;
+  }
+
+ private:
+  struct Link {  // recency-list neighbours, as way indices in the set
+    u8 prev = 0;
+    u8 next = 0;
+  };
+
+  /// Link the unlinked way `w` in at the MRU end of the set's list. The
+  /// list is empty only if `st.valid` is 0, so a fill sets the valid bit
+  /// of `w` after this call.
+  static void append(Set& st, Link* links, u32 w) {
+    const u8 way = static_cast<u8>(w);
+    if (st.valid == 0) {
+      st.head = way;
+    } else {
+      links[w].prev = st.tail;
+      links[st.tail].next = way;
+    }
+    st.tail = way;
+  }
+
+  static void unlink(Set& st, Link* links, u32 w) {
+    const u8 prev = links[w].prev;
+    const u8 next = links[w].next;
+    if (w == st.head) {
+      st.head = next;
+    } else {
+      links[prev].next = next;
+    }
+    if (w == st.tail) {
+      st.tail = prev;
+    } else {
+      links[next].prev = prev;
+    }
+  }
+
+  /// The valid way `w` becomes the MRU. Its valid bit stays set, so append
+  /// links it behind the current tail.
+  static void touch(Set& st, Link* links, u32 w) {
+    if (w == st.tail) return;
+    unlink(st, links, w);
+    append(st, links, w);
+  }
+
+  u32 ways_ = 0;
+  u64 all_ways_ = 0;
+  std::vector<u64> tags_;
+  std::vector<Link> links_;
+  std::vector<Set> sets_;
+};
+
+}  // namespace saisim::util

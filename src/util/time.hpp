@@ -165,7 +165,6 @@ class Frequency {
  public:
   constexpr Frequency() = default;
   static constexpr Frequency hz(i64 v) { return Frequency{v}; }
-  static constexpr Frequency mhz(i64 v) { return Frequency{v * 1'000'000}; }
   static constexpr Frequency ghz(double v) {
     return Frequency{static_cast<i64>(v * 1e9)};
   }

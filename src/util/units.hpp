@@ -29,15 +29,11 @@ class Bandwidth {
   }
   /// Network-style decimal bits per second (a "1 Gigabit NIC" moves
   /// 125,000,000 bytes/s on the wire).
-  static constexpr Bandwidth bits_per_sec(i64 v) { return Bandwidth{v / 8}; }
   static constexpr Bandwidth gbit(double v) {
     return Bandwidth{static_cast<i64>(v * 1e9 / 8.0)};
   }
 
   constexpr i64 bytes_per_second() const { return bps_; }
-  constexpr double megabytes_per_second() const {
-    return static_cast<double>(bps_) / 1e6;
-  }
 
   /// Serialization delay for `bytes` at this rate.
   constexpr Time transfer_time(u64 bytes) const {

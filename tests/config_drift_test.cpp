@@ -171,5 +171,17 @@ TEST(ConfigDrift, CoreCountCapMatchesHintEncoding) {
   EXPECT_NE(errors[0].find("client.cores"), std::string::npos);
 }
 
+// A server cache set is one u64 valid mask in the shared LRU core, so
+// described validation must reject more than 64 ways.
+TEST(ConfigDrift, BufferCacheWaysCapMatchesValidMask) {
+  ExperimentConfig cfg;
+  cfg.server.cache.ways = 64;
+  EXPECT_TRUE(util::reflect::validate_config(cfg).empty());
+  cfg.server.cache.ways = 65;
+  const auto errors = util::reflect::validate_config(cfg);
+  ASSERT_FALSE(errors.empty());
+  EXPECT_NE(errors[0].find("server.cache.ways"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace saisim

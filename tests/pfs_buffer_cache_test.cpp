@@ -326,11 +326,13 @@ class StampScanCache {
 
 /// Drive both caches with one seeded random op mix over a block universe
 /// three times the capacity, comparing every result and the full residency
-/// map after every step.
-void model_check(const BufferCacheConfig& cfg, u64 seed) {
+/// map after every step. take_dirty batches are drawn below `take_below`
+/// (0: half the blocks plus two).
+void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
   BufferCache cache(cfg);
   StampScanCache ref(cfg);
   const u64 universe = 3 * cache.num_blocks();
+  if (take_below == 0) take_below = cache.num_blocks() / 2 + 2;
   Rng rng(seed);
   constexpr int kSteps = 25'000;
   for (int step = 0; step < kSteps; ++step) {
@@ -358,7 +360,7 @@ void model_check(const BufferCacheConfig& cfg, u64 seed) {
                 ref.insert(block, dirty, prefetched))
           << "step " << step;
     } else {
-      const u64 k = rng.below(cache.num_blocks() / 2 + 2);
+      const u64 k = rng.below(take_below);
       ASSERT_EQ(cache.take_dirty(k), ref.take_dirty(k)) << "step " << step;
     }
     ASSERT_EQ(cache.dirty_blocks(), ref.dirty_blocks()) << "step " << step;
@@ -394,6 +396,9 @@ TEST(BufferCacheModel, DirectMapped) { model_check(geometry(16, 1), 1); }
 TEST(BufferCacheModel, EightWays) { model_check(geometry(8, 8), 2); }
 TEST(BufferCacheModel, NonPowerOfTwoSets) { model_check(geometry(3, 8), 3); }
 TEST(BufferCacheModel, OneSet) { model_check(geometry(1, 8), 4); }
+// The widest set the valid mask allows. Flush batches stay small, so dirty
+// blocks live long enough to age out of a 64-way set as forced write-backs.
+TEST(BufferCacheModel, SixtyFourWays) { model_check(geometry(2, 64), 5, 3); }
 
 // ---- Deep-server timeline tests ------------------------------------------
 
