@@ -7,7 +7,8 @@
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
 // measure the kernel's data structures, not the model, so DRAM bandwidth is
-// left unlimited except in the write-fill walk and the end-to-end case.
+// left unlimited except in the write-fill walk, the strip hand-off and the
+// end-to-end case.
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
@@ -131,6 +132,37 @@ void BM_MemWalkC2cPingPong(benchmark::State& state) {
                           static_cast<i64>(buf));
 }
 BENCHMARK(BM_MemWalkC2cPingPong);
+
+/// The irqbalance strip hand-off under the client's DRAM (5333 MB/s). The
+/// NIC lands a strip in a receive buffer, core 0 (the interrupted core)
+/// writes it, and core 1 (the consumer) reads it, every line a
+/// cache-to-cache move, after copying the previous strip into a fresh
+/// output buffer. The landing frees the ways core 1 read the last strip
+/// into and the copy refills them, so core 1's L2 holds only its dirty
+/// output, oldest first: each move's fill evicts a dirty line and books
+/// its write-back at the move's instant.
+void BM_MemWalkC2cStripHandoff(benchmark::State& state) {
+  mem::MemorySystem ms(8, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
+                       Bandwidth::mb_per_sec(5333));
+  const Address rx = 0;
+  const u64 region = 64ull << 20;
+  Address out = 0;
+  Time now = Time::zero();
+  for (auto _ : state) {
+    now += ms.dma_write(rx, kStrip, now);
+    now += ms.access(1, kStrip + out, kStrip,
+                     mem::MemorySystem::AccessType::kWrite, now);
+    now += ms.access(0, rx, kStrip, mem::MemorySystem::AccessType::kWrite,
+                     now);
+    now += ms.access(1, rx, kStrip, mem::MemorySystem::AccessType::kRead,
+                     now);
+    benchmark::DoNotOptimize(now);
+    out = (out + kStrip) % region;
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(kStrip));
+}
+BENCHMARK(BM_MemWalkC2cStripHandoff);
 
 /// Re-walk of lines this core holds away from both hint ways. Three 128 KiB
 /// buffers give every set 4 lines of each, oldest first; alternately

@@ -8,18 +8,26 @@
 //                  (assign_run) and the walk fills them from DRAM, each
 //                  victim picked in O(1), returned in a register
 //                  (Cache::Victim) and erased from the directory with the
-//                  rest of its page's victims (erase_mask);
-//   3. owned     - otherwise the directory names the owner and its way:
-//                  this core (a hit away from both hints, relinked at that
-//                  way) or another (a cache-to-cache transfer that drops
-//                  the line from that way of the other cache).
+//                  rest of its page's victims (erase_mask), and each miss
+//                  books DRAM on a run-local copy of the controller's
+//                  state;
+//   3. held run  - otherwise some cache holds the line, and its directory
+//                  page (OwnerDirectory::page) names the owner and the way
+//                  of every present line after it on the page: this core
+//                  (a hit away from both hints, relinked at that way) or
+//                  another (a cache-to-cache transfer that drops the line
+//                  from that way of the other cache and rewrites the
+//                  page's owner and way bytes in place). The run ends at
+//                  the first absent line, the page's end or the range's.
 //
 // Lines are visited in address order, each victim is the one a full LRU
 // lookup would pick, and every miss books DRAM at the instant its walk
 // reached it, so the result equals a per-line probe-then-insert walk bit
-// for bit. No hardware division runs per line: the clock at a miss and the
-// DRAM queue penalty divide by run-time constants (the core frequency and
-// the DRAM rate) through exact precomputed reciprocals (U64Divider).
+// for bit. A line this core holds is settled the same way (hit, relink to
+// MRU, dirty bit) whichever run finds it. No hardware division runs per
+// line: the clock at a miss and the DRAM queue penalty divide by run-time
+// constants (the core frequency and the DRAM rate) through exact
+// precomputed reciprocals (U64Divider).
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
@@ -77,7 +85,7 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
       core_freq_(core_freq),
       dram_bw_(dram_bandwidth),
       owner_(static_cast<u64>(num_cores) * cache_cfg.num_lines()) {
-  SAISIM_CHECK(num_cores > 0);
+  SAISIM_CHECK(num_cores > 0 && num_cores <= OwnerDirectory::kMaxOwners);
   SAISIM_CHECK(core_freq_.hertz() > 0);
   hz_ = detail::U64Divider(static_cast<u64>(core_freq_.hertz()));
   if (!dram_bw_.is_unlimited()) {
@@ -94,7 +102,9 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
 // `bytes`, and return the increment of the queueing penalty. Queueing
 // appears only when the controller is genuinely oversubscribed beyond the
 // burst allowance, and each booking pays only the increment it causes.
-inline Time MemorySystem::dram_enqueue(u64 bytes, Time now) {
+// Always inlined, so that a fill run's local DramState stays local.
+[[gnu::always_inline]] inline Time MemorySystem::dram_enqueue(
+    DramState& dram, u64 bytes, Time now) const {
   // dram_bw_.transfer_time(excess), with the division by the DRAM rate done
   // by its precomputed reciprocal whenever excess x 10^12 fits 64 bits
   // (excesses below about 18 MB), where transfer_time divides in 64 bits.
@@ -106,8 +116,8 @@ inline Time MemorySystem::dram_enqueue(u64 bytes, Time now) {
     }
     return Time::ps(static_cast<i64>(dram_bps_.divide(excess * kPsPerSecond)));
   };
-  if (now > dram_last_update_) {
-    const Time elapsed = now - dram_last_update_;
+  if (now > dram.last_update) {
+    const Time elapsed = now - dram.last_update;
     // elapsed_ps * bps / 1e12, with the same 64-bit fast path as muldiv:
     // inter-booking gaps are short, so the product virtually always fits
     // and the division by a constant becomes a multiply.
@@ -118,23 +128,23 @@ inline Time MemorySystem::dram_enqueue(u64 bytes, Time now) {
         prod <= static_cast<u128>(UINT64_MAX)
             ? static_cast<u64>(prod) / 1'000'000'000'000ull
             : static_cast<u64>(prod / 1'000'000'000'000ull);
-    dram_backlog_bytes_ = drained >= dram_backlog_bytes_
-                              ? 0
-                              : dram_backlog_bytes_ - drained;
-    dram_last_update_ = now;
+    dram.backlog_bytes =
+        drained >= dram.backlog_bytes ? 0 : dram.backlog_bytes - drained;
+    dram.last_update = now;
   }
-  const Time before = queue_penalty(dram_backlog_bytes_);
-  dram_backlog_bytes_ += bytes;
-  return queue_penalty(dram_backlog_bytes_) - before;
+  const Time before = queue_penalty(dram.backlog_bytes);
+  dram.backlog_bytes += bytes;
+  return queue_penalty(dram.backlog_bytes) - before;
 }
 
 // A miss books its fill and, if it evicts a dirty line, the write-back, at
 // one instant. Two bookings at one instant would drain nothing between
 // them, so their penalty increments telescope: P(b + 2L) - P(b) is
 // exactly the two-call sum.
-inline Time MemorySystem::dram_book_lines(u64 lines, Time now) {
-  for (u64 i = 0; i < lines; ++i) dram_busy_ += line_xfer_;
-  return dram_enqueue(lines * cache_cfg_.line_bytes, now);
+[[gnu::always_inline]] inline Time MemorySystem::dram_book_lines(
+    DramState& dram, u64 lines, Time now) const {
+  for (u64 i = 0; i < lines; ++i) dram.busy += line_xfer_;
+  return dram_enqueue(dram, lines * cache_cfg_.line_bytes, now);
 }
 
 Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
@@ -197,7 +207,9 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // directory a page at a time: each joins a (page, mask) batch, which is
     // erased when the next victim is on another page and at the run's end.
     // Nothing reads the directory in between, and the line being filled
-    // keeps the run's page, and so `ways`, alive.
+    // keeps the run's page, and so `ways`, alive. Nothing else books DRAM
+    // during the run either, so it books on a local copy of the
+    // controller's state and stores it back at the end.
     const u64 absent = owner_.absent_run(fill_at, line, last - line + 1);
     if (absent > 0) {
       u8* const ways = owner_.assign_run(fill_at, line, absent, core);
@@ -205,6 +217,7 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
                              ? CycleClock::at(cycles + reuse_cycles, hz_)
                              : CycleClock{};
       u64 victim_page = 0, victim_mask = 0;
+      DramState dram = dram_;
       for (u64 i = 0; i < absent; ++i, ++line) {
         u64 booked = 1;
         u32 way = 0;
@@ -228,52 +241,67 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         if (dram_limited) {
           const Time at = now + Time::ps(static_cast<i64>(clock.ps)) +
                           dram_queue;
-          dram_queue += dram_book_lines(booked, at);
+          dram_queue += dram_book_lines(dram, booked, at);
           clock.advance(fill_step, hz);
         }
       }
       if (victim_mask != 0) {
         owner_.erase_mask(evict_at, victim_page, victim_mask);
       }
+      dram_ = dram;
       cycles += static_cast<i64>(absent) * fill_cycles;
       misses_dram += absent;
       continue;
     }
 
-    // Owned line: one directory call settles the lookup and the ownership
-    // move, and names the way the owner's cache holds the line in.
-    cycles += reuse_cycles;
-    u8* way = nullptr;
-    const CoreId prev = owner_.assign(fill_at, line, core, way);
-    if (prev == core) {
-      // Resident here, away from both hints. touch_way checks that the
-      // recorded way holds the line.
-      cache.touch_way(line, *way, is_write);
-      ++hits;
-      cycles += hit_cycles;
-      ++line;
-      continue;
-    }
-    // Another core's cache owns it: a cache-to-cache transfer. Dirty data
-    // moves with ownership, so no write-back to DRAM happens here.
-    const Time at = dram_limited ? miss_instant() : Time::zero();
-    caches_[static_cast<u64>(prev)].invalidate_way(line, *way);
-    ++misses_c2c;
-    cycles += timings_.c2c_transfer.count();
-    u32 filled = 0;
-    if (const Cache::Victim victim = cache.fill(line, is_write, filled)) {
-      ++evictions;
-      // `line` is present, so the erase cannot release its page and `way`
-      // stays valid.
-      SAISIM_CHECK_MSG(owner_.erase(evict_at, victim.line()) == core,
-                       "owner map out of sync with cache");
-      if (victim.dirty()) {
-        ++writebacks;
-        if (dram_limited) dram_queue += dram_book_lines(1, at);
+    // Held run: some cache holds `line`. Its directory page names, for it
+    // and for each present line after it up to the page's end or `last`,
+    // the owner and the way that holds it, so one page settles them all in
+    // address order. A line this core holds away from both hints is a hit
+    // relinked at its way. Another core's line is a cache-to-cache
+    // transfer that drops it from that core's way and rewrites the owner
+    // and way bytes in place. A transfer's fill may evict a later line of
+    // the page (this core's own), so the presence mask is re-read after
+    // each one and the run stops at the first absent line.
+    OwnerDirectory::Page& page = owner_.page(fill_at, line);
+    u64 at_line = OwnerDirectory::offset(line);
+    const u64 end = at_line + std::min(OwnerDirectory::kPageLines - at_line,
+                                       last - line + 1);
+    u64 present = page.present;
+    do {
+      cycles += reuse_cycles;
+      const CoreId prev = page.owner[at_line];
+      if (prev == core) {
+        // touch_way checks that the recorded way holds the line.
+        cache.touch_way(line, page.way[at_line], is_write);
+        ++hits;
+        cycles += hit_cycles;
+      } else {
+        // Dirty data moves with ownership, so no write-back to DRAM
+        // happens for the moved line.
+        const Time at = dram_limited ? miss_instant() : Time::zero();
+        caches_[static_cast<u64>(prev)].invalidate_way(line,
+                                                       page.way[at_line]);
+        ++misses_c2c;
+        cycles += timings_.c2c_transfer.count();
+        u32 filled = 0;
+        if (const Cache::Victim victim = cache.fill(line, is_write, filled)) {
+          ++evictions;
+          // `line` is present, so the erase cannot release its page.
+          SAISIM_CHECK_MSG(owner_.erase(evict_at, victim.line()) == core,
+                           "owner map out of sync with cache");
+          if (victim.dirty()) {
+            ++writebacks;
+            if (dram_limited) dram_queue += dram_book_lines(dram_, 1, at);
+          }
+        }
+        page.owner[at_line] = static_cast<u8>(core);
+        page.way[at_line] = static_cast<u8>(filled);
+        present = page.present;
       }
-    }
-    *way = static_cast<u8>(filled);
-    ++line;
+      ++line;
+      ++at_line;
+    } while (at_line < end && ((present >> at_line) & 1) != 0);
   }
   c2c_transfers_ += misses_c2c;
   dram_line_reads_ += misses_dram;
@@ -322,8 +350,8 @@ Time MemorySystem::dma_write(Address addr, u64 bytes, Time now) {
                      -1, -1, -1, static_cast<i64>(bytes),
                      static_cast<i64>(invalidated));
   if (dram_bw_.is_unlimited()) return Time::zero();
-  dram_busy_ += dram_bw_.transfer_time(bytes);
-  return dram_enqueue(bytes, now);
+  dram_.busy += dram_bw_.transfer_time(bytes);
+  return dram_enqueue(dram_, bytes, now);
 }
 
 bool MemorySystem::resident(CoreId core, Address addr, u64 bytes) const {

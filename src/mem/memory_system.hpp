@@ -118,14 +118,22 @@ class MemorySystem {
   u64 dram_line_reads() const { return dram_line_reads_; }
   u64 dram_line_writes() const { return dram_line_writes_; }
   /// Cumulative time the DRAM controller spent busy (for saturation checks).
-  Time dram_busy_time() const { return dram_busy_; }
+  Time dram_busy_time() const { return dram_.busy; }
 
  private:
-  /// Add `bytes` to the DRAM controller's backlog at `now`; returns the
-  /// queueing delay the booking adds. Bandwidth must be limited.
-  Time dram_enqueue(u64 bytes, Time now);
+  /// The DRAM controller's leaky bucket: the backlog drains at the DRAM
+  /// rate. A fill run books on a local copy, which the walk's u8 stores
+  /// cannot alias, so the loop does not store and reload it around them.
+  struct DramState {
+    Time last_update = Time::zero();
+    u64 backlog_bytes = 0;
+    Time busy = Time::zero();
+  };
+  /// Add `bytes` to `dram`'s backlog at `now`; returns the queueing delay
+  /// the booking adds. Bandwidth must be limited.
+  Time dram_enqueue(DramState& dram, u64 bytes, Time now) const;
   /// Book `lines` cache lines (busy time and backlog) at `now`.
-  Time dram_book_lines(u64 lines, Time now);
+  Time dram_book_lines(DramState& dram, u64 lines, Time now) const;
 
   CacheConfig cache_cfg_;
   MemoryTimings timings_;
@@ -145,10 +153,7 @@ class MemorySystem {
   detail::U64Divider dram_bps_;
   /// Serialization time of one cache line (precomputed; zero if unlimited).
   Time line_xfer_ = Time::zero();
-  /// Leaky-bucket controller state: backlog drains at the DRAM rate.
-  Time dram_last_update_ = Time::zero();
-  u64 dram_backlog_bytes_ = 0;
-  Time dram_busy_ = Time::zero();
+  DramState dram_;
   u64 c2c_transfers_ = 0;
   u64 dram_line_reads_ = 0;
   u64 dram_line_writes_ = 0;

@@ -20,8 +20,10 @@
 // many of the next lines no cache holds, so a miss run is filled from DRAM
 // with no tag scan, and assign_run() enters the whole run with one mask
 // write. Next to each owner byte a page keeps the way of the owner's cache
-// that holds the line, so the walk relinks or invalidates a line it did
-// not find in a hint way without scanning the set.
+// that holds the line. page() hands the walk a present line's page, from
+// which it settles the run of present lines that follows: it relinks or
+// invalidates each at its recorded way, without scanning a set, and moves
+// ownership by rewriting the page's bytes in place.
 //
 // A page whose last line leaves returns to the pool, so the population is
 // bounded by the resident lines, not by the bump allocator's ever-growing
@@ -45,6 +47,8 @@ class OwnerDirectory {
  public:
   /// Lines per directory page: one presence-mask word.
   static constexpr u64 kPageLines = 64;
+  /// Owners are stored in one byte.
+  static constexpr CoreId kMaxOwners = 256;
 
   /// A walk's page hint: the pool slot of the page it touched last. Any
   /// hint is safe. A stale one (page released, slot reused) fails the key
@@ -65,7 +69,7 @@ class OwnerDirectory {
   /// (key 0) links the free list through `present`, so it counts 0.
   u64 size() const {
     u64 n = 0;
-    for (const Page& p : pages_) {
+    for (const PooledPage& p : pages_) {
       if (p.key != 0) n += static_cast<u64>(std::popcount(p.present));
     }
     return n;
@@ -73,45 +77,31 @@ class OwnerDirectory {
   /// Lines the page pool holds before it has to grow.
   u64 capacity() const { return pages_.capacity() * kPageLines; }
 
-  /// Owning core of `line`, or kNoCore if the line is only in memory.
-  CoreId find(LineAddr line) const {
-    const u32* slot = index_.find(page_key(line));
-    if (slot == nullptr) return kNoCore;
-    const Page& p = pages_[*slot];
-    return (p.present & bit(line)) != 0 ? p.owner[offset(line)] : kNoCore;
-  }
+  /// A page's lines as the walk reads and rewrites them: bit i of
+  /// `present` says line i of the page has an owner, `owner[i]`, whose
+  /// cache holds it in way `way[i]` of its set (ways are at most 64).
+  struct Page {
+    u64 present = 0;
+    std::array<u8, kPageLines> owner{};
+    std::array<u8, kPageLines> way{};
+  };
 
-  /// Set the owner of `line`, inserting it if absent. Returns the previous
-  /// owner (kNoCore if the line was not present), so the access path settles
-  /// lookup and ownership move in one call. Points `way` at the line's way
-  /// byte: the previous owner's way if there was one, for the caller to
-  /// overwrite with the new owner's. The pointer stays valid until the next
-  /// call that may add a page (assign, assign_run).
-  CoreId assign(Cursor& at, LineAddr line, CoreId owner, u8*& way) {
-    SAISIM_CHECK(owner >= 0 && owner < kMaxOwners);
-    if (!seek(at, line)) at.slot = acquire(page_key(line));
-    Page& p = pages_[at.slot];
-    const u64 b = bit(line);
-    u8& slot = p.owner[offset(line)];
-    const CoreId prev = (p.present & b) != 0 ? CoreId{slot} : kNoCore;
-    p.present |= b;
-    slot = static_cast<u8>(owner);
-    way = &p.way[offset(line)];
-    return prev;
-  }
-  CoreId assign(Cursor& at, LineAddr line, CoreId owner) {
-    u8* way = nullptr;
-    return assign(at, line, owner, way);
-  }
-  CoreId assign(LineAddr line, CoreId owner) {
-    Cursor at;
-    return assign(at, line, owner);
+  /// The page of `line`, which must be present (absent_run() just counted
+  /// no absent line at it). The caller may rewrite the owner and way bytes
+  /// of present lines; only the directory's own calls change `present`.
+  /// The reference stays valid until the next call that may add a page
+  /// (assign_run): erasing cannot release a page that keeps a present line.
+  Page& page(Cursor& at, LineAddr line) {
+    const bool found = seek(at, line);
+    SAISIM_CHECK_MSG(found && (pages_[at.slot].present & bit(line)) != 0,
+                     "page() of an absent line");
+    return pages_[at.slot];
   }
 
   /// Give `owner` the `count` lines from `line`, all absent and all in
   /// `line`'s page (an absent_run result): one presence-mask write and one
   /// owner fill. Returns the run's way bytes, for the caller to set as it
-  /// places each line; valid as for assign().
+  /// places each line; valid as for page().
   u8* assign_run(Cursor& at, LineAddr line, u64 count, CoreId owner) {
     SAISIM_CHECK(owner >= 0 && owner < kMaxOwners);
     const u64 off = offset(line);
@@ -146,13 +136,11 @@ class OwnerDirectory {
     if (p.present == 0) release(at.slot);
     return owner;
   }
-  CoreId erase(LineAddr line) {
-    Cursor at;
-    return erase(at, line);
-  }
 
-  /// The directory page of `line`, and its bit in that page's masks.
+  /// The directory page of `line`, its index in that page, and its bit in
+  /// that page's masks.
   static u64 page_of(LineAddr line) { return line / kPageLines; }
+  static u64 offset(LineAddr line) { return line % kPageLines; }
   static u64 bit(LineAddr line) { return u64{1} << offset(line); }
 
   /// Remove the lines of page `page` named by `mask` (bit i is line
@@ -197,24 +185,17 @@ class OwnerDirectory {
 
  private:
   static constexpr u32 kNoSlot = ~u32{0};
-  /// Owners are stored in one byte.
-  static constexpr CoreId kMaxOwners = 256;
 
-  /// Bit i of `present` says line i of the page has an owner, `owner[i]`,
-  /// whose cache holds it in way `way[i]` of its set (ways are at most 64).
-  /// A pooled page has key 0 and links the free list through `present`.
-  struct Page {
+  /// A page in the pool. A free one has key 0 and links the free list
+  /// through `present`.
+  struct PooledPage : Page {
     u64 key = 0;  // page number + 1
-    u64 present = 0;
-    std::array<u8, kPageLines> owner{};
-    std::array<u8, kPageLines> way{};
   };
 
   static u64 pages_for(u64 lines) {
     return std::max<u64>(2, (lines + kPageLines - 1) / kPageLines * 2);
   }
   static u64 page_key(LineAddr line) { return page_of(line) + 1; }
-  static u64 offset(LineAddr line) { return line % kPageLines; }
 
   /// Point `at` at `line`'s page; false if that page is absent.
   bool seek(Cursor& at, LineAddr line) const {
@@ -241,14 +222,14 @@ class OwnerDirectory {
   }
 
   void release(u32 slot) {
-    Page& p = pages_[slot];
+    PooledPage& p = pages_[slot];
     index_.erase(p.key);
     p.key = 0;
     p.present = free_;
     free_ = slot;
   }
 
-  std::vector<Page> pages_;
+  std::vector<PooledPage> pages_;
   util::FlatIdMap<u32> index_;
   u32 free_ = kNoSlot;
 };

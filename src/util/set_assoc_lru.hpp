@@ -77,13 +77,13 @@ class SetAssocLru {
     way = st.head;
     const u64 victim = t[way];
     t[way] = tag;
-    touch(st, links, way);
+    relink(st, links, way);
     return victim;
   }
 
   /// Make the valid `way` of `set` its MRU.
   void touch(u64 set, u32 way) {
-    touch(sets_[set], links_.data() + set * ways_, way);
+    relink(sets_[set], links_.data() + set * ways_, way);
   }
 
   /// Drop the valid `way` of `set`: clear its tag and unlink it.
@@ -136,12 +136,26 @@ class SetAssocLru {
     }
   }
 
-  /// The valid way `w` becomes the MRU. Its valid bit stays set, so append
-  /// links it behind the current tail.
-  static void touch(Set& st, Link* links, u32 w) {
-    if (w == st.tail) return;
-    unlink(st, links, w);
-    append(st, links, w);
+  /// The valid way `w` becomes the MRU. A way that is not the tail has a
+  /// successor, and the list it rejoins is not empty, so this is unlink
+  /// without its tail case and append without its empty case. Every link
+  /// and set field is read before the first u8 store, which may alias them.
+  static void relink(Set& st, Link* links, u32 w) {
+    const u8 tail = st.tail;
+    if (w == tail) return;
+    const u8 way = static_cast<u8>(w);
+    const u8 head = st.head;
+    const u8 prev = links[w].prev;
+    const u8 next = links[w].next;
+    if (way == head) {
+      st.head = next;
+    } else {
+      links[prev].next = next;
+    }
+    links[next].prev = prev;
+    links[w].prev = tail;
+    links[tail].next = way;
+    st.tail = way;
   }
 
   u32 ways_ = 0;

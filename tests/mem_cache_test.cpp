@@ -119,27 +119,28 @@ TEST(Cache, TouchAtAWayNotHoldingTheLineAborts) {
 TEST(Cache, EvictingALineTheDirectoryLostAborts) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
   OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
   for (const LineAddr line : {LineAddr{0}, LineAddr{4}}) {
     c.insert(line, false);
-    dir.assign(line, 0);
+    dir.assign_run(at, line, 1, 0);
   }
-  // Settle one fill as the walk's fill run does: place the line, then
-  // erase the victim.
+  // Settle one fill as the walk's fill run does: enter the line, place it,
+  // then erase the victim.
   const auto fill = [&](LineAddr line) {
+    dir.assign_run(at, line, 1, 0);
     u32 way = 0;
     const Cache::Victim victim = c.fill(line, false, way);
     ASSERT_TRUE(victim);
-    dir.assign(line, 0);
-    OwnerDirectory::Cursor at;
-    dir.erase_mask(at, OwnerDirectory::page_of(victim.line()),
+    OwnerDirectory::Cursor evict;
+    dir.erase_mask(evict, OwnerDirectory::page_of(victim.line()),
                    OwnerDirectory::bit(victim.line()));
   };
-  dir.erase(0);  // the directory loses line 0, set 0's LRU line
+  dir.erase(at, 0);  // the directory loses line 0, set 0's LRU line
   EXPECT_DEATH(fill(8), "owner map out of sync");
   c.touch_way(0, 0, false);  // line 4, which the directory holds, is LRU now
   fill(8);
-  EXPECT_EQ(dir.find(4), kNoCore);
-  EXPECT_EQ(dir.find(8), 0);
+  EXPECT_EQ(dir.absent_run(at, 4, 1), 1u);
+  EXPECT_EQ(dir.page(at, 8).owner[8], 0);
 }
 
 TEST(Cache, InvalidateAtAWayNotHoldingTheLineAborts) {

@@ -13,49 +13,107 @@
 namespace saisim::mem {
 namespace {
 
-TEST(OwnerDirectory, FindOnEmptyReturnsNoCore) {
+// The walk's page API, line by line: absent_run tells whether a line is
+// present, page() reads and rewrites a present line's owner and way bytes,
+// and a one-line assign_run enters an absent line.
+
+/// The owner of `line`, or kNoCore if no cache holds it.
+CoreId owner_at(OwnerDirectory& dir, LineAddr line) {
+  OwnerDirectory::Cursor at;
+  if (dir.absent_run(at, line, 1) != 0) return kNoCore;
+  return dir.page(at, line).owner[OwnerDirectory::offset(line)];
+}
+
+/// Give `line` to `owner` as the walk does: enter it if it is absent, else
+/// rewrite its page's owner byte in place. Returns the previous owner
+/// (kNoCore if the line was absent) and points `way` at the line's way
+/// byte, which still holds the previous owner's way.
+CoreId give(OwnerDirectory& dir, OwnerDirectory::Cursor& at, LineAddr line,
+            CoreId owner, u8*& way) {
+  if (dir.absent_run(at, line, 1) != 0) {
+    way = dir.assign_run(at, line, 1, owner);
+    return kNoCore;
+  }
+  OwnerDirectory::Page& p = dir.page(at, line);
+  const u64 i = OwnerDirectory::offset(line);
+  const CoreId prev = p.owner[i];
+  p.owner[i] = static_cast<u8>(owner);
+  way = &p.way[i];
+  return prev;
+}
+CoreId give(OwnerDirectory& dir, OwnerDirectory::Cursor& at, LineAddr line,
+            CoreId owner) {
+  u8* way = nullptr;
+  return give(dir, at, line, owner, way);
+}
+CoreId give(OwnerDirectory& dir, LineAddr line, CoreId owner) {
+  OwnerDirectory::Cursor at;
+  return give(dir, at, line, owner);
+}
+
+CoreId erase(OwnerDirectory& dir, LineAddr line) {
+  OwnerDirectory::Cursor at;
+  return dir.erase(at, line);
+}
+
+TEST(OwnerDirectory, EmptyDirectoryHasNoPresentLine) {
   OwnerDirectory dir;
-  EXPECT_EQ(dir.find(0), kNoCore);
-  EXPECT_EQ(dir.find(12345), kNoCore);
+  EXPECT_EQ(owner_at(dir, 0), kNoCore);
+  EXPECT_EQ(owner_at(dir, 12345), kNoCore);
   EXPECT_EQ(dir.size(), 0u);
 }
 
-TEST(OwnerDirectory, AssignReportsPreviousOwner) {
+TEST(OwnerDirectory, PageRewritesAnOwnerInPlace) {
   OwnerDirectory dir;
-  EXPECT_EQ(dir.assign(7, 0), kNoCore);  // fresh insert
-  EXPECT_EQ(dir.find(7), 0);
-  EXPECT_EQ(dir.assign(7, 3), 0);  // ownership move reports old owner
-  EXPECT_EQ(dir.find(7), 3);
+  OwnerDirectory::Cursor at;
+  EXPECT_EQ(dir.absent_run(at, 7, 1), 1u);
+  dir.assign_run(at, 7, 1, 0);
+  OwnerDirectory::Page& p = dir.page(at, 7);
+  EXPECT_EQ(p.owner[7], 0);
+  p.owner[7] = 3;  // an ownership move
+  EXPECT_EQ(owner_at(dir, 7), 3);
+  EXPECT_EQ(&dir.page(at, 7), &p);
   EXPECT_EQ(dir.size(), 1u);
+}
+
+// page() serves only present lines: the walk asks for one right after
+// absent_run found the line present.
+TEST(OwnerDirectory, PageOfAnAbsentLineAborts) {
+  OwnerDirectory dir;
+  OwnerDirectory::Cursor at;
+  EXPECT_DEATH(dir.page(at, 3), "page\\(\\) of an absent line");
+  dir.assign_run(at, 3, 1, 2);
+  EXPECT_DEATH(dir.page(at, 4), "page\\(\\) of an absent line");
+  EXPECT_EQ(dir.page(at, 3).owner[3], 2);
 }
 
 TEST(OwnerDirectory, EraseReportsOwnerAndAbsence) {
   OwnerDirectory dir;
-  dir.assign(42, 5);
-  EXPECT_EQ(dir.erase(42), 5);
-  EXPECT_EQ(dir.find(42), kNoCore);
-  EXPECT_EQ(dir.erase(42), kNoCore);  // already gone
+  give(dir, 42, 5);
+  EXPECT_EQ(erase(dir, 42), 5);
+  EXPECT_EQ(owner_at(dir, 42), kNoCore);
+  EXPECT_EQ(erase(dir, 42), kNoCore);  // already gone
   EXPECT_EQ(dir.size(), 0u);
 }
 
 TEST(OwnerDirectory, OwnerZeroIsDistinctFromEmpty) {
   // Core 0 is a valid owner; the empty-slot encoding must not alias it.
   OwnerDirectory dir;
-  dir.assign(1, 0);
-  EXPECT_EQ(dir.find(1), 0);
-  EXPECT_EQ(dir.erase(1), 0);
+  give(dir, 1, 0);
+  EXPECT_EQ(owner_at(dir, 1), 0);
+  EXPECT_EQ(erase(dir, 1), 0);
 }
 
 TEST(OwnerDirectory, GrowsPastInitialCapacityWithoutLosingEntries) {
   OwnerDirectory dir(8);  // deliberately undersized
   const u64 initial_cap = dir.capacity();
   for (LineAddr line = 0; line < 1000; ++line) {
-    dir.assign(line, static_cast<CoreId>(line % 7));
+    give(dir, line, static_cast<CoreId>(line % 7));
   }
   EXPECT_GT(dir.capacity(), initial_cap);
   EXPECT_EQ(dir.size(), 1000u);
   for (LineAddr line = 0; line < 1000; ++line) {
-    EXPECT_EQ(dir.find(line), static_cast<CoreId>(line % 7));
+    EXPECT_EQ(owner_at(dir, line), static_cast<CoreId>(line % 7));
   }
 }
 
@@ -74,7 +132,7 @@ TEST(OwnerDirectory, BackshiftDeletionKeepsCollisionChainsReachable) {
     for (int i = 0; i < 20; ++i) {
       const LineAddr line = next_line++;
       const CoreId owner = static_cast<CoreId>(line % 5);
-      dir.assign(line, owner);
+      give(dir, line, owner);
       model[line] = owner;
     }
     // Erase a mid-chain selection.
@@ -83,12 +141,12 @@ TEST(OwnerDirectory, BackshiftDeletionKeepsCollisionChainsReachable) {
       if (line % 3 == static_cast<u64>(wave % 3)) doomed.push_back(line);
     }
     for (const LineAddr line : doomed) {
-      EXPECT_EQ(dir.erase(line), model[line]);
+      EXPECT_EQ(erase(dir, line), model[line]);
       model.erase(line);
     }
     for (const auto& [line, owner] : model) {
-      ASSERT_EQ(dir.find(line), owner) << "line " << line << " lost in wave "
-                                       << wave;
+      ASSERT_EQ(owner_at(dir, line), owner)
+          << "line " << line << " lost in wave " << wave;
     }
   }
   EXPECT_EQ(dir.size(), model.size());
@@ -98,15 +156,15 @@ TEST(OwnerDirectory, BackshiftDeletionKeepsCollisionChainsReachable) {
 // collide after hashing: erase the chain head and verify the rest shift in.
 TEST(OwnerDirectory, EraseHeadOfChainThenReassign) {
   OwnerDirectory dir(8);
-  for (LineAddr line = 0; line < 12; ++line) dir.assign(line, 1);
-  for (LineAddr line = 0; line < 12; line += 2) dir.erase(line);
+  for (LineAddr line = 0; line < 12; ++line) give(dir, line, 1);
+  for (LineAddr line = 0; line < 12; line += 2) erase(dir, line);
   for (LineAddr line = 1; line < 12; line += 2) {
-    EXPECT_EQ(dir.find(line), 1);
+    EXPECT_EQ(owner_at(dir, line), 1);
   }
   // Reinsert into the holes and re-check everything.
-  for (LineAddr line = 0; line < 12; line += 2) dir.assign(line, 2);
+  for (LineAddr line = 0; line < 12; line += 2) give(dir, line, 2);
   for (LineAddr line = 0; line < 12; ++line) {
-    EXPECT_EQ(dir.find(line), line % 2 == 0 ? 2 : 1);
+    EXPECT_EQ(owner_at(dir, line), line % 2 == 0 ? 2 : 1);
   }
 }
 
@@ -116,15 +174,15 @@ TEST(OwnerDirectory, EraseHeadOfChainThenReassign) {
 TEST(OwnerDirectory, StaleCursorFallsBackToIndex) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  EXPECT_EQ(dir.assign(at, 5, 1), kNoCore);
+  EXPECT_EQ(give(dir, at, 5, 1), kNoCore);
   EXPECT_EQ(dir.erase(at, 5), 1);  // page 0 empties and is released
   // Page 10 takes page 0's pool slot, which `at` still names.
   const LineAddr far = 10 * OwnerDirectory::kPageLines + 5;
-  EXPECT_EQ(dir.assign(far, 2), kNoCore);
+  EXPECT_EQ(give(dir, far, 2), kNoCore);
   EXPECT_EQ(dir.erase(at, 5), kNoCore);
-  EXPECT_EQ(dir.assign(at, 5, 3), kNoCore);
-  EXPECT_EQ(dir.find(5), 3);
-  EXPECT_EQ(dir.find(far), 2);
+  EXPECT_EQ(give(dir, at, 5, 3), kNoCore);
+  EXPECT_EQ(owner_at(dir, 5), 3);
+  EXPECT_EQ(owner_at(dir, far), 2);
   EXPECT_EQ(dir.size(), 2u);
 }
 
@@ -135,7 +193,7 @@ TEST(OwnerDirectory, AbsentRunOverAnAbsentPage) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
   EXPECT_EQ(dir.absent_run(at, 5, 1000), P - 5);
-  dir.assign(3 * P, 1);  // another page being present changes nothing
+  give(dir, 3 * P, 1);  // another page being present changes nothing
   EXPECT_EQ(dir.absent_run(at, P + 5, 1000), P - 5);
 }
 
@@ -143,7 +201,7 @@ TEST(OwnerDirectory, AbsentRunStopsAtThePageEnd) {
   constexpr u64 P = OwnerDirectory::kPageLines;
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  dir.assign(at, 2, 0);  // page 0 exists, its tail is empty
+  give(dir, at, 2, 0);  // page 0 exists, its tail is empty
   // Page 1 is absent too, but the run never crosses into it.
   EXPECT_EQ(dir.absent_run(at, P - 4, 100), 4u);
   EXPECT_EQ(dir.absent_run(at, P - 1, 100), 1u);
@@ -152,7 +210,7 @@ TEST(OwnerDirectory, AbsentRunStopsAtThePageEnd) {
 TEST(OwnerDirectory, AbsentRunStopsAtMax) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  dir.assign(at, 40, 0);
+  give(dir, at, 40, 0);
   EXPECT_EQ(dir.absent_run(at, 3, 10), 10u);
   EXPECT_EQ(dir.absent_run(at, 3, 1), 1u);
   EXPECT_EQ(dir.absent_run(at, 100, 7), 7u);  // absent page
@@ -162,13 +220,13 @@ TEST(OwnerDirectory, AbsentRunStopsAtAPresentLine) {
   constexpr u64 P = OwnerDirectory::kPageLines;
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  dir.assign(at, P + 10, 2);
-  dir.assign(at, P + 11, 3);
+  give(dir, at, P + 10, 2);
+  give(dir, at, P + 11, 3);
   EXPECT_EQ(dir.absent_run(at, P + 3, 100), 7u);
   EXPECT_EQ(dir.absent_run(at, P + 10, 100), 0u);
   EXPECT_EQ(dir.absent_run(at, P + 11, 100), 0u);
   EXPECT_EQ(dir.absent_run(at, P + 12, 100), P - 12);
-  dir.assign(at, P + 63, 4);  // the page's last line
+  give(dir, at, P + 63, 4);  // the page's last line
   EXPECT_EQ(dir.absent_run(at, P + 12, 100), 63u - 12);
 }
 
@@ -178,11 +236,11 @@ TEST(OwnerDirectory, AbsentRunThroughAStaleCursor) {
   constexpr u64 P = OwnerDirectory::kPageLines;
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  dir.assign(at, 5, 1);
+  give(dir, at, 5, 1);
   dir.erase(at, 5);  // page 0 is released; `at` still names its slot
-  dir.assign(10 * P + 5, 2);  // page 10 takes the slot, line 5 present
+  give(dir, 10 * P + 5, 2);  // page 10 takes the slot, line 5 present
   EXPECT_EQ(dir.absent_run(at, 5, 100), P - 5);
-  dir.assign(7, 3);  // page 0 returns in another slot
+  give(dir, 7, 3);  // page 0 returns in another slot
   EXPECT_EQ(dir.absent_run(at, 5, 100), 2u);
   EXPECT_EQ(dir.absent_run(at, 10 * P + 4, 100), 1u);
 }
@@ -195,7 +253,7 @@ TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
   const auto owner_of = [](LineAddr l) { return static_cast<CoreId>(l % 7); };
   for (const LineAddr l : {P - 2, P - 1, P, 3 * P + 3, 4 * P - 1, 4 * P,
                            4 * P + 1}) {
-    dir.assign(l, owner_of(l));
+    give(dir, l, owner_of(l));
   }
   std::vector<std::pair<LineAddr, CoreId>> seen;
   const u64 erased =
@@ -209,8 +267,8 @@ TEST(OwnerDirectory, EraseRangeReportsPresentLinesInOrder) {
   EXPECT_EQ(seen, want);
   EXPECT_EQ(erased, want.size());
   EXPECT_EQ(dir.size(), 2u);
-  EXPECT_EQ(dir.find(P - 2), owner_of(P - 2));
-  EXPECT_EQ(dir.find(4 * P + 1), owner_of(4 * P + 1));
+  EXPECT_EQ(owner_at(dir, P - 2), owner_of(P - 2));
+  EXPECT_EQ(owner_at(dir, 4 * P + 1), owner_of(4 * P + 1));
   EXPECT_EQ(dir.erase_range(0, 10 * P, [](LineAddr, CoreId, u32) {}), 2u);
   EXPECT_EQ(dir.size(), 0u);
 }
@@ -229,20 +287,19 @@ std::vector<std::tuple<LineAddr, CoreId, u32>> drain(OwnerDirectory& dir,
   return out;
 }
 
-// assign() points at the line's way byte: a fresh line's byte is the
-// caller's to set, and a moved line's still holds the old owner's way.
-TEST(OwnerDirectory, AssignExposesTheWayByte) {
+// A fresh line's way byte is the caller's to set, and page() shows a
+// present line's way byte, still holding its owner's way, where the walk
+// rewrites it when the line moves.
+TEST(OwnerDirectory, PageExposesTheWayByte) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  u8* way = nullptr;
-  EXPECT_EQ(dir.assign(at, 9, 1, way), kNoCore);
-  ASSERT_NE(way, nullptr);
+  u8* const way = dir.assign_run(at, 9, 1, 1);
   *way = 13;
-  u8* again = nullptr;
-  EXPECT_EQ(dir.assign(at, 9, 4, again), 1);
-  EXPECT_EQ(again, way);
-  EXPECT_EQ(*again, 13);
-  *again = 2;
+  OwnerDirectory::Page& p = dir.page(at, 9);
+  EXPECT_EQ(&p.way[9], way);
+  EXPECT_EQ(p.way[9], 13);
+  p.owner[9] = 4;
+  p.way[9] = 2;
   EXPECT_EQ(drain(dir, 0, 100),
             (std::vector<std::tuple<LineAddr, CoreId, u32>>{{9, 4, 2}}));
 }
@@ -254,7 +311,7 @@ TEST(OwnerDirectory, EraseRangeReportsEachLinesWay) {
   std::vector<std::tuple<LineAddr, CoreId, u32>> want;
   for (const LineAddr l : {P - 1, P, P + 7, 3 * P + 63}) {
     u8* way = nullptr;
-    dir.assign(at, l, static_cast<CoreId>(l % 5), way);
+    give(dir, at, l, static_cast<CoreId>(l % 5), way);
     *way = static_cast<u8>(l % 64);
     want.emplace_back(l, static_cast<CoreId>(l % 5), static_cast<u32>(l % 64));
   }
@@ -271,8 +328,8 @@ TEST(OwnerDirectory, AssignRunFillsAWholePage) {
   for (u64 i = 0; i < P; ++i) ways[i] = static_cast<u8>(P - 1 - i);
   EXPECT_EQ(dir.size(), P);
   EXPECT_EQ(dir.absent_run(at, 2 * P, 1000), 0u);
-  EXPECT_EQ(dir.find(2 * P - 1), kNoCore);
-  EXPECT_EQ(dir.find(3 * P), kNoCore);
+  EXPECT_EQ(owner_at(dir, 2 * P - 1), kNoCore);
+  EXPECT_EQ(owner_at(dir, 3 * P), kNoCore);
   std::vector<std::tuple<LineAddr, CoreId, u32>> want;
   for (u64 i = 0; i < P; ++i) {
     want.emplace_back(2 * P + i, 6, static_cast<u32>(P - 1 - i));
@@ -287,16 +344,16 @@ TEST(OwnerDirectory, AssignRunAtAnOffsetLeavesItsNeighbours) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
   u8* way = nullptr;
-  dir.assign(at, P + 3, 1, way);
+  give(dir, at, P + 3, 1, way);
   *way = 7;
-  dir.assign(at, P + 20, 2, way);
+  give(dir, at, P + 20, 2, way);
   *way = 8;
   ASSERT_EQ(dir.absent_run(at, P + 4, 1000), 16u);
   u8* const ways = dir.assign_run(at, P + 4, 10, 3);
   for (u64 i = 0; i < 10; ++i) ways[i] = static_cast<u8>(i);
   EXPECT_EQ(dir.size(), 12u);
   EXPECT_EQ(dir.absent_run(at, P + 14, 1000), 6u);
-  EXPECT_EQ(dir.find(P + 2), kNoCore);
+  EXPECT_EQ(owner_at(dir, P + 2), kNoCore);
   std::vector<std::tuple<LineAddr, CoreId, u32>> want{{P + 3, 1, 7}};
   for (u64 i = 0; i < 10; ++i) {
     want.emplace_back(P + 4 + i, 3, static_cast<u32>(i));
@@ -311,13 +368,13 @@ TEST(OwnerDirectory, AssignRunCreatesAnAbsentPage) {
   constexpr u64 P = OwnerDirectory::kPageLines;
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
-  dir.assign(at, 0, 0);  // another page; `at` points at it
+  give(dir, at, 0, 0);  // another page; `at` points at it
   ASSERT_EQ(dir.absent_run(at, 5 * P + 60, 100), 4u);
   u8* const ways = dir.assign_run(at, 5 * P + 60, 4, 9);
   for (u64 i = 0; i < 4; ++i) ways[i] = static_cast<u8>(40 + i);
   EXPECT_EQ(dir.size(), 5u);
-  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(dir.find(5 * P + 60 + i), 9);
-  EXPECT_EQ(dir.find(0), 0);
+  for (u64 i = 0; i < 4; ++i) EXPECT_EQ(owner_at(dir, 5 * P + 60 + i), 9);
+  EXPECT_EQ(owner_at(dir, 0), 0);
   EXPECT_EQ(drain(dir, 5 * P, 6 * P),
             (std::vector<std::tuple<LineAddr, CoreId, u32>>{
                 {5 * P + 60, 9, 40},
@@ -337,7 +394,7 @@ TEST(OwnerDirectory, SlidingWindowReusesReleasedPages) {
   const u64 reserved = dir.capacity();
   OwnerDirectory::Cursor fill, evict;
   for (LineAddr line = 0; line < 100 * kWindow; ++line) {
-    ASSERT_EQ(dir.assign(fill, line, 0), kNoCore);
+    ASSERT_EQ(give(dir, fill, line, 0), kNoCore);
     if (line >= kWindow) {
       ASSERT_EQ(dir.erase(evict, line - kWindow), 0);
     }
@@ -356,7 +413,7 @@ TEST(OwnerDirectory, EraseMaskOverTwoRunsOfOnePage) {
   OwnerDirectory::Cursor at;
   dir.assign_run(at, 3 * P, 8, 2);
   dir.assign_run(at, 3 * P + 20, 10, 2);
-  dir.assign(at, 3 * P + 40, 5);
+  give(dir, at, 3 * P + 40, 5);
   u64 mask = 0;
   for (u64 i = 1; i < 6; ++i) mask |= OwnerDirectory::bit(3 * P + i);
   for (u64 i = 22; i < 30; ++i) mask |= OwnerDirectory::bit(3 * P + i);
@@ -366,7 +423,7 @@ TEST(OwnerDirectory, EraseMaskOverTwoRunsOfOnePage) {
   for (u64 i = 0; i < P; ++i) {
     const bool kept = i == 0 || i == 6 || i == 7 || i == 20 || i == 21;
     const CoreId want = kept ? 2 : i == 40 ? 5 : kNoCore;
-    EXPECT_EQ(dir.find(3 * P + i), want) << i;
+    EXPECT_EQ(owner_at(dir, 3 * P + i), want) << i;
   }
 }
 
@@ -386,12 +443,12 @@ TEST(OwnerDirectory, EraseMaskReleasesAnEmptiedPageForReuse) {
   ways[0] = 11;
   EXPECT_EQ(dir.capacity(), reserved);
   EXPECT_EQ(dir.size(), 2 * P);
-  EXPECT_EQ(dir.find(P + 16), kNoCore);
-  EXPECT_EQ(dir.find(9 * P), 3);
-  EXPECT_EQ(dir.find(0), 1);
+  EXPECT_EQ(owner_at(dir, P + 16), kNoCore);
+  EXPECT_EQ(owner_at(dir, 9 * P), 3);
+  EXPECT_EQ(owner_at(dir, 0), 1);
   // `evict` names the slot page 9 took over, and the key check accepts it.
   dir.erase_mask(evict, 9, OwnerDirectory::bit(9 * P));
-  EXPECT_EQ(dir.find(9 * P), kNoCore);
+  EXPECT_EQ(owner_at(dir, 9 * P), kNoCore);
   EXPECT_EQ(dir.size(), 2 * P - 1);
 }
 
@@ -424,7 +481,8 @@ TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {
       case 0: {
         const auto owner = static_cast<CoreId>(rng.below(8));
         u8* way = nullptr;
-        ASSERT_EQ(dir.assign(at, line, owner, way), present) << "step " << step;
+        ASSERT_EQ(give(dir, at, line, owner, way), present)
+            << "step " << step;
         if (present != kNoCore) {
           ASSERT_EQ(*way, it->second.second) << "step " << step;
         }
@@ -467,7 +525,7 @@ TEST(OwnerDirectory, MatchesMapModelUnderMixedOperations) {
   }
   EXPECT_GT(runs, 1000u);
   for (const auto& [line, entry] : model) {
-    ASSERT_EQ(dir.find(line), entry.first);
+    ASSERT_EQ(owner_at(dir, line), entry.first);
   }
 }
 

@@ -204,18 +204,67 @@ class ReferenceWalk {
 };
 
 void expect_same_stats(const CoreCacheStats& got, const CoreCacheStats& want,
-                       int step, CoreId core) {
-  ASSERT_EQ(got.accesses, want.accesses) << "step " << step << " core " << core;
-  ASSERT_EQ(got.hits, want.hits) << "step " << step << " core " << core;
-  ASSERT_EQ(got.misses_dram, want.misses_dram)
-      << "step " << step << " core " << core;
-  ASSERT_EQ(got.misses_c2c, want.misses_c2c)
-      << "step " << step << " core " << core;
-  ASSERT_EQ(got.evictions, want.evictions)
-      << "step " << step << " core " << core;
-  ASSERT_EQ(got.writebacks, want.writebacks)
-      << "step " << step << " core " << core;
+                       CoreId core) {
+  ASSERT_EQ(got.accesses, want.accesses) << "core " << core;
+  ASSERT_EQ(got.hits, want.hits) << "core " << core;
+  ASSERT_EQ(got.misses_dram, want.misses_dram) << "core " << core;
+  ASSERT_EQ(got.misses_c2c, want.misses_c2c) << "core " << core;
+  ASSERT_EQ(got.evictions, want.evictions) << "core " << core;
+  ASSERT_EQ(got.writebacks, want.writebacks) << "core " << core;
 }
+
+/// A MemorySystem and the reference walk driven in lockstep. Each call
+/// runs one step on both and requires the same stall, every counter, the
+/// DRAM controller's busy time and every line's residency in [0,
+/// universe) afterwards.
+class Lockstep {
+ public:
+  Lockstep(int cores, const CacheConfig& cfg, const MemoryTimings& t,
+           Bandwidth dram, u64 universe)
+      : ms(cores, cfg, t, kFreq, dram),
+        ref(cores, cfg, t, dram),
+        cores_(cores),
+        universe_(universe) {}
+
+  void access(CoreId core, Address addr, u64 bytes, bool write, Time now,
+              int reuse) {
+    const Time got = ms.access(core, addr, bytes,
+                               write ? MemorySystem::AccessType::kWrite
+                                     : MemorySystem::AccessType::kRead,
+                               now, reuse);
+    ASSERT_EQ(got, ref.access(core, addr, bytes, write, now, reuse));
+    ASSERT_NO_FATAL_FAILURE(expect_same_state());
+  }
+
+  void dma_write(Address addr, u64 bytes, Time now) {
+    ASSERT_EQ(ms.dma_write(addr, bytes, now), ref.dma_write(addr, bytes, now));
+    ASSERT_NO_FATAL_FAILURE(expect_same_state());
+  }
+
+  MemorySystem ms;
+  ReferenceWalk ref;
+
+ private:
+  void expect_same_state() {
+    for (CoreId c = 0; c < cores_; ++c) {
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_stats(ms.core_stats(c), ref.stats(c), c));
+    }
+    ASSERT_EQ(ms.c2c_transfers(), ref.c2c());
+    ASSERT_EQ(ms.dram_line_reads(), ref.reads());
+    ASSERT_EQ(ms.dram_line_writes(), ref.writes());
+    ASSERT_EQ(ms.dram_busy_time(), ref.busy());
+    for (LineAddr line = 0; line < universe_; ++line) {
+      for (CoreId c = 0; c < cores_; ++c) {
+        ASSERT_EQ(ms.resident(c, line * kLine, kLine), ref.resident(c, line))
+            << "core " << c << " line " << line;
+      }
+    }
+  }
+
+  int cores_;
+  u64 universe_;
+};
 
 struct WalkCase {
   int cores;
@@ -229,6 +278,10 @@ struct WalkCase {
   // soon passed and most bookings see a nonzero `before` penalty.
   i64 dram_mbps = 400;
   u64 allowance = 2048;
+  // Accesses come in pairs: one core writes a strip, then another reads
+  // it (the irqbalance hand-off of a strip from the core that took the
+  // interrupt to the one that consumes it).
+  bool handoff = false;
 };
 
 /// A long access. 2^64 / 10^12 is about 18.4M cycles, or about 69k DRAM
@@ -236,43 +289,63 @@ struct WalkCase {
 /// 10^12 passes 2^64 about three quarters of the way in.
 constexpr u64 kLongLines = 96 * 1024;
 
+CacheConfig geometry(u64 sets, u32 ways) {
+  return CacheConfig{.capacity_bytes = kLine * sets * ways,
+                     .line_bytes = kLine,
+                     .ways = ways};
+}
+
 void walk_model_check(const WalkCase& wc) {
-  const CacheConfig cfg{.capacity_bytes = kLine * wc.sets * wc.ways,
-                        .line_bytes = kLine,
-                        .ways = wc.ways};
+  const CacheConfig cfg = geometry(wc.sets, wc.ways);
   const Bandwidth dram = wc.limited ? Bandwidth::mb_per_sec(wc.dram_mbps)
                                     : Bandwidth::unlimited();
   const MemoryTimings t = timings(wc.limited ? wc.allowance : 256ull << 10);
-  MemorySystem ms(wc.cores, cfg, t, kFreq, dram);
-  ReferenceWalk ref(wc.cores, cfg, t, dram);
-
   // Lines span several directory pages, and about twice one cache, so runs
   // cross page ends, meet other cores' lines and evict constantly.
   const u64 universe = 4 * OwnerDirectory::kPageLines + 2 * cfg.num_lines();
+  Lockstep pair(wc.cores, cfg, t, dram, universe);
+  const MemorySystem& ms = pair.ms;
+  const ReferenceWalk& ref = pair.ref;
+
   Rng rng(wc.seed);
   Time now = Time::zero();
   Address last_addr = 0;
   u64 last_bytes = kLine;
+  CoreId writer = 0;
   constexpr int kSteps = 2'500;
   for (int step = 0; step < kSteps; ++step) {
-    Time got, want;
+    SCOPED_TRACE(testing::Message() << "step " << step);
     if (rng.chance(0.1)) {
       const Address addr = rng.below(universe * kLine);
       const u64 bytes = 1 + rng.below(3 * OwnerDirectory::kPageLines * kLine);
-      got = ms.dma_write(addr, bytes, now);
-      want = ref.dma_write(addr, bytes, now);
+      ASSERT_NO_FATAL_FAILURE(pair.dma_write(addr, bytes, now));
     } else if (wc.long_accesses && step % 800 == 100) {
       // From inside the universe, so it starts on resident lines, then
       // fills fresh ones for the rest of its length.
       const Address addr = rng.below(universe) * kLine;
       const auto core = static_cast<CoreId>(rng.below(
           static_cast<u64>(wc.cores)));
-      const bool write = rng.chance(0.5);
-      got = ms.access(core, addr, kLongLines * kLine,
-                      write ? MemorySystem::AccessType::kWrite
-                            : MemorySystem::AccessType::kRead,
-                      now, 3);
-      want = ref.access(core, addr, kLongLines * kLine, write, now, 3);
+      ASSERT_NO_FATAL_FAILURE(pair.access(core, addr, kLongLines * kLine,
+                                          rng.chance(0.5), now, 3));
+    } else if (wc.handoff) {
+      // A strip of up to one cache's worth of lines, written whole on one
+      // core and then read whole, with block reuse, on another: the read
+      // moves every line the writer still holds cache to cache.
+      if (step % 2 == 0) {
+        last_addr = rng.below(universe * kLine);
+        last_bytes = 1 + rng.below(cfg.num_lines() * kLine);
+        writer = static_cast<CoreId>(rng.below(static_cast<u64>(wc.cores)));
+        ASSERT_NO_FATAL_FAILURE(
+            pair.access(writer, last_addr, last_bytes, true, now, 0));
+      } else {
+        const auto reader = static_cast<CoreId>(
+            (static_cast<u64>(writer) + 1 +
+             rng.below(static_cast<u64>(wc.cores) - 1)) %
+            static_cast<u64>(wc.cores));
+        ASSERT_NO_FATAL_FAILURE(pair.access(reader, last_addr, last_bytes,
+                                            false, now,
+                                            static_cast<int>(rng.below(4))));
+      }
     } else {
       // Half the accesses re-walk the previous range, from any core: hint
       // runs, owned lines away from the hints and c2c moves.
@@ -284,26 +357,8 @@ void walk_model_check(const WalkCase& wc) {
           static_cast<u64>(wc.cores)));
       const bool write = rng.chance(0.4);
       const int reuse = static_cast<int>(rng.below(4));
-      got = ms.access(core, last_addr, last_bytes,
-                      write ? MemorySystem::AccessType::kWrite
-                            : MemorySystem::AccessType::kRead,
-                      now, reuse);
-      want = ref.access(core, last_addr, last_bytes, write, now, reuse);
-    }
-    ASSERT_EQ(got, want) << "step " << step;
-    for (CoreId c = 0; c < wc.cores; ++c) {
       ASSERT_NO_FATAL_FAILURE(
-          expect_same_stats(ms.core_stats(c), ref.stats(c), step, c));
-    }
-    ASSERT_EQ(ms.c2c_transfers(), ref.c2c()) << "step " << step;
-    ASSERT_EQ(ms.dram_line_reads(), ref.reads()) << "step " << step;
-    ASSERT_EQ(ms.dram_line_writes(), ref.writes()) << "step " << step;
-    ASSERT_EQ(ms.dram_busy_time(), ref.busy()) << "step " << step;
-    for (LineAddr line = 0; line < universe; ++line) {
-      for (CoreId c = 0; c < wc.cores; ++c) {
-        ASSERT_EQ(ms.resident(c, line * kLine, kLine), ref.resident(c, line))
-            << "step " << step << " core " << c << " line " << line;
-      }
+          pair.access(core, last_addr, last_bytes, write, now, reuse));
     }
     // Cores overlap: the next access mostly starts a few ns later, not
     // after this one's stall, so the backlog is still above the allowance
@@ -370,6 +425,130 @@ TEST(MemWalkModel, FourCoresSixteenWaysShippedDramLongAccesses) {
   walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
                     .seed = 9, .long_accesses = true, .dram_mbps = 5333,
                     .allowance = 256ull << 10});
+}
+
+// The shipped rate with an allowance of one line: the controller drains
+// more than a miss's two lines between two fill-run misses, but a miss
+// that books a fill and a dirty write-back together passes the allowance,
+// so each such booking queues.
+TEST(MemWalkModel, TwoCoresFourWaysShippedDramOneLineAllowance) {
+  walk_model_check({.cores = 2, .sets = 8, .ways = 4, .limited = true,
+                    .seed = 11, .dram_mbps = 5333, .allowance = kLine});
+}
+
+// The irqbalance hand-off at the client's shipped DRAM rate, 5333 MB/s:
+// each strip is written on one core and read on another, so the reads are
+// held runs of cache-to-cache moves whose fills evict the reader's dirty
+// lines and book their write-backs at each move's instant. Strips of at
+// most 8 KiB never pass the shipped 256 KiB allowance between idles, so
+// the allowance is the default 2 KiB, and the bookings queue.
+TEST(MemWalkModel, FourCoresSixteenWaysShippedDramStripHandoff) {
+  walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
+                    .seed = 10, .dram_mbps = 5333, .handoff = true});
+}
+
+// ---- The held run's edges, each checked against the reference ------------
+//
+// A held run starts where the hint run stops on a line some cache holds,
+// and settles that line and the present lines after it from one directory
+// page. Each case below builds one edge by hand; the lockstep compares
+// stall, counters and residency with the reference after every access.
+
+constexpr u64 P = OwnerDirectory::kPageLines;
+
+/// Read (or write) lines [first, first + count) on `core`.
+void walk(Lockstep& pair, CoreId core, LineAddr first, u64 count,
+          bool write = false, int reuse = 0) {
+  ASSERT_NO_FATAL_FAILURE(pair.access(core, first * kLine, count * kLine,
+                                      write, Time::zero(), reuse));
+}
+
+// Core 0 holds lines 4..7 in the middle way of sets 0..3, away from both
+// hints, except line 6, which core 1 holds. The read of 4..7 is one held
+// run: two relinked hits, a cache-to-cache move, and a hit again.
+TEST(MemWalkHeldRun, ContinuesPastAnotherCoresLineWithATransfer) {
+  Lockstep pair(2, geometry(4, 4), timings(256ull << 10),
+                Bandwidth::unlimited(), 3 * P);
+  walk(pair, 0, 0, 4);  // each set's head
+  walk(pair, 0, 4, 2);
+  walk(pair, 1, 6, 1);
+  walk(pair, 0, 7, 1);
+  walk(pair, 0, 8, 4);  // each set's tail
+  const CoreCacheStats before = pair.ms.core_stats(0);
+  walk(pair, 0, 4, 4, false, 2);
+  const CoreCacheStats& after = pair.ms.core_stats(0);
+  EXPECT_EQ(after.hits - before.hits, 3u + 4 * 2);
+  EXPECT_EQ(after.misses_c2c - before.misses_c2c, 1u);
+  EXPECT_EQ(after.misses_dram, before.misses_dram);
+  EXPECT_TRUE(pair.ms.resident(0, 4 * kLine, 4 * kLine));
+  EXPECT_FALSE(pair.ms.resident(1, 6 * kLine, kLine));
+  // The relinked lines are each set's MRU now: of the next three fills per
+  // set, the first takes the free way, the second evicts the old head and
+  // the third the old tail, and lines 4..7 stay.
+  walk(pair, 0, 12, 12);
+  EXPECT_TRUE(pair.ms.resident(0, 4 * kLine, 4 * kLine));
+  EXPECT_FALSE(pair.ms.resident(0, 8 * kLine, kLine));
+}
+
+// One set of two ways. Core 0 holds line 11 (dirty, LRU) and line 40
+// (MRU); core 1 holds line 10. Reading 10..11 on core 0 moves line 10 over,
+// and that fill evicts line 11, the run's next line, so the run must see
+// line 11 leave the page's presence mask and stop: line 11 then comes back
+// from DRAM. With a limited controller the transfer's dirty write-back
+// and the refill book DRAM at their own instants.
+TEST(MemWalkHeldRun, RereadsPresenceAfterAFillEvictsItsNextLine) {
+  Lockstep pair(2, geometry(1, 2), timings(0), Bandwidth::mb_per_sec(400),
+                P);
+  walk(pair, 0, 11, 1, true);
+  walk(pair, 0, 40, 1);
+  walk(pair, 1, 10, 1);
+  const CoreCacheStats before = pair.ms.core_stats(0);
+  walk(pair, 0, 10, 2, false, 1);
+  const CoreCacheStats& after = pair.ms.core_stats(0);
+  EXPECT_EQ(after.misses_c2c - before.misses_c2c, 1u);
+  EXPECT_EQ(after.misses_dram - before.misses_dram, 1u);
+  EXPECT_EQ(after.evictions - before.evictions, 2u);
+  EXPECT_EQ(after.writebacks - before.writebacks, 1u);
+  EXPECT_TRUE(pair.ms.resident(0, 10 * kLine, 2 * kLine));
+  EXPECT_FALSE(pair.ms.resident(0, 40 * kLine, kLine));
+}
+
+// Lines 60..75 straddle the first directory page's end. Core 0 holds them
+// in the middle way of all 16 sets, except line 65, which core 1 holds.
+// The run over page 0's lines stops at the page's end, and the walk goes
+// on with page 1's, where it moves line 65 over.
+TEST(MemWalkHeldRun, CrossesAPageBoundary) {
+  Lockstep pair(2, geometry(16, 4), timings(256ull << 10),
+                Bandwidth::unlimited(), 2 * P);
+  walk(pair, 0, 44, 16);
+  walk(pair, 0, 60, 5);
+  walk(pair, 1, 65, 1);
+  walk(pair, 0, 66, 10);
+  walk(pair, 0, 76, 16);
+  const CoreCacheStats before = pair.ms.core_stats(0);
+  walk(pair, 0, 60, 16, true);
+  const CoreCacheStats& after = pair.ms.core_stats(0);
+  EXPECT_EQ(after.hits - before.hits, 15u);
+  EXPECT_EQ(after.misses_c2c - before.misses_c2c, 1u);
+  EXPECT_EQ(after.misses_dram, before.misses_dram);
+  EXPECT_TRUE(pair.ms.resident(0, 60 * kLine, 16 * kLine));
+}
+
+// One set of four ways holding lines 0..3, oldest first. A read of line 1
+// alone settles it and leaves line 2, present on the same page, alone: the
+// two fills after it evict line 0, then line 2, not line 3.
+TEST(MemWalkHeldRun, EndsAtTheRangesLastLine) {
+  Lockstep pair(1, geometry(1, 4), timings(256ull << 10),
+                Bandwidth::unlimited(), P);
+  walk(pair, 0, 0, 4);
+  const CoreCacheStats before = pair.ms.core_stats(0);
+  walk(pair, 0, 1, 1);
+  EXPECT_EQ(pair.ms.core_stats(0).hits - before.hits, 1u);
+  walk(pair, 0, 4, 2);
+  EXPECT_FALSE(pair.ms.resident(0, 0, kLine));
+  EXPECT_FALSE(pair.ms.resident(0, 2 * kLine, kLine));
+  EXPECT_TRUE(pair.ms.resident(0, kLine, kLine));
+  EXPECT_TRUE(pair.ms.resident(0, 3 * kLine, kLine));
 }
 
 }  // namespace
