@@ -1,9 +1,10 @@
 // Microbenchmarks for the DES kernel hot paths: the per-64B-line memory
-// walk, owner-directory churn, the event queue, and one small end-to-end
-// experiment. These are the structures the figure sweeps spend their time
-// in, so `tools/perf_baseline.py` runs this binary (plus a timed figure
-// bench) and records the results in BENCH_kernel.json — the repo's perf
-// trajectory. CI runs it with --benchmark_min_time=1x as a smoke test.
+// walk, owner-directory churn, the event queue, the I/O servers' read-ahead
+// probes, and one small end-to-end experiment. These are the structures
+// the figure sweeps spend their time in, so `tools/perf_baseline.py` runs
+// this binary (plus a timed figure bench) and records the results in
+// BENCH_kernel.json — the repo's perf trajectory. CI runs it with
+// --benchmark_min_time=1x as a smoke test.
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
 // measure the kernel's data structures, not the model, so DRAM bandwidth is
@@ -11,8 +12,11 @@
 // end-to-end case.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "mem/memory_system.hpp"
+#include "pfs/buffer_cache.hpp"
 #include "sim/event_queue.hpp"
 #include "sweep/cli.hpp"
 #include "sweep/cli_config.hpp"
@@ -278,6 +282,45 @@ void BM_EventScheduleCancelPop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * kBurst);
 }
 BENCHMARK(BM_EventScheduleCancelPop);
+
+/// Read-ahead windows over a fleet of deep servers, as in the 48-server
+/// straggler workload: 48 default 64 MiB caches (8 ways, ~15 MB of tag and
+/// list state in all), each serving four streams of one-block requests at
+/// random strides. Each call advances one random stream by a stride and
+/// runs its 64-block window: a steady stream finds all but the window's
+/// last block resident, so the row measures probes into random sets far
+/// beyond the host's caches.
+void BM_BufferCacheReadahead(benchmark::State& state) {
+  constexpr int kServers = 48;
+  constexpr int kStreams = 4;
+  constexpr u64 kWindow = 64;
+  pfs::BufferCacheConfig cfg;
+  cfg.capacity_bytes = 64ull << 20;
+  std::vector<pfs::BufferCache> caches(kServers, pfs::BufferCache(cfg));
+  struct Stream {
+    u64 last = 0;
+    u64 stride = 0;
+  };
+  Rng rng(2610);
+  std::vector<Stream> streams(kServers * kStreams);
+  for (u64 i = 0; i < streams.size(); ++i) {
+    streams[i].last = i << 32;  // disjoint files
+    streams[i].stride = 1 + rng.below(96);
+  }
+  u64 forced = 0;
+  u64 inserted = 0;
+  for (auto _ : state) {
+    const u64 i = rng.below(streams.size());
+    Stream& st = streams[i];
+    st.last += st.stride;
+    inserted += caches[i / kStreams].readahead(st.last, st.stride, 1, kWindow,
+                                               forced);
+  }
+  benchmark::DoNotOptimize(inserted);
+  benchmark::DoNotOptimize(forced);
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_BufferCacheReadahead);
 
 /// End-to-end: one small full-stack experiment (8 servers, 128 KiB
 /// transfers, 2 MiB per process) — the unit of work every figure sweep

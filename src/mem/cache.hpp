@@ -5,8 +5,9 @@
 // never stores payload bytes, it tracks *where* each line currently lives.
 //
 // Tags and LRU order live in util::SetAssocLru, the core the server's
-// buffer cache shares (176 B per 16-way set). A tag fuses line, valid and
-// dirty; this class keeps that encoding and the walk's entry points.
+// buffer cache shares (176 B per 16-way set, whose 128 B of tags are two
+// whole host cache lines). A tag fuses line, valid and dirty; this class
+// keeps that encoding and the walk's entry points.
 //
 // MemorySystem::access never scans a set: the owner directory already
 // knows which core holds each line, and in which way. The cache answers

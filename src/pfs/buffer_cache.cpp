@@ -123,12 +123,42 @@ bool BufferCache::lookup_or_fill(u64 block, u64& forced) {
   return false;
 }
 
-bool BufferCache::prefetch(u64 block, u64& forced) {
+u64 BufferCache::readahead(u64 base, u64 stride, u64 span, u64 max,
+                           u64& forced) {
   SAISIM_CHECK(enabled());
-  const u64 set = set_of(block);
-  if (lru_.find(set, key_of(block)) != Lru::kNone) return false;
-  forced += fill(set, key_of(block) | kPrefetched);
-  return true;
+  SAISIM_CHECK(span > 0);
+  // Candidates are hashed a chunk at a time and their sets' lines
+  // requested before the first probe, so the chunk's misses in the host
+  // cache overlap instead of stalling one after another. The probes and
+  // fills then run in candidate order, exactly as one block at a time
+  // would: hashing ahead has no effect on the cache.
+  constexpr u32 kChunk = 16;
+  u64 blocks[kChunk];
+  u64 sets[kChunk];
+  const u64 strides = (max + span - 1) / span;
+  u64 k = 1;
+  u64 j = 0;
+  u64 inserted = 0;
+  while (inserted < max && k <= strides) {
+    u32 n = 0;
+    for (; n < kChunk && k <= strides; ++n) {
+      blocks[n] = base + k * stride + j;
+      sets[n] = set_of(blocks[n]);
+      lru_.prefetch_set(sets[n]);
+      if (++j == span) {
+        j = 0;
+        ++k;
+      }
+    }
+    for (u32 i = 0; i < n && inserted < max; ++i) {
+      const u64 key = key_of(blocks[i]);
+      if (lru_.find(sets[i], key) != Lru::kNone) continue;
+      forced += fill(sets[i], key | kPrefetched);
+      ++inserted;
+    }
+  }
+  stats_.readahead_issued += inserted;
+  return inserted;
 }
 
 u64 BufferCache::take_dirty(u64 max) {

@@ -113,19 +113,19 @@ class BufferCache {
   /// block hit; adds the dirty victims the fill evicted to `forced`.
   bool lookup_or_fill(u64 block, u64& forced);
 
-  /// Read-ahead of one block in a single set probe: a resident block is
-  /// left untouched (no LRU refresh, no stats); an absent one is inserted
-  /// clean and prefetched. Returns whether it was inserted; adds the dirty
-  /// victims the fill evicted to `forced`.
-  bool prefetch(u64 block, u64& forced);
+  /// Read-ahead of a stream's window: the candidate blocks
+  /// `base + k * stride + j` for k = 1, 2, ... and j < span, in that order,
+  /// through the first ceil(max / span) strides, stopping once `max`
+  /// blocks were inserted. A resident candidate is left untouched (no LRU
+  /// refresh, no stats); an absent one is inserted clean and prefetched.
+  /// Returns how many were inserted (also counted as readahead_issued);
+  /// adds the dirty victims the fills evicted to `forced`.
+  u64 readahead(u64 base, u64 stride, u64 span, u64 max, u64& forced);
 
   /// Collect up to `max` dirty blocks, oldest first, and mark them clean
   /// (their write-back has been issued). Returns how many were taken.
   /// O(returned blocks): they are popped off the head of the dirty list.
   u64 take_dirty(u64 max);
-
-  /// Bookkeeping hook for the owner: a prefetch batch was issued.
-  void note_readahead_issued(u64 blocks) { stats_.readahead_issued += blocks; }
 
  private:
   // The tags and LRU order live in the shared set-associative core. A tag

@@ -202,17 +202,11 @@ void IoServer::maybe_readahead(const net::Packet& req, u64 last_block,
   if (!sequential) return;
   // Prefetch the next expected requests of the stream: whole strides
   // ahead, up to readahead_blocks blocks in total.
-  const u64 max_pf = static_cast<u64>(cache_cfg_.readahead_blocks);
-  const u64 strides = (max_pf + span_blocks - 1) / span_blocks;
-  u64 prefetched = 0;
   u64 forced = 0;
-  for (u64 k = 1; k <= strides && prefetched < max_pf; ++k) {
-    for (u64 j = 0; j < span_blocks && prefetched < max_pf; ++j) {
-      if (cache_.prefetch(b0 + k * stride + j, forced)) ++prefetched;
-    }
-  }
+  const u64 prefetched = cache_.readahead(
+      b0, stride, span_blocks, static_cast<u64>(cache_cfg_.readahead_blocks),
+      forced);
   if (prefetched == 0) return;
-  cache_.note_readahead_issued(prefetched);
   write_back_victims(forced, ready);
   // The prefetch continues the stream right after the demand fill — no
   // extra seek — and occupies otherwise-idle disk time.

@@ -6,11 +6,13 @@
 //
 // Layout: a pool of event slots (free-list recycled, callbacks stored
 // inline via SmallFunction — the steady-state hot path performs zero heap
-// allocation) plus a 4-ary min-heap of slot indices. Cancellation sets a
-// flag on the slot in O(1); a cancelled slot is discarded the one time it
-// surfaces at the heap root, so the total skip work is bounded by the
-// number of cancellations ever made (amortised O(1) per pop — see
-// cancelled_skips() and the regression test that pins this bound).
+// allocation) plus a 4-ary min-heap of {when, seq, slot} entries, so sift
+// compares read only the heap array and never a pooled slot.
+// Cancellation sets a flag on the slot in O(1); a cancelled slot is
+// discarded the one time it surfaces at the heap root, so the total skip
+// work is bounded by the number of cancellations ever made (amortised O(1)
+// per pop — see cancelled_skips() and the regression test that pins this
+// bound).
 #pragma once
 
 #include <utility>
@@ -54,10 +56,9 @@ class EventQueue {
     const u64 seq = ++next_seq_;
     const u32 id = acquire_slot();
     Slot& s = slots_[id];
-    s.when = when;
     s.seq = seq;
     s.fn = std::move(fn);
-    heap_push(id);
+    heap_push(Entry{when, seq, id});
     ++live_;
     return EventHandle{id, seq};
   }
@@ -84,7 +85,7 @@ class EventQueue {
   Time next_time() {
     skip_cancelled();
     SAISIM_CHECK(!heap_.empty());
-    return slots_[heap_[0]].when;
+    return heap_[0].when;
   }
 
   /// Pop and return the next live event.
@@ -95,11 +96,10 @@ class EventQueue {
   Fired pop() {
     skip_cancelled();
     SAISIM_CHECK(!heap_.empty());
-    const u32 id = heap_[0];
-    Slot& s = slots_[id];
-    Fired fired{s.when, std::move(s.fn)};
+    const Entry top = heap_[0];
+    Fired fired{top.when, std::move(slots_[top.slot].fn)};
     heap_pop_root();
-    release_slot(id);
+    release_slot(top.slot);
     SAISIM_CHECK(live_ > 0);
     --live_;
     last_popped_ = fired.when;
@@ -117,10 +117,10 @@ class EventQueue {
  private:
   static constexpr u32 kNullSlot = 0xFFFFFFFFu;
 
+  // 160 B: the 16 B-aligned callback first, so nothing pads it.
   struct Slot {
-    Time when;
-    u64 seq = 0;         // 0 while free
     Callback fn;
+    u64 seq = 0;  // 0 while free
     u32 next_free = kNullSlot;
     bool cancelled = false;
 
@@ -150,56 +150,65 @@ class EventQueue {
 
   /// Discard cancelled slots that have reached the heap root.
   void skip_cancelled() {
-    while (!heap_.empty() && slots_[heap_[0]].cancelled) {
-      const u32 id = heap_[0];
+    while (!heap_.empty() && slots_[heap_[0].slot].cancelled) {
+      const u32 id = heap_[0].slot;
       heap_pop_root();
       release_slot(id);
       ++cancelled_skips_;
     }
   }
 
-  // 4-ary min-heap on (when, seq) over slot indices. The wide fan-out
-  // halves the tree depth vs a binary heap, and sift-down's four-way
-  // compare runs over slots that the pool keeps close together.
-  bool before(u32 a, u32 b) const {
-    const Slot& x = slots_[a];
-    const Slot& y = slots_[b];
-    if (x.when != y.when) return x.when < y.when;
-    return x.seq < y.seq;
+  // 4-ary min-heap on (when, seq). The wide fan-out halves the tree depth
+  // vs a binary heap, and a sift-down's four children share one or two
+  // host cache lines of the entry array. Sifts move a hole rather than
+  // swapping. seq is unique, so the pop order is the (when, seq) order
+  // whatever the heap's shape.
+  struct Entry {
+    Time when;
+    u64 seq;
+    u32 slot;
+  };
+
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
   }
 
-  void heap_push(u32 id) {
-    heap_.push_back(id);
+  void heap_push(Entry e) {
+    heap_.push_back(e);
     u64 i = heap_.size() - 1;
     while (i > 0) {
       const u64 parent = (i - 1) / 4;
-      if (!before(heap_[i], heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
+    heap_[i] = e;
   }
 
   void heap_pop_root() {
-    heap_[0] = heap_.back();
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (heap_.empty()) return;
+    const u64 n = heap_.size();
+    if (n == 0) return;
     u64 i = 0;
     for (;;) {
       const u64 first = 4 * i + 1;
-      if (first >= heap_.size()) break;
-      const u64 end = first + 4 < heap_.size() ? first + 4 : heap_.size();
+      if (first >= n) break;
+      const u64 end = first + 4 < n ? first + 4 : n;
       u64 best = first;
       for (u64 c = first + 1; c < end; ++c) {
         if (before(heap_[c], heap_[best])) best = c;
       }
-      if (!before(heap_[best], heap_[i])) break;
-      std::swap(heap_[i], heap_[best]);
+      if (!before(heap_[best], last)) break;
+      heap_[i] = heap_[best];
       i = best;
     }
+    heap_[i] = last;
   }
 
   std::vector<Slot> slots_;
-  std::vector<u32> heap_;
+  std::vector<Entry> heap_;
   u32 free_head_ = kNullSlot;
   u64 next_seq_ = 0;
   u64 live_ = 0;

@@ -7,15 +7,59 @@
 // list (head = LRU, tail = MRU); per set a valid-way mask and the list's
 // head and tail. Ways are set-major: tags(s)[w] is entry s * ways() + w. A
 // fill takes the lowest invalid way, else the head: O(1), no scan.
+//
+// The tag array starts on a 64 B host cache line, so a set whose tags fill
+// a whole number of lines (8, 16, ... ways) never straddles one: a probe
+// of an 8-way set reads exactly one line.
 #pragma once
 
 #include <bit>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace saisim::util {
+
+/// std::allocator with its storage aligned to `Align` bytes. It takes
+/// `Align` extra bytes from plain operator new and keeps the offset in the
+/// byte before the aligned start. The aligned operator new would not do:
+/// glibc's memalign leaves each freed block too small for the next request
+/// of the same size, so a program that builds and drops the same caches
+/// again and again (one cluster per experiment) grows its heap instead of
+/// reusing the freed blocks.
+template <class T, std::size_t Align>
+struct AlignedAllocator {
+  static_assert(std::has_single_bit(Align) && Align <= 128);
+
+  using value_type = T;
+  template <class U>
+  struct rebind {
+    using other = AlignedAllocator<U, Align>;
+  };
+
+  AlignedAllocator() = default;
+  template <class U>
+  AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    auto* const raw =
+        static_cast<unsigned char*>(::operator new(n * sizeof(T) + Align));
+    const std::size_t offset =
+        Align - reinterpret_cast<std::uintptr_t>(raw) % Align;  // 1..Align
+    raw[offset - 1] = static_cast<unsigned char>(offset);
+    return reinterpret_cast<T*>(raw + offset);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    auto* const start = reinterpret_cast<unsigned char*>(p);
+    ::operator delete(start - start[-1]);
+  }
+
+  friend bool operator==(const AlignedAllocator&,
+                         const AlignedAllocator&) = default;
+};
 
 template <u64 FlagMask>
 class SetAssocLru {
@@ -45,6 +89,15 @@ class SetAssocLru {
   u64* tags(u64 set) { return tags_.data() + set * ways_; }
   const u64* tags(u64 set) const { return tags_.data() + set * ways_; }
   Set* state(u64 set) { return sets_.data() + set; }
+
+  /// Start loading the host cache lines a find() and fill() of `set` read:
+  /// its tags, its state and its links. Always inlined: GCC deems a
+  /// function whose only effect is a prefetch pure, and drops calls to it.
+  [[gnu::always_inline]] void prefetch_set(u64 set) const {
+    __builtin_prefetch(tags(set));
+    __builtin_prefetch(sets_.data() + set);
+    __builtin_prefetch(links_.data() + set * ways_);
+  }
 
   /// The way of `set` holding `key`, or kNone. Tries the MRU way first (one
   /// compare on a streaming re-walk), then every way. No LRU side effect.
@@ -158,9 +211,11 @@ class SetAssocLru {
     st.tail = way;
   }
 
+  static constexpr std::size_t kHostLine = 64;
+
   u32 ways_ = 0;
   u64 all_ways_ = 0;
-  std::vector<u64> tags_;
+  std::vector<u64, AlignedAllocator<u64, kHostLine>> tags_;
   std::vector<Link> links_;
   std::vector<Set> sets_;
 };

@@ -88,8 +88,9 @@ TEST(BufferCacheUnit, TakeDirtyIsOldestFirst) {
 
 TEST(BufferCacheUnit, ReadaheadUsefulCreditedOncePerPrefetch) {
   BufferCache c(one_set(4));
-  c.insert(7, false, /*prefetched=*/true);
-  c.note_readahead_issued(1);
+  u64 forced = 0;
+  // A one-block window one stride past block 6: block 7.
+  EXPECT_EQ(c.readahead(6, 1, 1, 1, forced), 1u);
   EXPECT_TRUE(c.lookup(7));
   EXPECT_TRUE(c.lookup(7));  // second demand hit: no double credit
   EXPECT_EQ(c.stats().readahead_issued, 1u);
@@ -204,7 +205,8 @@ TEST(BufferCacheFlushOrder, DrainToEmptyThenRefill) {
 
 /// The cache as it was specified before the tag array and dirty list: one
 /// array of entries, a scan per probe, and take_dirty sorting every dirty
-/// stamp. lookup_or_fill and prefetch are the compositions IoServer ran.
+/// stamp. lookup_or_fill, prefetch and readahead are the compositions
+/// IoServer ran: readahead is its per-block prefetch loop.
 class StampScanCache {
  public:
   explicit StampScanCache(const BufferCacheConfig& cfg)
@@ -278,6 +280,18 @@ class StampScanCache {
     return true;
   }
 
+  u64 readahead(u64 base, u64 stride, u64 span, u64 max, u64& forced) {
+    const u64 strides = (max + span - 1) / span;
+    u64 inserted = 0;
+    for (u64 k = 1; k <= strides && inserted < max; ++k) {
+      for (u64 j = 0; j < span && inserted < max; ++j) {
+        if (prefetch(base + k * stride + j, forced)) ++inserted;
+      }
+    }
+    stats_.readahead_issued += inserted;
+    return inserted;
+  }
+
   u64 take_dirty(u64 max) {
     std::vector<std::pair<u64, u64>> dirty;
     for (u64 i = 0; i < entries_.size(); ++i) {
@@ -327,12 +341,21 @@ class StampScanCache {
 /// Drive both caches with one seeded random op mix over a block universe
 /// three times the capacity, comparing every result and the full residency
 /// map after every step. take_dirty batches are drawn below `take_below`
-/// (0: half the blocks plus two).
+/// (0: half the blocks plus two). Read-ahead windows start in the universe
+/// and reach up to kReach blocks past it.
 void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
   BufferCache cache(cfg);
   StampScanCache ref(cfg);
   const u64 universe = 3 * cache.num_blocks();
   if (take_below == 0) take_below = cache.num_blocks() / 2 + 2;
+  constexpr u64 kMaxStride = 6;
+  constexpr u64 kMaxSpan = 6;
+  constexpr u64 kMaxReadahead = 40;
+  constexpr u64 kReach = kMaxReadahead * kMaxStride + kMaxSpan;
+  // Windows that were cut by `max` inside a span, that had more candidates
+  // than the cache has sets (so some share a set), and whose candidates
+  // overlap (stride below span).
+  u64 cut_inside_span = 0, crowded = 0, overlapping = 0;
   Rng rng(seed);
   constexpr int kSteps = 25'000;
   for (int step = 0; step < kSteps; ++step) {
@@ -347,10 +370,20 @@ void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
           << "step " << step;
       ASSERT_EQ(got, want) << "step " << step;
     } else if (op < 55) {
+      const u64 stride = 1 + rng.below(kMaxStride);
+      const u64 span = 1 + rng.below(kMaxSpan);
+      const u64 max = 1 + rng.below(kMaxReadahead);
       u64 got = 0, want = 0;
-      ASSERT_EQ(cache.prefetch(block, got), ref.prefetch(block, want))
+      const u64 inserted = ref.readahead(block, stride, span, max, want);
+      ASSERT_EQ(cache.readahead(block, stride, span, max, got), inserted)
           << "step " << step;
       ASSERT_EQ(got, want) << "step " << step;
+      if (inserted == max && max % span != 0) ++cut_inside_span;
+      const u64 candidates = (max + span - 1) / span * span;
+      if (candidates > cache.num_blocks() / static_cast<u64>(cfg.ways)) {
+        ++crowded;
+      }
+      if (stride < span) ++overlapping;
     } else if (op < 60) {
       ASSERT_EQ(cache.contains(block), ref.contains(block)) << "step " << step;
     } else if (op < 90) {
@@ -369,7 +402,7 @@ void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
     // dirtiness probe re-stamps, so it must not touch the originals).
     BufferCache cache_copy = cache;
     StampScanCache ref_copy = ref;
-    for (u64 b = 0; b < universe; ++b) {
+    for (u64 b = 0; b < universe + kReach; ++b) {
       ASSERT_EQ(cache.contains(b), ref.contains(b))
           << "step " << step << " block " << b;
       if (ref.contains(b)) {
@@ -383,6 +416,9 @@ void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
   EXPECT_GT(ref.stats().dirty_writebacks, 0u);
   EXPECT_GT(ref.stats().flushed_blocks, 0u);
   EXPECT_GT(ref.stats().readahead_useful, 0u);
+  EXPECT_GT(cut_inside_span, 0u);
+  EXPECT_GT(crowded, 0u);
+  EXPECT_GT(overlapping, 0u);
 }
 
 BufferCacheConfig geometry(u64 sets, int ways) {
