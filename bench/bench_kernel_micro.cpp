@@ -8,8 +8,8 @@
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
 // measure the kernel's data structures, not the model, so DRAM bandwidth is
-// left unlimited except in the write-fill walk, the strip hand-off and the
-// end-to-end case.
+// left unlimited except in the write-fill walk, the strip hand-off, the DMA
+// strip read and the end-to-end case.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -167,6 +167,29 @@ void BM_MemWalkC2cStripHandoff(benchmark::State& state) {
                           static_cast<i64>(kStrip));
 }
 BENCHMARK(BM_MemWalkC2cStripHandoff);
+
+/// The NIC RX landing under the client's DRAM (5333 MB/s): the NIC lands a
+/// strip by DMA into the next receive buffer of a 64 MiB ring, and one core
+/// reads it. The landing books the strip at its instant, so the read's
+/// first miss books at the controller's horizon and the rest drain more
+/// than they add: each fill run books almost all its misses in closed form.
+void BM_MemWalkDmaStripRead(benchmark::State& state) {
+  mem::MemorySystem ms(8, mem::CacheConfig{}, mem::MemoryTimings{}, kFreq,
+                       Bandwidth::mb_per_sec(5333));
+  const u64 region = 64ull << 20;
+  Address strip = 0;
+  Time now = Time::zero();
+  for (auto _ : state) {
+    now += ms.dma_write(strip, kStrip, now);
+    now += ms.access(0, strip, kStrip, mem::MemorySystem::AccessType::kRead,
+                     now);
+    benchmark::DoNotOptimize(now);
+    strip = (strip + kStrip) % region;
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(kStrip));
+}
+BENCHMARK(BM_MemWalkDmaStripRead);
 
 /// Re-walk of lines this core holds away from both hint ways. Three 128 KiB
 /// buffers give every set 4 lines of each, oldest first; alternately

@@ -8,9 +8,12 @@
 //                  (assign_run) and the walk fills them from DRAM, each
 //                  victim picked in O(1), returned in a register
 //                  (Cache::Victim) and erased from the directory with the
-//                  rest of its page's victims (erase_mask), and each miss
-//                  books DRAM on a run-local copy of the controller's
-//                  state;
+//                  rest of its page's victims (erase_mask); the run then
+//                  books its misses' DRAM from a mask of the ones with a
+//                  dirty victim (dram_book_run), in closed form where the
+//                  controller allows: a stretch behind its last booking
+//                  telescopes, and a tail that drains more than it adds is
+//                  summed;
 //   3. held run  - otherwise some cache holds the line, and its directory
 //                  page (OwnerDirectory::page) names the owner and the way
 //                  of every present line after it on the page: this core
@@ -21,16 +24,18 @@
 //                  the first absent line, the page's end or the range's.
 //
 // Lines are visited in address order, each victim is the one a full LRU
-// lookup would pick, and every miss books DRAM at the instant its walk
-// reached it, so the result equals a per-line probe-then-insert walk bit
-// for bit. A line this core holds is settled the same way (hit, relink to
-// MRU, dirty bit) whichever run finds it. No hardware division runs per
-// line: the clock at a miss and the DRAM queue penalty divide by run-time
-// constants (the core frequency and the DRAM rate) through exact
-// precomputed reciprocals (U64Divider).
+// lookup would pick, and every miss's DRAM booking comes to what one at
+// the instant its walk reached it gives, so the result equals a per-line
+// probe-then-insert walk bit for bit (DESIGN.md §8 has the arguments). A
+// line this core holds is settled the same way (hit, relink to MRU, dirty
+// bit) whichever run finds it. No hardware division runs per line: the
+// clock at a miss and the DRAM queue penalty divide by run-time constants
+// (the core frequency and the DRAM rate) through exact precomputed
+// reciprocals (U64Divider).
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "trace/tracer.hpp"
 
@@ -98,38 +103,40 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
   stats_.resize(static_cast<u64>(num_cores));
 }
 
+// dram_bw_.transfer_time(excess), with the division by the DRAM rate done
+// by its precomputed reciprocal whenever excess x 10^12 fits 64 bits
+// (excesses below about 18 MB), where transfer_time divides in 64 bits.
+[[gnu::always_inline]] inline Time MemorySystem::queue_penalty(
+    u64 backlog) const {
+  if (backlog <= timings_.dram_burst_allowance) return Time::zero();
+  const u64 excess = backlog - timings_.dram_burst_allowance;
+  if (excess > UINT64_MAX / kPsPerSecond) {
+    return dram_bw_.transfer_time(excess);
+  }
+  return Time::ps(static_cast<i64>(dram_bps_.divide(excess * kPsPerSecond)));
+}
+
+// elapsed_ps * bps / 1e12, with the same 64-bit fast path as muldiv:
+// inter-booking gaps are short, so the product virtually always fits and
+// the division by a constant becomes a multiply.
+[[gnu::always_inline]] inline u64 MemorySystem::drained(Time elapsed) const {
+  const u128 prod = static_cast<u128>(static_cast<u64>(elapsed.picoseconds())) *
+                    static_cast<u64>(dram_bw_.bytes_per_second());
+  return prod <= static_cast<u128>(UINT64_MAX)
+             ? static_cast<u64>(prod) / kPsPerSecond
+             : static_cast<u64>(prod / kPsPerSecond);
+}
+
 // Drain the backlog for the time elapsed since the last booking, add
 // `bytes`, and return the increment of the queueing penalty. Queueing
 // appears only when the controller is genuinely oversubscribed beyond the
 // burst allowance, and each booking pays only the increment it causes.
-// Always inlined, so that a fill run's local DramState stays local.
 [[gnu::always_inline]] inline Time MemorySystem::dram_enqueue(
     DramState& dram, u64 bytes, Time now) const {
-  // dram_bw_.transfer_time(excess), with the division by the DRAM rate done
-  // by its precomputed reciprocal whenever excess x 10^12 fits 64 bits
-  // (excesses below about 18 MB), where transfer_time divides in 64 bits.
-  const auto queue_penalty = [this](u64 backlog) {
-    if (backlog <= timings_.dram_burst_allowance) return Time::zero();
-    const u64 excess = backlog - timings_.dram_burst_allowance;
-    if (excess > UINT64_MAX / kPsPerSecond) {
-      return dram_bw_.transfer_time(excess);
-    }
-    return Time::ps(static_cast<i64>(dram_bps_.divide(excess * kPsPerSecond)));
-  };
   if (now > dram.last_update) {
-    const Time elapsed = now - dram.last_update;
-    // elapsed_ps * bps / 1e12, with the same 64-bit fast path as muldiv:
-    // inter-booking gaps are short, so the product virtually always fits
-    // and the division by a constant becomes a multiply.
-    const u128 prod =
-        static_cast<u128>(static_cast<u64>(elapsed.picoseconds())) *
-        static_cast<u64>(dram_bw_.bytes_per_second());
-    const u64 drained =
-        prod <= static_cast<u128>(UINT64_MAX)
-            ? static_cast<u64>(prod) / 1'000'000'000'000ull
-            : static_cast<u64>(prod / 1'000'000'000'000ull);
+    const u64 drain = drained(now - dram.last_update);
     dram.backlog_bytes =
-        drained >= dram.backlog_bytes ? 0 : dram.backlog_bytes - drained;
+        drain >= dram.backlog_bytes ? 0 : dram.backlog_bytes - drain;
     dram.last_update = now;
   }
   const Time before = queue_penalty(dram.backlog_bytes);
@@ -143,8 +150,115 @@ MemorySystem::MemorySystem(int num_cores, const CacheConfig& cache_cfg,
 // exactly the two-call sum.
 [[gnu::always_inline]] inline Time MemorySystem::dram_book_lines(
     DramState& dram, u64 lines, Time now) const {
-  for (u64 i = 0; i < lines; ++i) dram.busy += line_xfer_;
+  dram.busy += line_xfer_ * static_cast<i64>(lines);
   return dram_enqueue(dram, lines * cache_cfg_.line_bytes, now);
+}
+
+// A fill run's misses are evenly spaced on the cycle clock: miss k is at
+// t_k = base + clock(c_0 + k s) + the penalties of misses 0..k-1, and books
+// x_k = one or two lines. Booked one by one, each drains the backlog for
+// t_k - L (L the last booking's instant, if t_k > L), adds x_k and pays the
+// increment of P. Two stretches of a run take no per-miss steps:
+//
+//  - Behind the horizon (t_k <= L): nothing drains and L stays, so the
+//    stretch's increments telescope to P(b + X) - P(b), X its bytes. t_k
+//    is monotone in k, so a binary search finds the first miss past L.
+//  - The quiet tail: once a booking that drained leaves b <= A (so it paid
+//    nothing, and L is its instant), while one step's drain d(s) covers two
+//    lines and A does too, every later miss is s or s + 1 ps after the
+//    previous one, drains at least what it adds and stays within A, so pays
+//    nothing. Unrolling b <- max(0, b - d_k) + x_k then gives max(x_last,
+//    b + sum x - sum d), where the gaps of s + 1 (the carries) are counted
+//    off the run's end clock.
+//
+// Only a miss that drains and still queues is booked on its own. The run
+// books on a local copy of the controller's state, so that its stores do
+// not alias the geometry and rates it reads.
+Time MemorySystem::dram_book_run(u64 lines, u64 dirty, u64 writebacks,
+                                 Time base, i64 first_cycles,
+                                 i64 step_cycles) {
+  const u64 line_bytes = cache_cfg_.line_bytes;
+  const u64 allowance = timings_.dram_burst_allowance;
+  const CycleClock step = CycleClock::at(step_cycles, hz_);
+  const u64 step_drain = drained(Time::ps(static_cast<i64>(step.ps)));
+  const bool quiet =
+      step_drain >= 2 * line_bytes && allowance >= 2 * line_bytes;
+  // Bytes booked by misses [from, to).
+  const auto bytes = [&](u64 from, u64 to) {
+    const u64 span = to - from;
+    const u64 mask = span == 64 ? ~u64{0} : ((u64{1} << span) - 1) << from;
+    return (span + static_cast<u64>(std::popcount(dirty & mask))) *
+           line_bytes;
+  };
+  const auto clock_at = [&](u64 k) {
+    return CycleClock::at(first_cycles + static_cast<i64>(k) * step_cycles,
+                          hz_);
+  };
+  Time queue = Time::zero();
+  // A miss's instant before its own penalty.
+  const auto instant = [&](const CycleClock& clock) {
+    return base + Time::ps(static_cast<i64>(clock.ps)) + queue;
+  };
+
+  DramState dram = dram_;
+  dram.busy += line_xfer_ * static_cast<i64>(lines + writebacks);
+  CycleClock clock = clock_at(0);
+  for (u64 k = 0; k < lines;) {
+    const Time t = instant(clock);
+    if (t <= dram.last_update) {
+      // Behind the horizon: misses [k, hi) book at or before L.
+      const Time before = queue_penalty(dram.backlog_bytes);
+      const auto behind = [&](u64 i) {
+        return instant(clock_at(i)) +
+                   queue_penalty(dram.backlog_bytes + bytes(k, i)) - before <=
+               dram.last_update;
+      };
+      u64 lo = k, hi = lines;  // t_lo <= L; hi == lines or t_hi > L
+      if (lines - 1 > k) {
+        (behind(lines - 1) ? lo : hi) = lines - 1;
+      }
+      while (hi - lo > 1) {
+        const u64 mid = lo + (hi - lo) / 2;
+        (behind(mid) ? lo : hi) = mid;
+      }
+      dram.backlog_bytes += bytes(k, hi);
+      queue += queue_penalty(dram.backlog_bytes) - before;
+      k = hi;
+      if (k < lines) clock = clock_at(k);
+      continue;
+    }
+    const u64 x = (1 + ((dirty >> k) & 1)) * line_bytes;
+    const u64 drain = drained(t - dram.last_update);
+    dram.backlog_bytes =
+        drain >= dram.backlog_bytes ? 0 : dram.backlog_bytes - drain;
+    dram.last_update = t;
+    if (quiet && dram.backlog_bytes + x <= allowance) {
+      // The quiet tail: misses (k, lines) each pay nothing.
+      u64 b = dram.backlog_bytes + x;
+      if (const u64 m = lines - 1 - k; m > 0) {
+        const Time end = instant(clock_at(lines - 1));
+        const auto carries =
+            static_cast<u64>((end - t).picoseconds()) - m * step.ps;
+        const u64 drain_sum =
+            (m - carries) * step_drain +
+            carries * drained(Time::ps(static_cast<i64>(step.ps + 1)));
+        const u64 added = bytes(k + 1, lines);
+        const u64 last = (1 + ((dirty >> (lines - 1)) & 1)) * line_bytes;
+        b = b + added > drain_sum ? b + added - drain_sum : 0;
+        b = std::max(b, last);
+        dram.last_update = end;
+      }
+      dram.backlog_bytes = b;
+      break;
+    }
+    const Time before = queue_penalty(dram.backlog_bytes);
+    dram.backlog_bytes += x;
+    queue += queue_penalty(dram.backlog_bytes) - before;
+    clock.advance(step, hz_.divisor());
+    ++k;
+  }
+  dram_ = dram;
+  return queue;
 }
 
 Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
@@ -171,20 +285,10 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
   u64 hits = 0, misses_c2c = 0, misses_dram = 0;
   u64 evictions = 0, writebacks = 0;
   const bool dram_limited = !dram_bw_.is_unlimited();
-  // The drain clock sees the access's own progression at a miss: latency
-  // cycles and queueing accrued up to it. Its cycle part is computed only
-  // for a bandwidth-limited controller, by the reciprocal of the core
-  // frequency (CycleClock::at), and a fill run carries it from line to line
-  // instead.
-  const auto miss_instant = [&] {
-    return now + Time::ps(static_cast<i64>(CycleClock::at(cycles, hz_).ps)) +
-           dram_queue;
-  };
-  // Consecutive fill-run misses are `fill_cycles` apart on that clock.
+  // Consecutive fill-run misses are `fill_cycles` apart on the drain clock,
+  // which sees the access's own progression at a miss: latency cycles and
+  // queueing accrued up to it.
   const i64 fill_cycles = reuse_cycles + timings_.dram_access.count();
-  const u64 hz = hz_.divisor();
-  const CycleClock fill_step =
-      dram_limited ? CycleClock::at(fill_cycles, hz_) : CycleClock{};
 
   // Misses fill consecutive lines and a streamed buffer's LRU victims leave
   // in address order, so each stream keeps its own directory page hint.
@@ -207,19 +311,16 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
     // directory a page at a time: each joins a (page, mask) batch, which is
     // erased when the next victim is on another page and at the run's end.
     // Nothing reads the directory in between, and the line being filled
-    // keeps the run's page, and so `ways`, alive. Nothing else books DRAM
-    // during the run either, so it books on a local copy of the
-    // controller's state and stores it back at the end.
+    // keeps the run's page, and so `ways`, alive. The run's DRAM bookings
+    // depend on the cache only through which misses evict a dirty line, so
+    // the loop records those in a mask (a run stays on one page, at most 64
+    // lines) and the run books them all afterwards.
     const u64 absent = owner_.absent_run(fill_at, line, last - line + 1);
     if (absent > 0) {
       u8* const ways = owner_.assign_run(fill_at, line, absent, core);
-      CycleClock clock = dram_limited
-                             ? CycleClock::at(cycles + reuse_cycles, hz_)
-                             : CycleClock{};
       u64 victim_page = 0, victim_mask = 0;
-      DramState dram = dram_;
+      u64 dirty = 0, run_writebacks = 0;
       for (u64 i = 0; i < absent; ++i, ++line) {
-        u64 booked = 1;
         u32 way = 0;
         if (const Cache::Victim victim = cache.fill(line, is_write, way)) {
           ++evictions;
@@ -233,22 +334,21 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
           }
           victim_mask |= OwnerDirectory::bit(victim.line());
           if (victim.dirty()) {
-            ++writebacks;
-            booked = 2;
+            ++run_writebacks;
+            dirty |= u64{1} << i;
           }
         }
         ways[i] = static_cast<u8>(way);
-        if (dram_limited) {
-          const Time at = now + Time::ps(static_cast<i64>(clock.ps)) +
-                          dram_queue;
-          dram_queue += dram_book_lines(dram, booked, at);
-          clock.advance(fill_step, hz);
-        }
       }
       if (victim_mask != 0) {
         owner_.erase_mask(evict_at, victim_page, victim_mask);
       }
-      dram_ = dram;
+      if (dram_limited) {
+        dram_queue += dram_book_run(absent, dirty, run_writebacks,
+                                    now + dram_queue, cycles + reuse_cycles,
+                                    fill_cycles);
+      }
+      writebacks += run_writebacks;
       cycles += static_cast<i64>(absent) * fill_cycles;
       misses_dram += absent;
       continue;
@@ -278,8 +378,9 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
         cycles += hit_cycles;
       } else {
         // Dirty data moves with ownership, so no write-back to DRAM
-        // happens for the moved line.
-        const Time at = dram_limited ? miss_instant() : Time::zero();
+        // happens for the moved line. Only a dirty victim books DRAM, at
+        // the move's instant.
+        const i64 move_cycles = cycles;
         caches_[static_cast<u64>(prev)].invalidate_way(line,
                                                        page.way[at_line]);
         ++misses_c2c;
@@ -292,7 +393,14 @@ Time MemorySystem::access(CoreId core, Address addr, u64 bytes,
                            "owner map out of sync with cache");
           if (victim.dirty()) {
             ++writebacks;
-            if (dram_limited) dram_queue += dram_book_lines(dram_, 1, at);
+            if (dram_limited) {
+              const Time at =
+                  now +
+                  Time::ps(static_cast<i64>(
+                      CycleClock::at(move_cycles, hz_).ps)) +
+                  dram_queue;
+              dram_queue += dram_book_lines(dram_, 1, at);
+            }
           }
         }
         page.owner[at_line] = static_cast<u8>(core);

@@ -122,18 +122,29 @@ class MemorySystem {
 
  private:
   /// The DRAM controller's leaky bucket: the backlog drains at the DRAM
-  /// rate. A fill run books on a local copy, which the walk's u8 stores
-  /// cannot alias, so the loop does not store and reload it around them.
+  /// rate.
   struct DramState {
     Time last_update = Time::zero();
     u64 backlog_bytes = 0;
     Time busy = Time::zero();
   };
+  /// The queueing penalty of a backlog: the transfer time of its excess
+  /// over the burst allowance. Bandwidth must be limited.
+  Time queue_penalty(u64 backlog) const;
+  /// Bytes the controller drains in `elapsed` (positive).
+  u64 drained(Time elapsed) const;
   /// Add `bytes` to `dram`'s backlog at `now`; returns the queueing delay
   /// the booking adds. Bandwidth must be limited.
   Time dram_enqueue(DramState& dram, u64 bytes, Time now) const;
   /// Book `lines` cache lines (busy time and backlog) at `now`.
   Time dram_book_lines(DramState& dram, u64 lines, Time now) const;
+  /// Book a fill run's misses, as dram_book_lines would one by one: miss k
+  /// books one line, two if bit k of `dirty` is set (its victim's
+  /// write-back), at `base` plus the clock at `first_cycles + k *
+  /// step_cycles` plus the penalties booked before it. Returns the run's
+  /// queueing delay. Bandwidth must be limited.
+  Time dram_book_run(u64 lines, u64 dirty, u64 writebacks, Time base,
+                     i64 first_cycles, i64 step_cycles);
 
   CacheConfig cache_cfg_;
   MemoryTimings timings_;

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace saisim::pfs {
 
@@ -19,18 +18,6 @@ BufferCache::BufferCache(const BufferCacheConfig& config) : cfg_(config) {
   lru_ = Lru(sets, ways);
   end_ = static_cast<u32>(sets * ways);
   meta_.assign(end_ + 1, Meta{end_, end_});
-}
-
-/// Set index hashed from the block number. A plain `block % num_sets`
-/// is pathological for striped streams: one server sees a stream at a
-/// stride of num_servers * strip blocks, which for power-of-two set counts
-/// lands every strip of the stream in the same few sets and thrashes the
-/// prefetched blocks out before they are used. Hashing keeps the mapping a
-/// deterministic property of the data while spreading strides uniformly.
-u64 BufferCache::set_of(u64 block) const {
-  u64 h = block;
-  const u64 x = splitmix64(h);
-  return pow2_sets_ ? x & (lru_.num_sets() - 1) : x % lru_.num_sets();
 }
 
 void BufferCache::link_tail(u32 i) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/reflect.hpp"
+#include "util/rng.hpp"
 #include "util/set_assoc_lru.hpp"
 #include "util/time.hpp"
 #include "util/types.hpp"
@@ -143,7 +144,17 @@ class BufferCache {
   };
 
   static u64 key_of(u64 block) { return (block + 1) << 2; }
-  u64 set_of(u64 block) const;
+  /// Set index hashed from the block number. A plain `block % num_sets`
+  /// is pathological for striped streams: one server sees a stream at a
+  /// stride of num_servers * strip blocks, which for power-of-two set
+  /// counts lands every strip of the stream in the same few sets and
+  /// thrashes the prefetched blocks out before they are used. Hashing keeps
+  /// the mapping a deterministic property of the data while spreading
+  /// strides uniformly. Inline: read-ahead hashes every candidate.
+  u64 set_of(u64 block) const {
+    const u64 x = splitmix64(block);
+    return pow2_sets_ ? x & (lru_.num_sets() - 1) : x % lru_.num_sets();
+  }
   u32 entry(u64 set, u32 way) const {
     return static_cast<u32>(set * lru_.ways() + way);
   }

@@ -17,7 +17,11 @@
 // Frequency::duration leaves its 64-bit fast path and the walk's carried
 // fill-run clock must still agree with it; one of them runs the shipped
 // 5333 MB/s controller past its 256 KiB allowance, so the walk's reciprocal
-// queue penalty is checked against Bandwidth::transfer_time.
+// queue penalty is checked against Bandwidth::transfer_time. A fill run
+// books its DRAM in closed form behind the controller's horizon and in a
+// quiet tail; cases at a rate whose fill step drains exactly two lines,
+// and hand-built runs at the edges of both forms, check those against the
+// per-line booking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,6 +36,19 @@ namespace {
 
 constexpr Frequency kFreq = Frequency::ghz(1.3);
 constexpr u64 kLine = 64;
+/// The client's shipped DRAM controller, in bytes per second.
+constexpr i64 kShippedDram = 5'333'000'000;
+/// A fill run's step without reuse: 230 DRAM cycles (timings() below), in
+/// whole picoseconds.
+constexpr i64 kFillStepPs = kFreq.duration(Cycles{230}).picoseconds();
+/// The DRAM rate, about 729 MB/s, at which one fill step drains exactly two
+/// lines and one picosecond more drains 129 bytes: the smallest whole
+/// rate with (s + 1) x rate >= 129 x 10^12.
+constexpr i64 kTwoLineDram =
+    (129 * 1'000'000'000'000 + kFillStepPs) / (kFillStepPs + 1);
+static_assert(kFillStepPs * kTwoLineDram / 1'000'000'000'000 == 2 * kLine);
+static_assert((kFillStepPs + 1) * kTwoLineDram / 1'000'000'000'000 ==
+              2 * kLine + 1);
 
 MemoryTimings timings(u64 burst_allowance) {
   return MemoryTimings{.l2_hit = Cycles{12},
@@ -129,6 +146,8 @@ class ReferenceWalk {
   Time queued() const { return queued_; }
   /// Bookings that found the backlog already past the allowance.
   u64 queued_on_backlog() const { return queued_on_backlog_; }
+  /// The instant of the last booking that drained.
+  Time horizon() const { return last_; }
   /// The largest cycle count any access reached at a line.
   i64 max_cycles() const { return max_cycles_; }
 
@@ -270,13 +289,13 @@ struct WalkCase {
   int cores;
   u64 sets;
   u32 ways;
-  bool limited;  // DRAM at dram_mbps with a burst allowance of `allowance`
+  bool limited;  // DRAM at dram_bps with a burst allowance of `allowance`
   u64 seed;
   bool long_accesses = false;  // a few accesses of kLongLines lines
   // 400 MB/s moves a line in 160 ns, about one fill's latency, so dirty
   // write-backs and DMA landings oversubscribe it: the 2 KiB allowance is
   // soon passed and most bookings see a nonzero `before` penalty.
-  i64 dram_mbps = 400;
+  i64 dram_bps = 400'000'000;
   u64 allowance = 2048;
   // Accesses come in pairs: one core writes a strip, then another reads
   // it (the irqbalance hand-off of a strip from the core that took the
@@ -297,7 +316,7 @@ CacheConfig geometry(u64 sets, u32 ways) {
 
 void walk_model_check(const WalkCase& wc) {
   const CacheConfig cfg = geometry(wc.sets, wc.ways);
-  const Bandwidth dram = wc.limited ? Bandwidth::mb_per_sec(wc.dram_mbps)
+  const Bandwidth dram = wc.limited ? Bandwidth::bytes_per_sec(wc.dram_bps)
                                     : Bandwidth::unlimited();
   const MemoryTimings t = timings(wc.limited ? wc.allowance : 256ull << 10);
   // Lines span several directory pages, and about twice one cache, so runs
@@ -423,7 +442,7 @@ TEST(MemWalkModel, TwoCoresFourWaysLimitedDramLongAccesses) {
 // reference's transfer_time.
 TEST(MemWalkModel, FourCoresSixteenWaysShippedDramLongAccesses) {
   walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
-                    .seed = 9, .long_accesses = true, .dram_mbps = 5333,
+                    .seed = 9, .long_accesses = true, .dram_bps = kShippedDram,
                     .allowance = 256ull << 10});
 }
 
@@ -433,7 +452,7 @@ TEST(MemWalkModel, FourCoresSixteenWaysShippedDramLongAccesses) {
 // so each such booking queues.
 TEST(MemWalkModel, TwoCoresFourWaysShippedDramOneLineAllowance) {
   walk_model_check({.cores = 2, .sets = 8, .ways = 4, .limited = true,
-                    .seed = 11, .dram_mbps = 5333, .allowance = kLine});
+                    .seed = 11, .dram_bps = kShippedDram, .allowance = kLine});
 }
 
 // The irqbalance hand-off at the client's shipped DRAM rate, 5333 MB/s:
@@ -444,7 +463,22 @@ TEST(MemWalkModel, TwoCoresFourWaysShippedDramOneLineAllowance) {
 // the allowance is the default 2 KiB, and the bookings queue.
 TEST(MemWalkModel, FourCoresSixteenWaysShippedDramStripHandoff) {
   walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
-                    .seed = 10, .dram_mbps = 5333, .handoff = true});
+                    .seed = 10, .dram_bps = kShippedDram, .handoff = true});
+}
+
+// A controller whose fill step drains exactly two lines, and one line more
+// than that a picosecond later: a run's quiet tail starts wherever a
+// booking leaves the backlog within the allowance, and its summed drain
+// must count each step that carries a picosecond. Writes make most victims
+// dirty, so a step often adds as much as it drains and the tail's backlog
+// moves only by those carries.
+TEST(MemWalkModel, TwoCoresEightWaysTwoLineDrain) {
+  walk_model_check({.cores = 2, .sets = 8, .ways = 8, .limited = true,
+                    .seed = 12, .dram_bps = kTwoLineDram});
+}
+TEST(MemWalkModel, FourCoresSixteenWaysTwoLineDrainStripHandoff) {
+  walk_model_check({.cores = 4, .sets = 8, .ways = 16, .limited = true,
+                    .seed = 13, .dram_bps = kTwoLineDram, .handoff = true});
 }
 
 // ---- The held run's edges, each checked against the reference ------------
@@ -456,11 +490,11 @@ TEST(MemWalkModel, FourCoresSixteenWaysShippedDramStripHandoff) {
 
 constexpr u64 P = OwnerDirectory::kPageLines;
 
-/// Read (or write) lines [first, first + count) on `core`.
+/// Read (or write) lines [first, first + count) on `core` at `now`.
 void walk(Lockstep& pair, CoreId core, LineAddr first, u64 count,
-          bool write = false, int reuse = 0) {
-  ASSERT_NO_FATAL_FAILURE(pair.access(core, first * kLine, count * kLine,
-                                      write, Time::zero(), reuse));
+          bool write = false, int reuse = 0, Time now = Time::zero()) {
+  ASSERT_NO_FATAL_FAILURE(
+      pair.access(core, first * kLine, count * kLine, write, now, reuse));
 }
 
 // Core 0 holds lines 4..7 in the middle way of sets 0..3, away from both
@@ -549,6 +583,125 @@ TEST(MemWalkHeldRun, EndsAtTheRangesLastLine) {
   EXPECT_FALSE(pair.ms.resident(0, 2 * kLine, kLine));
   EXPECT_TRUE(pair.ms.resident(0, kLine, kLine));
   EXPECT_TRUE(pair.ms.resident(0, 3 * kLine, kLine));
+}
+
+// ---- The fill run's DRAM bookings, each edge against the reference -------
+//
+// A fill run books its misses in closed form where it can: a stretch at or
+// before the controller's last booking (its horizon) drains nothing, so its
+// penalties telescope; and after a booking that drained and left the
+// backlog within the allowance, at a rate whose fill step drains two lines,
+// no later miss of the run queues, so the run's backlog is summed. The
+// controller below drains exactly two lines per fill step (230 cycles, no
+// reuse) and 129 bytes a picosecond later. A DMA landing sets the backlog
+// and the horizon by hand; one landed behind the horizon after a run
+// pays a penalty that reads the backlog the run left.
+
+constexpr u64 kAllowance = 2048;
+constexpr Address kFar = 1024 * kLine;  // no case below caches this line
+
+Lockstep two_line_pair(u64 sets, u32 ways) {
+  return Lockstep(1, geometry(sets, ways), timings(kAllowance),
+                  Bandwidth::bytes_per_sec(kTwoLineDram), 2 * P);
+}
+
+/// A fill step of `steps` misses, no reuse.
+Time fill_steps(i64 steps) { return kFreq.duration(Cycles{230 * steps}); }
+
+// The first miss drains nothing (1 ps after the landing) and brings the
+// backlog to exactly the allowance, so it pays nothing and the rest of the
+// run goes quiet. One byte more and that miss queues; the next drains
+// back under the allowance.
+TEST(MemWalkModel, FillRunAtTheAllowanceGoesQuiet) {
+  for (const u64 landed : {kAllowance - kLine, kAllowance - kLine + 1}) {
+    SCOPED_TRACE(testing::Message() << "landed " << landed);
+    Lockstep pair = two_line_pair(16, 4);
+    ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, landed, Time::zero()));
+    const Time before = pair.ref.queued();
+    walk(pair, 0, 0, P, false, 0, Time::ps(1));
+    EXPECT_EQ(pair.ref.queued() > before, landed > kAllowance - kLine);
+  }
+}
+
+// Lines 64..79 are held dirty in a 16-line direct-mapped cache, so every
+// miss of a write run over 0..63 evicts a dirty line and books two lines,
+// which one step drains exactly. The run books its first miss at the
+// horizon, which brings the backlog to the allowance; the second drains
+// two lines and adds two, so the tail starts at the allowance, and after
+// that the backlog falls by a byte at each step that carries a
+// picosecond. A landing of one allowance behind the horizon then pays
+// the transfer time of that backlog.
+TEST(MemWalkModel, FillRunCarriesDrainAByteEach) {
+  Lockstep pair = two_line_pair(16, 1);
+  walk(pair, 0, P, 16, true);
+  const Time t = Time::ms(1);
+  ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, kAllowance - 2 * kLine, t));
+  walk(pair, 0, 0, P, true, 0, t);
+  EXPECT_EQ(pair.ms.core_stats(0).writebacks, P);
+  const Time before = pair.ref.queued();
+  ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, kAllowance, t));
+  const Time paid = pair.ref.queued() - before;
+  // At least one carry, and at most one per step.
+  EXPECT_LT(paid, Bandwidth::bytes_per_sec(kTwoLineDram)
+                      .transfer_time(kAllowance));
+  EXPECT_GE(paid, Bandwidth::bytes_per_sec(kTwoLineDram)
+                      .transfer_time(kAllowance - P));
+}
+
+// A run that starts behind a landing's horizon books there, penalties and
+// all, until its clock passes the horizon, and drains from there: the
+// landing is 20 fill steps after the run's start, and the run is 64 lines.
+// With the backlog over the allowance the behind stretch queues and so
+// reaches the horizon in fewer misses; under it, the first miss past the
+// horizon drains only from the horizon, not from the stretch's last miss.
+// A run that starts 1000 steps behind stays there to its end.
+TEST(MemWalkModel, FillRunCrossesOrStaysBehindAFutureHorizon) {
+  for (const u64 landed : {kAllowance + 4096, kAllowance / 2}) {
+    for (const i64 ahead : {i64{20}, i64{1000}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "landed " << landed << " ahead " << ahead);
+      Lockstep pair = two_line_pair(16, 1);
+      walk(pair, 0, P, 16, true);
+      const Time horizon = Time::ms(1);
+      ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, landed, horizon));
+      walk(pair, 0, 0, P, true, 0, horizon - fill_steps(ahead));
+      EXPECT_EQ(pair.ref.horizon() > horizon, ahead == 20);
+      // A landing at the horizon reads the backlog the run left.
+      ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, kAllowance, horizon));
+    }
+  }
+}
+
+// Line 15 is held dirty in a 16-line direct-mapped cache, and a read of
+// 16..31 fills from DRAM, so only the run's last miss evicts a dirty line
+// and books two. The run's tail ends with the backlog at those two lines,
+// and a landing behind the horizon that brings it one byte past the
+// allowance queues.
+TEST(MemWalkModel, FillRunDirtyVictimOnItsLastLine) {
+  Lockstep pair = two_line_pair(16, 1);
+  walk(pair, 0, 15, 1, true);
+  walk(pair, 0, 16, 16);
+  EXPECT_EQ(pair.ms.core_stats(0).writebacks, 1u);
+  const Time before = pair.ref.queued();
+  ASSERT_NO_FATAL_FAILURE(
+      pair.dma_write(kFar, kAllowance - 2 * kLine + 1, Time::zero()));
+  EXPECT_GT(pair.ref.queued(), before);
+}
+
+// Every even line of 0..63 is held, so a read of the page alternates hits
+// with fill runs of one line, over a backlog past the allowance; once
+// ahead of a landing's horizon, once behind it.
+TEST(MemWalkModel, OneLineFillRuns) {
+  for (const Time at : {Time::zero(), Time::us(1)}) {
+    SCOPED_TRACE(testing::Message() << "landing at " << at);
+    Lockstep pair = two_line_pair(16, 4);
+    for (LineAddr line = 0; line < P; line += 2) walk(pair, 0, line, 1, true);
+    ASSERT_NO_FATAL_FAILURE(pair.dma_write(kFar, kAllowance + 512, at));
+    const Time before = pair.ref.queued();
+    walk(pair, 0, 0, P, true);
+    EXPECT_EQ(pair.ms.core_stats(0).misses_dram, P);
+    EXPECT_GT(pair.ref.queued(), before);
+  }
 }
 
 }  // namespace
