@@ -1,9 +1,10 @@
 // Microbenchmarks for the DES kernel hot paths: the per-64B-line memory
 // walk, owner-directory churn, the event queue, the I/O servers' read-ahead
-// probes, and one small end-to-end experiment. These are the structures
-// the figure sweeps spend their time in, so `tools/perf_baseline.py` runs
-// this binary (plus a timed figure bench) and records the results in
-// BENCH_kernel.json — the repo's perf trajectory. CI runs it with
+// probes and cache builds, and one small end-to-end experiment. These are
+// the structures the figure sweeps spend their time in, so
+// `tools/perf_baseline.py` runs this binary (plus a timed figure bench) and
+// records the results in BENCH_kernel.json — the repo's perf trajectory.
+// CI runs it with
 // --benchmark_min_time=1x as a smoke test.
 //
 // All benchmarks are deterministic (fixed seeds, fixed walk orders); they
@@ -344,6 +345,22 @@ void BM_BufferCacheReadahead(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_BufferCacheReadahead);
+
+/// Build and drop one deep server's default cache (64 MiB, 8 ways), as
+/// every experiment does once per deep server. Arg 1 also inserts one
+/// dirty block, which allocates the dirty list; a read-only cache (arg 0)
+/// never does.
+void BM_BufferCacheBuild(benchmark::State& state) {
+  pfs::BufferCacheConfig cfg;
+  cfg.capacity_bytes = 64ull << 20;
+  const bool dirty = state.range(0) != 0;
+  for (auto _ : state) {
+    pfs::BufferCache cache(cfg);
+    if (dirty) cache.insert(1, /*dirty=*/true, /*prefetched=*/false);
+    benchmark::DoNotOptimize(cache.dirty_blocks());
+  }
+}
+BENCHMARK(BM_BufferCacheBuild)->ArgName("dirty")->Arg(0)->Arg(1);
 
 /// End-to-end: one small full-stack experiment (8 servers, 128 KiB
 /// transfers, 2 MiB per process) — the unit of work every figure sweep

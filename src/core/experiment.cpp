@@ -377,7 +377,7 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   trace::TimelineSeries timeline;
 #if defined(SAISIM_TELEMETRY_ENABLED)
   if (telemetry_on) {
-    std::vector<const trace::TimelineSampler*> by_rank;
+    std::vector<trace::TimelineSampler*> by_rank;
     by_rank.reserve(samplers.size());
     for (auto& s : samplers) by_rank.push_back(s.get());
     timeline = trace::merge_timelines(by_rank);
@@ -411,13 +411,12 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     }
     run.counters = registry.snapshot();
     run.timeline = std::move(timeline);
-    if (capture != nullptr) {
-      *capture = run;
-      if (topts.collect) {
-        trace::RunCollector::instance().add_run(std::move(run));
-      }
-    } else {
+    // One copy only when both the caller and the collector keep the run.
+    if (topts.collect) {
+      if (capture != nullptr) *capture = run;
       trace::RunCollector::instance().add_run(std::move(run));
+    } else {
+      *capture = std::move(run);
     }
   }
 

@@ -17,7 +17,13 @@ BufferCache::BufferCache(const BufferCacheConfig& config) : cfg_(config) {
   pow2_sets_ = std::has_single_bit(sets);
   lru_ = Lru(sets, ways);
   end_ = static_cast<u32>(sets * ways);
-  meta_.assign(end_ + 1, Meta{end_, end_});
+}
+
+void BufferCache::mark_dirty(u32 i) {
+  // A cache that never holds a dirty block never pays for the list.
+  if (meta_.empty()) meta_.assign(end_ + 1, Meta{end_, end_});
+  ++dirty_;
+  link_tail(i);
 }
 
 void BufferCache::link_tail(u32 i) {
@@ -69,10 +75,7 @@ u64 BufferCache::fill(u64 set, u64 tag) {
     --dirty_;
     unlink(i);
   }
-  if ((tag & kDirty) != 0) {
-    ++dirty_;
-    link_tail(i);
-  }
+  if ((tag & kDirty) != 0) mark_dirty(i);
   return forced ? 1 : 0;
 }
 
@@ -95,8 +98,7 @@ u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
   if (dirty && (tag & kDirty) == 0) {
     // Just touched, so its place is the tail.
     tag |= kDirty;
-    ++dirty_;
-    link_tail(entry(set, way));
+    mark_dirty(entry(set, way));
   }
   if (!prefetched) tag &= ~kPrefetched;
   return 0;
@@ -150,8 +152,10 @@ u64 BufferCache::readahead(u64 base, u64 stride, u64 span, u64 max,
 
 u64 BufferCache::take_dirty(u64 max) {
   SAISIM_CHECK(enabled());
-  u64 n = 0;
-  for (; n < max && meta_[end_].next != end_; ++n) {
+  // dirty_ counts the list, so a cache that was never dirty (and has no
+  // list) takes nothing.
+  const u64 n = std::min(max, dirty_);
+  for (u64 k = 0; k < n; ++k) {
     const u32 i = meta_[end_].next;
     unlink(i);
     lru_.tags(0)[i] &= ~kDirty;

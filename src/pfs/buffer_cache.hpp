@@ -11,7 +11,9 @@
 // it. Disabled (the default) when capacity_bytes == 0. Tags and LRU order
 // live in util::SetAssocLru, the core the client's L2 shares; this class
 // keeps the hashed set index, the block key with its prefetched bit, a
-// dirty list and the stats. An entry takes about 20 B.
+// dirty list and the stats. An entry takes 12 B (8 B tag, 2 B recency
+// links, 2 B of its set's state) until the first block turns dirty; the
+// dirty list, allocated then, adds 8 B.
 #pragma once
 
 #include <vector>
@@ -172,13 +174,18 @@ class BufferCache {
   // entry that turns dirty or is touched while dirty goes to the tail, so
   // the head is always the oldest dirty block. It is circular through the
   // sentinel meta_[end_]: end_'s next is the head, its prev the tail.
+  // meta_ stays empty until the first block turns dirty, so a read-only
+  // cache never allocates it.
+  /// Entry `i` turns dirty: count it and link it at the tail, allocating
+  /// the list on first use.
+  void mark_dirty(u32 i);
   void link_tail(u32 i);
   void unlink(u32 i);
 
   BufferCacheConfig cfg_;
   bool pow2_sets_ = false;  // set index by mask instead of %
   Lru lru_;
-  std::vector<Meta> meta_;  // num_blocks() entries, then the sentinel
+  std::vector<Meta> meta_;  // empty, or num_blocks() entries + sentinel
   u32 end_ = 0;
   u64 dirty_ = 0;
   Stats stats_;

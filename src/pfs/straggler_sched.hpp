@@ -120,6 +120,7 @@ class StragglerScheduler {
     const double us = static_cast<double>(rtt.picoseconds()) / 1e6;
     e.ewma_us = e.samples == 0 ? us : e.ewma_us + cfg_.ewma_alpha * (us - e.ewma_us);
     ++e.samples;
+    fleet_min_stale_ = true;
   }
 
   /// Whether `server` has contributed enough samples for its estimate to
@@ -156,8 +157,8 @@ class StragglerScheduler {
   /// (primary + 1) % N) spreads the displaced load across the fleet.
   u64 choose_target(u64 primary) {
     if (servers_.size() < 2) return primary;
-    // No estimate changes during the call: one fleet scan serves the
-    // primary and every candidate, so a dispatch is O(N), not O(N^2).
+    // Estimates change only in record_rtt, so one fleet scan serves every
+    // dispatch (and every candidate) until the next sample.
     const double fleet_min = fleet_min_us();
     if (!is_slow(primary, fleet_min)) return primary;
     Est& e = servers_[primary];
@@ -166,19 +167,32 @@ class StragglerScheduler {
       return primary;
     }
     const u64 n = servers_.size();
-    // Pass 0 holds out the read's peer servers; pass 1 drops that
-    // preference (a full-stripe read has no outside server to lean on).
+    // The candidates are the other servers in the order primary + 1 + j,
+    // j = rr_, rr_ + 1, ... mod n - 1; `j` and `cand` step together, each
+    // wrapping by a compare. Pass 0 holds out the read's peer servers;
+    // pass 1 drops that preference (a full-stripe read has no outside
+    // server to lean on).
+    const double primary_us = e.ewma_us;
+    const u64 start = primary + 1 + rr_;
     for (int pass = 0; pass < 2; ++pass) {
+      u64 j = rr_;
+      u64 cand = start < n ? start : start - n;
       for (u64 i = 0; i < n - 1; ++i) {
-        const u64 cand = (primary + 1 + (rr_ + i) % (n - 1)) % n;
-        // Never redirect onto a path currently judged even slower.
-        if (is_slow(cand, fleet_min) && ewma_us(cand) >= ewma_us(primary)) {
-          continue;
+        // Never redirect onto a path currently judged even slower, nor
+        // (in pass 0) onto a peer.
+        const bool worse =
+            is_slow(cand, fleet_min) && ewma_us(cand) >= primary_us;
+        if (!worse && !(pass == 0 && is_peer(cand))) {
+          rr_ = j + 1 == n - 1 ? 0 : j + 1;
+          ++stats_.redirected_strips;
+          return cand;
         }
-        if (pass == 0 && is_peer(cand)) continue;
-        rr_ = (rr_ + i + 1) % (n - 1);
-        ++stats_.redirected_strips;
-        return cand;
+        if (++j == n - 1) {
+          j = 0;
+          cand = primary + 1 == n ? 0 : primary + 1;
+        } else if (++cand == n) {
+          cand = 0;
+        }
       }
     }
     return primary;  // every replica is worse; keep the layout's choice
@@ -218,19 +232,28 @@ class StragglerScheduler {
     return servers_[server].ewma_us > cfg_.slow_threshold * fleet_min;
   }
 
+  /// The fastest warm estimate (0 while none is warm), rescanned only
+  /// after a record_rtt.
   double fleet_min_us() const {
+    if (!fleet_min_stale_) return fleet_min_;
     double best = -1.0;
     for (u64 s = 0; s < servers_.size(); ++s) {
       if (!has_estimate(s)) continue;
       if (best < 0.0 || servers_[s].ewma_us < best) best = servers_[s].ewma_us;
     }
-    return best < 0.0 ? 0.0 : best;
+    fleet_min_ = best < 0.0 ? 0.0 : best;
+    fleet_min_stale_ = false;
+    return fleet_min_;
   }
 
   ClientSchedConfig cfg_;
   std::vector<Est> servers_;
   ClientSchedStats stats_;
-  /// Redirect rotation cursor (choose_target); deterministic, no RNG.
+  /// fleet_min_us() as of the last sample, and whether a sample came since.
+  mutable double fleet_min_ = 0.0;
+  mutable bool fleet_min_stale_ = true;
+  /// Redirect rotation cursor (choose_target), always < n - 1;
+  /// deterministic, no RNG.
   u64 rr_ = 0;
   /// Peer-server marks for the read currently being dispatched:
   /// peer_epoch_[s] == epoch_ means s serves one of this read's strips.

@@ -135,6 +135,12 @@ i64 TimelineSampler::read_probe(Probe& p) {
   return 0;
 }
 
+u64 TimelineSampler::held_samples() const {
+  u64 n = 0;
+  for (const Probe& p : probes_) n += p.series.size();
+  return n;
+}
+
 void TimelineSampler::sample(Time now) {
   const u64 tick = ticks_++;
   for (Probe& p : probes_) {
@@ -162,8 +168,7 @@ void TimelineSampler::sample(Time now) {
   }
 }
 
-TimelineSeries merge_timelines(
-    const std::vector<const TimelineSampler*>& by_rank) {
+TimelineSeries merge_timelines(const std::vector<TimelineSampler*>& by_rank) {
   TimelineSeries out;
   if (by_rank.empty()) return out;
   out.period = by_rank[0]->period_;
@@ -173,32 +178,29 @@ TimelineSeries merge_timelines(
   // pure function of the model, not of the round schedule.
   out.ticks = by_rank[0]->ticks_;
 
-  struct Row {
-    const std::string* name;
-    const TimelineSampler::Probe* probe;
-  };
-  std::vector<Row> rows;
-  for (const TimelineSampler* s : by_rank) {
+  std::vector<TimelineSampler::Probe*> rows;
+  for (TimelineSampler* s : by_rank) {
     SAISIM_CHECK(s->period_ == out.period);
     SAISIM_CHECK(s->ticks_ >= out.ticks || s == by_rank[0]);
-    for (const auto& p : s->probes_) rows.push_back(Row{&p.name, &p});
+    for (auto& p : s->probes_) rows.push_back(&p);
   }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return *a.name < *b.name;
-  });
+  std::sort(rows.begin(), rows.end(),
+            [](const TimelineSampler::Probe* a,
+               const TimelineSampler::Probe* b) { return a->name < b->name; });
   for (u64 i = 1; i < rows.size(); ++i) {
-    SAISIM_CHECK_MSG(*rows[i].name != *rows[i - 1].name,
+    SAISIM_CHECK_MSG(rows[i]->name != rows[i - 1]->name,
                      "duplicate timeline metric name");
   }
 
   out.metrics.reserve(rows.size());
   out.values.reserve(rows.size());
-  for (const Row& r : rows) {
-    out.metrics.push_back(*r.name);
-    std::vector<i64> v(r.probe->series.begin(),
-                       r.probe->series.begin() +
-                           static_cast<std::ptrdiff_t>(out.ticks));
-    if (r.probe->kind == TimelineSampler::Kind::kCounter) {
+  for (TimelineSampler::Probe* p : rows) {
+    out.metrics.push_back(p->name);
+    // The series moves out whole (leaving the probe's empty); truncating
+    // keeps its capacity, so no value is copied.
+    std::vector<i64> v = std::move(p->series);
+    v.resize(out.ticks);
+    if (p->kind == TimelineSampler::Kind::kCounter) {
       // Cumulative → per-interval delta, newest-last so the subtraction
       // can run in place back-to-front.
       for (u64 k = v.size(); k-- > 1;) v[k] -= v[k - 1];
@@ -206,11 +208,12 @@ TimelineSeries merge_timelines(
     out.values.push_back(std::move(v));
   }
 
-  for (const TimelineSampler* s : by_rank) {
-    for (const SloBreach& b : s->breaches_) {
+  for (TimelineSampler* s : by_rank) {
+    for (SloBreach& b : s->breaches_) {
       if (b.tick >= out.ticks) continue;  // run-ahead tick, beyond the run
-      out.breaches.push_back(b);
+      out.breaches.push_back(std::move(b));
     }
+    s->breaches_.clear();
   }
   std::sort(out.breaches.begin(), out.breaches.end(),
             [](const SloBreach& a, const SloBreach& b) {

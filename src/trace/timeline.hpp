@@ -168,6 +168,8 @@ class TimelineSampler {
 
   bool has_probes() const { return !probes_.empty(); }
   u64 ticks() const { return ticks_; }
+  /// Values the probes' series hold, summed (0 once merged).
+  u64 held_samples() const;
   const std::vector<SloBreach>& breaches() const { return breaches_; }
 
   /// Record one sample at simulated time `now` (called by the per-shard
@@ -176,7 +178,7 @@ class TimelineSampler {
 
  private:
   friend TimelineSeries merge_timelines(
-      const std::vector<const TimelineSampler*>& by_rank);
+      const std::vector<TimelineSampler*>& by_rank);
 
   enum class Kind { kGauge, kCounter, kWindowP99, kWindowRatePpm };
 
@@ -212,8 +214,9 @@ class TimelineSampler {
 /// tick count, counters become per-interval deltas, series sort by metric
 /// name and breaches by (tick, metric). Deterministic for a fixed config
 /// and — because probe values are shard-count independent — bit-identical
-/// across sim.shards values.
-TimelineSeries merge_timelines(
-    const std::vector<const TimelineSampler*>& by_rank);
+/// across sim.shards values. The merge consumes the samplers: each series
+/// and breach moves into the result instead of being copied, leaving the
+/// samplers with none (their tick counts stay).
+TimelineSeries merge_timelines(const std::vector<TimelineSampler*>& by_rank);
 
 }  // namespace saisim::trace

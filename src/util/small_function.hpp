@@ -8,9 +8,18 @@
 // in place, so the event queue's pooled slots recycle the storage and the
 // hot path performs no allocation at all. Larger captures still work —
 // they fall back to a heap box — they just lose the inline fast path.
+//
+// Moves relocate: the callable moves into the new storage and the source
+// is left empty. A callable that is trivially copyable and trivially
+// destructible (a lambda capturing pointers and scalars) and the heap
+// box's pointer relocate as bytes, a fixed-size memcpy of the storage with
+// no indirect call; the first also needs no destroy call. An event is
+// moved several times between its creation and its call, so this is most
+// of what a move costs.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -60,7 +69,7 @@ class SmallFunction<R(Args...), InlineBytes> {
   /// Destroy the held callable (and release any heap box).
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -79,8 +88,10 @@ class SmallFunction<R(Args...), InlineBytes> {
   struct Ops {
     R (*invoke)(void*, Args&&...);
     /// Move the callable from `src` storage into raw `dst` storage and
-    /// destroy the source (relocation, used by the move operations).
+    /// destroy the source (relocation, used by the move operations). Null:
+    /// relocate by copying the storage's bytes.
     void (*relocate)(void* dst, void* src);
+    /// Null: nothing to destroy.
     void (*destroy)(void*);
   };
 
@@ -91,17 +102,24 @@ class SmallFunction<R(Args...), InlineBytes> {
       std::is_nothrow_move_constructible_v<Fn>;
 
   template <typename Fn>
+  static constexpr bool kBitwise = std::is_trivially_copyable_v<Fn> &&
+                                   std::is_trivially_destructible_v<Fn>;
+
+  template <typename Fn>
   static constexpr Ops kInlineOps{
       [](void* s, Args&&... args) -> R {
         return (*std::launder(static_cast<Fn*>(s)))(
             std::forward<Args>(args)...);
       },
-      [](void* dst, void* src) {
-        Fn* f = std::launder(static_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*f));
-        f->~Fn();
-      },
-      [](void* s) { std::launder(static_cast<Fn*>(s))->~Fn(); },
+      kBitwise<Fn> ? nullptr
+                   : +[](void* dst, void* src) {
+                       Fn* f = std::launder(static_cast<Fn*>(src));
+                       ::new (dst) Fn(std::move(*f));
+                       f->~Fn();
+                     },
+      kBitwise<Fn>
+          ? nullptr
+          : +[](void* s) { std::launder(static_cast<Fn*>(s))->~Fn(); },
   };
 
   template <typename Fn>
@@ -110,17 +128,24 @@ class SmallFunction<R(Args...), InlineBytes> {
         return (**std::launder(static_cast<Fn**>(s)))(
             std::forward<Args>(args)...);
       },
-      [](void* dst, void* src) {
-        Fn** box = std::launder(static_cast<Fn**>(src));
-        ::new (dst) Fn*(*box);
-      },
+      nullptr,  // the box pointer relocates as bytes
       [](void* s) { delete *std::launder(static_cast<Fn**>(s)); },
   };
 
   void move_from(SmallFunction& o) {
     ops_ = o.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(storage_, o.storage_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(storage_, o.storage_);
+      } else {
+        // The bytes past the callable are never written; copying them is
+        // harmless, and a fixed size keeps the copy a few plain moves.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+        std::memcpy(storage_, o.storage_, InlineBytes);
+#pragma GCC diagnostic pop
+      }
       o.ops_ = nullptr;
     }
   }

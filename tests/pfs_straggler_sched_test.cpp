@@ -1,7 +1,9 @@
 // Client-side straggler-aware scheduling (DESIGN.md §16): EWMA estimator
 // units (warmup gating, slow detection, recovery), redirect/probe/hedge
-// dispatch decisions, the hedge lifecycle end-to-end against a black-holed
-// server — including the duplicate-reply-after-hedge-won dedup regression —
+// dispatch decisions (also checked against a reference copy of the
+// rescanning choose_target under seeded random traffic), the hedge
+// lifecycle end-to-end against a black-holed server — including the
+// duplicate-reply-after-hedge-won dedup regression —
 // and the determinism bars: metrics fingerprints bit-identical at
 // sim.shards 1/2/4 and sweep --threads 1 vs 4 with the scheduler, hedging,
 // and a fault.straggler_delay all armed (the one injector knob that draws
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "pfs/straggler_sched.hpp"
+#include "util/rng.hpp"
 #include "support/test_cluster.hpp"
 #include "sweep/runner.hpp"
 
@@ -191,6 +194,128 @@ TEST(StragglerSched, HedgeDelayAndTarget) {
   StragglerScheduler no_hedge(off, 4);
   no_hedge.record_rtt(2, Time::us(200));
   EXPECT_EQ(no_hedge.hedge_delay(2), Time::zero());
+}
+
+/// choose_target as it was written before the fleet minimum was cached and
+/// the rotation stepped by compares: a rescan per call, two `%` per
+/// candidate. The scheduler must pick exactly what this picks.
+struct ReferenceDispatch {
+  struct Est {
+    double ewma_us = 0.0;
+    u64 samples = 0;
+    u64 slow_dispatches = 0;
+  };
+  ClientSchedConfig cfg;
+  std::vector<Est> servers;
+  std::vector<u64> peer_epoch;
+  u64 epoch = 0;
+  u64 rr = 0;
+  ClientSchedStats stats;
+
+  ReferenceDispatch(const ClientSchedConfig& c, u64 n)
+      : cfg(c), servers(n), peer_epoch(n, ~0ull) {}
+
+  void record_rtt(u64 server, Time rtt) {
+    Est& e = servers[server];
+    const double us = static_cast<double>(rtt.picoseconds()) / 1e6;
+    e.ewma_us =
+        e.samples == 0 ? us : e.ewma_us + cfg.ewma_alpha * (us - e.ewma_us);
+    ++e.samples;
+  }
+  bool has_estimate(u64 s) const {
+    return servers[s].samples >= static_cast<u64>(cfg.min_samples);
+  }
+  double fleet_min_us() const {
+    double best = -1.0;
+    for (u64 s = 0; s < servers.size(); ++s) {
+      if (!has_estimate(s)) continue;
+      if (best < 0.0 || servers[s].ewma_us < best) best = servers[s].ewma_us;
+    }
+    return best < 0.0 ? 0.0 : best;
+  }
+  bool is_slow(u64 s, double fleet_min) const {
+    return has_estimate(s) &&
+           servers[s].ewma_us > cfg.slow_threshold * fleet_min;
+  }
+  u64 choose_target(u64 primary) {
+    if (servers.size() < 2) return primary;
+    const double fleet_min = fleet_min_us();
+    if (!is_slow(primary, fleet_min)) return primary;
+    Est& e = servers[primary];
+    if (++e.slow_dispatches % static_cast<u64>(cfg.probe_interval) == 0) {
+      ++stats.probe_strips;
+      return primary;
+    }
+    const u64 n = servers.size();
+    for (int pass = 0; pass < 2; ++pass) {
+      for (u64 i = 0; i < n - 1; ++i) {
+        const u64 cand = (primary + 1 + (rr + i) % (n - 1)) % n;
+        if (is_slow(cand, fleet_min) &&
+            servers[cand].ewma_us >= servers[primary].ewma_us) {
+          continue;
+        }
+        if (pass == 0 && peer_epoch[cand] == epoch) continue;
+        rr = (rr + i + 1) % (n - 1);
+        ++stats.redirected_strips;
+        return cand;
+      }
+    }
+    return primary;
+  }
+};
+
+TEST(StragglerSched, ChooseTargetMatchesReferenceUnderRandomTraffic) {
+  Rng rng(1805'06156);
+  u64 redirects = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ClientSchedConfig cfg;
+    cfg.policy = ClientSchedPolicy::kStragglerAware;
+    cfg.min_samples = 1 + static_cast<int>(rng.below(4));
+    cfg.probe_interval = 1 + static_cast<int>(rng.below(8));
+    cfg.slow_threshold = 1.0 + static_cast<double>(rng.below(30)) / 10.0;
+    const u64 n = 2 + rng.below(15);
+    StragglerScheduler sched(cfg, n);
+    ReferenceDispatch ref(cfg, n);
+    // A few stragglers, each some multiple of the base latency.
+    std::vector<u64> slowdown(n, 1);
+    for (u64 k = rng.below(4); k > 0; --k) {
+      slowdown[rng.below(n)] = 2 + rng.below(8);
+    }
+    for (int step = 0; step < 400; ++step) {
+      if (rng.below(3) == 0) {
+        // A batch of replies, so several dispatches can share one scan.
+        for (u64 k = 1 + rng.below(n); k > 0; --k) {
+          const u64 srv = rng.below(n);
+          const Time rtt = Time::us(static_cast<i64>(
+              (50 + rng.below(100)) * slowdown[srv]));
+          sched.record_rtt(srv, rtt);
+          ref.record_rtt(srv, rtt);
+        }
+        if (rng.below(8) == 0) slowdown[rng.below(n)] = 1 + rng.below(8);
+      } else {
+        // One striped read: begin, mark its peers, dispatch its strips.
+        sched.begin_read();
+        ++ref.epoch;
+        const u64 strips = 1 + rng.below(n);
+        const u64 first = rng.below(n);
+        for (u64 k = 0; k < strips; ++k) {
+          const u64 srv = (first + k) % n;
+          sched.note_peer(srv);
+          ref.peer_epoch[srv] = ref.epoch;
+        }
+        for (u64 k = 0; k < strips; ++k) {
+          const u64 primary = (first + k) % n;
+          const u64 want = ref.choose_target(primary);
+          ASSERT_EQ(sched.choose_target(primary), want)
+              << "trial " << trial << " step " << step << " strip " << k;
+        }
+      }
+      ASSERT_EQ(sched.stats().redirected_strips, ref.stats.redirected_strips);
+      ASSERT_EQ(sched.stats().probe_strips, ref.stats.probe_strips);
+    }
+    redirects += ref.stats.redirected_strips;
+  }
+  EXPECT_GT(redirects, 1000u);  // the traffic does exercise the rotation
 }
 
 // ---------------------------------------------------------------------------

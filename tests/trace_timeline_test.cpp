@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "stats/histogram.hpp"
 #include "trace/export.hpp"
 #include "trace/tracer.hpp"
+#include "util/rng.hpp"
 
 namespace saisim::trace {
 namespace {
@@ -138,6 +141,97 @@ TEST(TimelineMerge, TruncatesRunAheadAndInterleavesByName) {
   EXPECT_EQ(s.metrics[1], "server0.q");
   EXPECT_EQ(s.values[0], (std::vector<i64>{1, 2}));
   EXPECT_EQ(s.values[1], (std::vector<i64>{101, 102}));
+}
+
+TEST(TimelineMerge, ConsumesTheSamplersAndMatchesTheirSeries) {
+  // Three shards of gauges and counters fed seeded values; the workers run
+  // ahead by a few ticks. The merge must give each series, truncated to
+  // rank 0's ticks and with counters as deltas, sorted by name, and leave
+  // every sampler without a stored value.
+  Rng rng(198);
+  constexpr u64 kTicks = 300;
+  constexpr int kRanks = 3;
+  constexpr int kPerRank = 5;
+  std::vector<std::unique_ptr<TimelineSampler>> ranks;
+  std::vector<i64> cur(kRanks * kPerRank, 0);
+  struct Want {
+    std::string name;
+    bool counter;
+    std::vector<i64> fed;
+  };
+  std::vector<Want> want;
+  for (int r = 0; r < kRanks; ++r) {
+    ranks.push_back(std::make_unique<TimelineSampler>(Time::us(5), 4, 8));
+    for (int k = 0; k < kPerRank; ++k) {
+      const u64 i = static_cast<u64>(r * kPerRank + k);
+      // Names interleave the ranks, so the sort mixes them.
+      char name[16];
+      std::snprintf(name, sizeof name, "m%d.r%d", k, r);
+      const bool counter = k % 2 == 1;
+      i64* v = &cur[i];
+      if (counter) {
+        ranks.back()->add_counter(name, [v] { return *v; });
+      } else {
+        ranks.back()->add_gauge(name, [v] { return *v; });
+      }
+      want.push_back(Want{name, counter, {}});
+    }
+  }
+  ranks[1]->add_gauge("alarm", [] { return i64{0}; });
+  i64 alarm = 0;
+  ranks[2]->watch(ranks[2]->add_gauge("z.alarm", [&alarm] { return alarm; }),
+                  /*threshold=*/0);
+  want.push_back(Want{"alarm", false, {}});
+  want.push_back(Want{"z.alarm", false, {}});
+  for (u64 t = 0; t < kTicks + 3; ++t) {
+    for (u64 i = 0; i < cur.size(); ++i) {
+      cur[i] = want[i].counter ? cur[i] + static_cast<i64>(rng.below(1000))
+                               : static_cast<i64>(rng.below(1000)) - 500;
+    }
+    // An excursion every 50 ticks, and one in the run-ahead.
+    alarm = t % 50 == 49 || t == kTicks + 1 ? 1 : 0;
+    for (int r = 0; r < kRanks; ++r) {
+      if (r == 0 && t >= kTicks) continue;  // the control shard stops
+      ranks[static_cast<u64>(r)]->sample(Time::us(5 * static_cast<i64>(t + 1)));
+    }
+    if (t < kTicks) {
+      for (u64 i = 0; i < cur.size(); ++i) want[i].fed.push_back(cur[i]);
+      want[cur.size()].fed.push_back(0);
+      want[cur.size() + 1].fed.push_back(alarm);
+    }
+  }
+  ASSERT_EQ(ranks[2]->breaches().size(), 7u);  // ticks 49, ..., 299 and 301
+
+  std::vector<TimelineSampler*> by_rank;
+  for (auto& r : ranks) by_rank.push_back(r.get());
+  const TimelineSeries s = merge_timelines(by_rank);
+
+  for (auto& r : ranks) {
+    EXPECT_EQ(r->held_samples(), 0u);
+    EXPECT_TRUE(r->breaches().empty());
+  }
+  std::sort(want.begin(), want.end(),
+            [](const Want& a, const Want& b) { return a.name < b.name; });
+  EXPECT_EQ(s.period, Time::us(5));
+  ASSERT_EQ(s.ticks, kTicks);
+  ASSERT_EQ(s.metrics.size(), want.size());
+  ASSERT_EQ(s.values.size(), want.size());
+  for (u64 m = 0; m < want.size(); ++m) {
+    EXPECT_EQ(s.metrics[m], want[m].name);
+    std::vector<i64> expect = want[m].fed;
+    if (want[m].counter) {
+      for (u64 k = expect.size(); k-- > 1;) {
+        expect[k] = want[m].fed[k] - want[m].fed[k - 1];
+      }
+    }
+    EXPECT_EQ(s.values[m], expect) << want[m].name;
+  }
+  // Breaches past rank 0's last tick are dropped; the rest move over.
+  ASSERT_EQ(s.breaches.size(), 6u);
+  for (u64 b = 0; b < s.breaches.size(); ++b) {
+    EXPECT_EQ(s.breaches[b].tick, 49 + 50 * b);
+    EXPECT_EQ(s.breaches[b].metric, "z.alarm");
+  }
 }
 
 TEST(Tracer, RingModeKeepsTheMostRecentEvents) {
