@@ -49,7 +49,6 @@ class HybridPolicy final : public InterruptRoutingPolicy {
           ++hinted_;
           return c;
         }
-        ++overloaded_;
         break;
       }
     }
@@ -58,14 +57,11 @@ class HybridPolicy final : public InterruptRoutingPolicy {
   std::string_view name() const override { return "hybrid"; }
 
   u64 hinted_routes() const override { return hinted_; }
-  /// Hinted routes rejected because the affinitive core was congested.
-  u64 overload_fallbacks() const { return overloaded_; }
 
  private:
   u64 overload_backlog_;
   std::unique_ptr<InterruptRoutingPolicy> fallback_;
   u64 hinted_ = 0;
-  u64 overloaded_ = 0;
 };
 
 }  // namespace saisim::apic

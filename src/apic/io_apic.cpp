@@ -1,6 +1,5 @@
 #include "apic/io_apic.hpp"
 
-#include <cmath>
 #include <utility>
 
 #include "trace/tracer.hpp"
@@ -9,7 +8,6 @@
 namespace saisim::apic {
 
 void LocalApic::deliver(InterruptMessage msg, Time) {
-  ++delivered_;
   const CoreId handler = core_.id();
   // Wrap the message body into a softirq work item on this core. The
   // callables are move-only and consumed here: a message is delivered once.
@@ -65,25 +63,9 @@ void IoApic::raise(InterruptMessage msg) {
   SAISIM_TRACE_EVENT(util::Subsystem::kApic, trace::EventType::kIrqRaise,
                      sim_.now(), -1, dest, msg.request, msg.vector,
                      msg.aff_core_id != kNoCore ? 1 : 0);
-  LocalApic& lapic = local_apics_[static_cast<u64>(dest)];
   sim_.after(delivery_latency_, [this, dest, msg = std::move(msg)]() mutable {
     local_apics_[static_cast<u64>(dest)].deliver(std::move(msg), sim_.now());
   });
-  (void)lapic;
-}
-
-double IoApic::delivery_imbalance() const {
-  const u64 n = stats_.per_core.size();
-  if (n == 0 || stats_.raised == 0) return 0.0;
-  const double mean =
-      static_cast<double>(stats_.raised) / static_cast<double>(n);
-  double var = 0.0;
-  for (u64 c : stats_.per_core) {
-    const double d = static_cast<double>(c) - mean;
-    var += d * d;
-  }
-  var /= static_cast<double>(n);
-  return std::sqrt(var) / mean;
 }
 
 }  // namespace saisim::apic

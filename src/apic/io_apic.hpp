@@ -24,11 +24,8 @@ class LocalApic {
   /// Accept an interrupt message: run its softirq on this core.
   void deliver(InterruptMessage msg, Time);
 
-  u64 delivered() const { return delivered_; }
-
  private:
   cpu::Core& core_;
-  u64 delivered_ = 0;
 };
 
 struct IoApicStats {
@@ -52,10 +49,6 @@ class IoApic {
 
   InterruptRoutingPolicy& policy() { return *policy_; }
   const IoApicStats& stats() const { return stats_; }
-
-  /// How evenly interrupts spread over cores: population std-dev of the
-  /// per-core delivery share (0 = perfectly even). Used by policy tests.
-  double delivery_imbalance() const;
 
  private:
   const std::vector<CoreId>& allowed_for(Vector v) const;

@@ -43,7 +43,6 @@ void IrqbalancePolicy::rebalance(const std::vector<CoreId>& allowed,
   assignment_.clear();
   epoch_claims_ = 0;
   next_rebalance_ = now + interval_;
-  ++rebalances_;
 }
 
 CoreId IrqbalancePolicy::route(const InterruptMessage& msg,

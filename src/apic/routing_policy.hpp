@@ -90,9 +90,6 @@ class IrqbalancePolicy final : public InterruptRoutingPolicy {
                const cpu::CpuSystem& cpus, Time now) override;
   std::string_view name() const override { return "irqbalance"; }
 
-  Mode mode() const { return mode_; }
-  u64 rebalances() const { return rebalances_; }
-
  private:
   void rebalance(const std::vector<CoreId>& allowed,
                  const cpu::CpuSystem& cpus, Time now);
@@ -106,7 +103,6 @@ class IrqbalancePolicy final : public InterruptRoutingPolicy {
   std::unordered_map<int, Time> busy_snapshot_;  // core -> busy at last rebalance
   std::vector<CoreId> by_load_;  // cores sorted by rising epoch load
   u64 epoch_claims_ = 0;
-  u64 rebalances_ = 0;
 };
 
 /// The paper's contribution: deliver to the affinitive core named in the
@@ -129,18 +125,15 @@ class SourceAwarePolicy final : public InterruptRoutingPolicy {
         }
       }
     }
-    ++fallbacks_;
     return fallback_->route(msg, allowed, cpus, now);
   }
   std::string_view name() const override { return "source-aware"; }
 
   u64 hinted_routes() const override { return hinted_; }
-  u64 fallback_routes() const { return fallbacks_; }
 
  private:
   std::unique_ptr<InterruptRoutingPolicy> fallback_;
   u64 hinted_ = 0;
-  u64 fallbacks_ = 0;
 };
 
 }  // namespace saisim::apic

@@ -44,7 +44,7 @@ ClientNode::ClientNode(sim::Simulation& simulation, net::Network& network,
       std::move(server_nodes), meta_node, address_space_, cfg.client.pfs,
       cfg.client.sched);
   if (policy_uses_hints(cfg.policy)) {
-    sais_ = std::make_unique<sais::SaisClient>(*pfs_, *nic_);
+    sais::install(*pfs_, *nic_);
   }
   if (cfg.enable_background) {
     background_ = std::make_unique<workload::BackgroundLoad>(

@@ -32,7 +32,6 @@ class ClientNode {
   pfs::PfsClient& pfs() { return *pfs_; }
   mem::AddressSpace& address_space() { return address_space_; }
   workload::BackgroundLoad* background() { return background_.get(); }
-  const sais::SaisClient* sais() const { return sais_.get(); }
 
  private:
   mem::AddressSpace address_space_;
@@ -41,7 +40,6 @@ class ClientNode {
   std::unique_ptr<apic::IoApic> io_apic_;
   std::unique_ptr<net::ClientNic> nic_;
   std::unique_ptr<pfs::PfsClient> pfs_;
-  std::unique_ptr<sais::SaisClient> sais_;
   std::unique_ptr<workload::BackgroundLoad> background_;
 };
 

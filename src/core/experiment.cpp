@@ -11,7 +11,6 @@
 
 namespace saisim {
 
-#if defined(SAISIM_TELEMETRY_ENABLED)
 namespace {
 
 // Drives one shard's TimelineSampler: a self-rescheduling event in that
@@ -34,7 +33,6 @@ struct SamplerDriver {
 };
 
 }  // namespace
-#endif  // SAISIM_TELEMETRY_ENABLED
 
 RunMetrics run_experiment(const ExperimentConfig& cfg) {
   return run_experiment(cfg, nullptr);
@@ -76,7 +74,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     }
   }
 
-#if defined(SAISIM_TELEMETRY_ENABLED)
   // Time-resolved telemetry: one sampler per shard, each probe registered
   // on the shard that owns the state it reads (clients on the control
   // shard, each server on its home shard), driven by self-rescheduling
@@ -157,19 +154,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
         ->add_counter("meta.lookups", [meta] {
           return static_cast<i64>(meta->stats().lookups);
         });
-    if (cfg.telemetry.kernel_gauges) {
-      // Per-shard kernel occupancy — rank-keyed, so legitimately different
-      // across sim.shards values; opt-in and excluded from the
-      // shard-identity contract.
-      for (int r = 0; r < num_shards; ++r) {
-        sim::Simulation* shard_sim = &engine.shard(r);
-        samplers[static_cast<u64>(r)]->add_gauge(
-            "sim.shard" + std::to_string(r) + ".pending_events",
-            [shard_sim] {
-              return static_cast<i64>(shard_sim->pending_events());
-            });
-      }
-    }
     // Flight recorder: when the watchdog is armed and no full trace was
     // requested, give every shard a small ring tracer so a breach can dump
     // the events leading up to it. Ambient tracers (tests wrapping the run
@@ -198,7 +182,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
       sampler_drivers.back()->arm();
     }
   }
-#endif  // SAISIM_TELEMETRY_ENABLED
 
   // Workload: procs_per_client IOR processes per client, placed round-robin
   // over the cores; each reads its own disjoint region of the shared file
@@ -283,14 +266,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     for (int i = 0; i < client->cpus().num_cores(); ++i) {
       trace::publish(registry, "cpu", client->cpus().core(i).accounting());
     }
-    m.interrupts += nic.interrupts;
-    m.rx_drops += nic.dropped;
-    m.retransmits += pc.retransmits;
-    m.duplicate_strips += pc.duplicate_strips;
-    m.failed_requests += pc.reads_failed + pc.writes_failed;
-    m.hedges_issued += pc.hedges_issued;
-    m.hedges_won += pc.hedges_won;
-    m.hedges_wasted += pc.hedges_wasted;
     latency_sum += pc.read_latency_us.sum();
     latency_n += pc.read_latency_us.count();
   }
@@ -343,6 +318,15 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   registry.counter("sim.rounds").add(engine.rounds());
   registry.counter("sim.cross_shard_posts").add(engine.cross_shard_posts());
   m.c2c_transfers = registry.value("mem.c2c_transfers");
+  m.interrupts = registry.value("nic.interrupts");
+  m.rx_drops = registry.value("nic.rx_dropped");
+  m.retransmits = registry.value("pfs.retransmits");
+  m.duplicate_strips = registry.value("pfs.duplicate_strips");
+  m.failed_requests =
+      registry.value("pfs.reads_failed") + registry.value("pfs.writes_failed");
+  m.hedges_issued = registry.value("pfs.hedges_issued");
+  m.hedges_won = registry.value("pfs.hedges_won");
+  m.hedges_wasted = registry.value("pfs.hedges_wasted");
   m.p99_read_latency_us = registry.latency("pfs.read_latency_us").quantile(0.99);
   m.l2_miss_rate = cache_total.miss_rate();
   const i64 total_cores =
@@ -375,7 +359,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
   // when telemetry is on, so telemetry-off metrics CSVs stay bit-identical
   // to pre-telemetry builds.
   trace::TimelineSeries timeline;
-#if defined(SAISIM_TELEMETRY_ENABLED)
   if (telemetry_on) {
     std::vector<trace::TimelineSampler*> by_rank;
     by_rank.reserve(samplers.size());
@@ -389,7 +372,6 @@ RunMetrics run_experiment(const ExperimentConfig& cfg,
     registry.counter("telemetry.samples").add(timeline.ticks);
     registry.counter("telemetry.slo_breaches").add(m.slo_breaches);
   }
-#endif  // SAISIM_TELEMETRY_ENABLED
 
   // Hand the run to the process-wide collector when --trace/--metrics was
   // given. The sort key is the config fingerprint (policy is a reflected

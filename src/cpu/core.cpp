@@ -28,15 +28,6 @@ u64 Core::backlog() const {
   return n;
 }
 
-double Core::utilization(Time since, Time now) const {
-  Time busy = acct_.busy_total;
-  if (running_) busy += now - segment_start_;  // in-flight segment
-  // Caller is expected to snapshot busy_total at `since`; this overload
-  // reports lifetime busy over [0, now] when since == 0.
-  const Time window = now - since;
-  return busy.ratio(window);
-}
-
 void Core::accrue(Time end) {
   const Time span = end - segment_start_;
   acct_.busy_total += span;

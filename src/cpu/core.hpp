@@ -74,7 +74,6 @@ class Core {
   /// A kInterrupt submission preempts lower-priority work immediately.
   void submit(WorkItem item);
 
-  bool idle() const { return !running_; }
   /// Number of queued-but-not-running items (all bands).
   u64 backlog() const;
   /// Queued + running item count; the load signal irqbalance-style policies
@@ -82,9 +81,6 @@ class Core {
   u64 load() const { return backlog() + (running_ ? 1u : 0u); }
 
   const CoreAccounting& accounting() const { return acct_; }
-
-  /// Busy fraction of the window [since, now].
-  double utilization(Time since, Time now) const;
 
  private:
   void reschedule();

@@ -46,13 +46,6 @@ class CpuSystem {
     return t;
   }
 
-  /// Machine-wide utilisation over [0, now]: busy core-time over available
-  /// core-time — the figure the paper reads from `sar`.
-  double utilization(Time now) const {
-    if (now <= Time::zero()) return 0.0;
-    return total_busy().ratio(now * num_cores());
-  }
-
   /// Total unhalted cycles across cores (the Oprofile CPU_CLK_UNHALTED sum).
   Cycles total_unhalted() const {
     Cycles c = Cycles::zero();

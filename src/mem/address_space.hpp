@@ -13,9 +13,6 @@ namespace saisim::mem {
 struct AddressRange {
   Address base = 0;
   u64 bytes = 0;
-
-  Address end() const { return base + bytes; }
-  bool contains(Address a) const { return a >= base && a < end(); }
 };
 
 class AddressSpace {

@@ -127,13 +127,6 @@ class Cache {
     return tag != nullptr && (*tag & kDirty) != 0;
   }
 
-  /// Insert a line (must not be present). Returns the victim, if any.
-  Victim insert(LineAddr line, bool dirty) {
-    SAISIM_CHECK_MSG(!contains(line), "double insert of cache line");
-    u32 way = 0;
-    return fill(line, dirty, way);
-  }
-
   /// Insert a line the caller knows is absent (the memory walk learns it
   /// from the owner directory), with no lookup. The line takes the set's
   /// lowest invalid way, else its LRU way, whose line it evicts: the victim
@@ -142,14 +135,6 @@ class Cache {
   [[gnu::always_inline]] Victim fill(LineAddr line, bool dirty, u32& way) {
     return Victim{
         lru_.fill(set_index(line), key_of(line) | (dirty ? kDirty : 0), way)};
-  }
-
-  /// Mark a present line dirty (store hit).
-  void mark_dirty(LineAddr line) {
-    const u64 set = set_index(line);
-    const u32 way = lru_.find(set, key_of(line));
-    SAISIM_CHECK(way != Lru::kNone);
-    lru_.tags(set)[way] |= kDirty;
   }
 
   u64 resident_lines() const { return lru_.size(); }

@@ -83,7 +83,6 @@ class MemorySystem {
                Bandwidth dram_bandwidth);
 
   int num_cores() const { return static_cast<int>(caches_.size()); }
-  const CacheConfig& cache_config() const { return cache_cfg_; }
   const MemoryTimings& timings() const { return timings_; }
 
   enum class AccessType { kRead, kWrite };

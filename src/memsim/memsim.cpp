@@ -50,7 +50,6 @@ class Pair {
   }
 
   void start() { maybe_read_ahead(); }
-  u64 bytes_done() const { return bytes_combined_; }
 
  private:
   struct Transfer {
@@ -164,7 +163,6 @@ class Pair {
         .on_complete =
             [this, t](Time) {
               combining_ = false;
-              bytes_combined_ += t.bytes;
               *bytes_combined_total_ += t.bytes;
               maybe_combine();
               maybe_read_ahead();
@@ -190,7 +188,6 @@ class Pair {
   std::optional<Transfer> ready_;
   u64 strips_left_ = 0;
   u64 bytes_read_ = 0;
-  u64 bytes_combined_ = 0;
 };
 
 }  // namespace

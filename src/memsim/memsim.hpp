@@ -103,12 +103,6 @@ void describe(V& v, MemsimConfig& c) {
               "transfer_size must cover at least one strip");
 }
 
-/// Exact reflected fingerprint — the memsim result cache's key, with the
-/// same injectivity guarantees as the ExperimentConfig fingerprint.
-inline std::string config_fingerprint(const MemsimConfig& cfg) {
-  return util::reflect::fingerprint_of(cfg);
-}
-
 struct MemsimResult {
   double bandwidth_mbps = 0.0;
   double l2_miss_rate = 0.0;

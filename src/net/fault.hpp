@@ -128,8 +128,6 @@ class FaultInjector {
  public:
   explicit FaultInjector(FaultConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
 
-  bool enabled() const { return fault_enabled(cfg_); }
-  const FaultConfig& config() const { return cfg_; }
   const FaultStats& stats() const { return stats_; }
 
   /// Per-packet fate. RNG draws happen in a fixed order (loss, duplicate,

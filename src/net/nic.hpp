@@ -87,7 +87,6 @@ class ClientNic : public sim::Actor {
 
   NodeId node() const { return self_; }
   const NicStats& stats() const { return stats_; }
-  const NicConfig& config() const { return cfg_; }
 
   /// Packets received but not yet softirq-processed, summed over queues —
   /// the NIC/softirq backlog gauge the telemetry sampler reads.

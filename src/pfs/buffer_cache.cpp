@@ -48,22 +48,6 @@ void BufferCache::touch(u64 set, u32 way) {
   }
 }
 
-bool BufferCache::demand(u64 set, u64 key) {
-  const u32 way = lru_.find(set, key);
-  if (way == Lru::kNone) {
-    ++stats_.misses;
-    return false;
-  }
-  touch(set, way);
-  u64& tag = lru_.tags(set)[way];
-  if ((tag & kPrefetched) != 0) {
-    tag &= ~kPrefetched;
-    ++stats_.readahead_useful;
-  }
-  ++stats_.hits;
-  return true;
-}
-
 u64 BufferCache::fill(u64 set, u64 tag) {
   u32 way = 0;
   const u64 victim = lru_.fill(set, tag, way);
@@ -77,11 +61,6 @@ u64 BufferCache::fill(u64 set, u64 tag) {
   }
   if ((tag & kDirty) != 0) mark_dirty(i);
   return forced ? 1 : 0;
-}
-
-bool BufferCache::lookup(u64 block) {
-  SAISIM_CHECK(enabled());
-  return demand(set_of(block), key_of(block));
 }
 
 u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
@@ -107,9 +86,21 @@ u64 BufferCache::insert(u64 block, bool dirty, bool prefetched) {
 bool BufferCache::lookup_or_fill(u64 block, u64& forced) {
   SAISIM_CHECK(enabled());
   const u64 set = set_of(block);
-  if (demand(set, key_of(block))) return true;
-  forced += fill(set, key_of(block));
-  return false;
+  const u64 key = key_of(block);
+  const u32 way = lru_.find(set, key);
+  if (way == Lru::kNone) {
+    ++stats_.misses;
+    forced += fill(set, key);
+    return false;
+  }
+  touch(set, way);
+  u64& tag = lru_.tags(set)[way];
+  if ((tag & kPrefetched) != 0) {
+    tag &= ~kPrefetched;
+    ++stats_.readahead_useful;
+  }
+  ++stats_.hits;
+  return true;
 }
 
 u64 BufferCache::readahead(u64 base, u64 stride, u64 span, u64 max,

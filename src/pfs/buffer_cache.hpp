@@ -96,10 +96,6 @@ class BufferCache {
   u64 dirty_blocks() const { return dirty_; }
   const Stats& stats() const { return stats_; }
 
-  /// Block-level probe. A hit refreshes LRU; the first demand hit on a
-  /// prefetched block credits readahead_useful.
-  bool lookup(u64 block);
-
   /// Residency check with no LRU or stats side effects.
   bool contains(u64 block) const {
     return enabled() && lru_.find(set_of(block), key_of(block)) != Lru::kNone;
@@ -111,9 +107,10 @@ class BufferCache {
   /// and ors in the dirty bit.
   u64 insert(u64 block, bool dirty, bool prefetched);
 
-  /// Demand read of one block in a single set probe: `lookup(block)`, and
-  /// on a miss `insert(block, clean, not prefetched)`. Returns whether the
-  /// block hit; adds the dirty victims the fill evicted to `forced`.
+  /// Demand read of one block in a single set probe. A hit refreshes LRU;
+  /// the first demand hit on a prefetched block credits readahead_useful.
+  /// A miss does `insert(block, clean, not prefetched)`. Returns whether
+  /// the block hit; adds the dirty victims the fill evicted to `forced`.
   bool lookup_or_fill(u64 block, u64& forced);
 
   /// Read-ahead of a stream's window: the candidate blocks
@@ -160,9 +157,6 @@ class BufferCache {
   u32 entry(u64 set, u32 way) const {
     return static_cast<u32>(set * lru_.ways() + way);
   }
-  /// Demand probe shared by lookup and lookup_or_fill: counts the hit or
-  /// miss; a hit refreshes LRU and credits a prefetched block once.
-  bool demand(u64 set, u64 key);
   /// A resident entry becomes its set's MRU; a dirty one moves to the
   /// dirty list's tail.
   void touch(u64 set, u32 way);

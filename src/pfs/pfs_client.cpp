@@ -354,7 +354,6 @@ void PfsClient::finish(RequestId id, Time at, CoreId handler, bool failed) {
     ++(write ? stats_.writes_failed : stats_.reads_failed);
   } else if (write) {
     ++stats_.writes_completed;
-    stats_.write_latency_us.add(latency.microseconds());
   } else {
     ++stats_.reads_completed;
     stats_.read_latency_us.add(latency.microseconds());

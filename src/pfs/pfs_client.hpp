@@ -86,13 +86,12 @@ struct PfsClientStats {
   u64 hedges_won = 0;
   u64 hedges_wasted = 0;
   stats::Summary read_latency_us;
-  stats::Summary write_latency_us;
   /// Integer-µs read-latency distribution, merged into the run's
   /// CounterRegistry latency recorder at the end-of-run barrier.
   stats::Log2Histogram read_latency_us_hist;
 };
 
-/// Counter rows (`pfs.*`). The latency summaries and histogram are
+/// Counter rows (`pfs.*`). The latency summary and histogram are
 /// distributions, not counters, and stay out.
 template <class V>
 void describe(V& v, PfsClientStats& s) {

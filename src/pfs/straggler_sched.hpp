@@ -130,7 +130,6 @@ class StragglerScheduler {
   }
 
   double ewma_us(u64 server) const { return servers_[server].ewma_us; }
-  u64 samples(u64 server) const { return servers_[server].samples; }
 
   /// Expected strip latency of `server`, or zero while warming up.
   Time expected_latency(u64 server) const {
@@ -217,7 +216,6 @@ class StragglerScheduler {
   }
 
   const ClientSchedStats& stats() const { return stats_; }
-  const ClientSchedConfig& config() const { return cfg_; }
 
  private:
   struct Est {

@@ -4,8 +4,6 @@
 // client interrupts per request.
 #pragma once
 
-#include <vector>
-
 #include "util/assert.hpp"
 #include "util/types.hpp"
 
@@ -55,21 +53,6 @@ class StripeLayout {
       *out++ = StripSpan{strip, server_of_strip(strip), pos, take};
       pos += take;
     }
-  }
-
-  /// Decompose a byte range into its strips (allocating convenience form).
-  std::vector<StripSpan> decompose(u64 offset, u64 bytes) const {
-    std::vector<StripSpan> out(count_spans(offset, bytes));
-    decompose_into(offset, bytes, out.data());
-    return out;
-  }
-
-  /// Number of distinct servers a range touches.
-  int servers_touched(u64 offset, u64 bytes) const {
-    const u64 strips = (offset + bytes - 1) / strip_size_ - offset / strip_size_ + 1;
-    return static_cast<int>(
-        strips < static_cast<u64>(num_servers_) ? strips
-                                                : static_cast<u64>(num_servers_));
   }
 
  private:

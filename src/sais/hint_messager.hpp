@@ -4,7 +4,7 @@
 // paper uses a PVFS_hint; on the wire it becomes the IP options word of
 // Figure 4). Requests from cores beyond the 5-bit encoding range go out
 // unstamped and will be routed by the fallback policy — the encoding limit
-// is a real constraint of the design, so it is kept observable.
+// is a real constraint of the design.
 #pragma once
 
 #include <optional>
@@ -16,28 +16,14 @@ namespace saisim::sais {
 class HintMessager {
  public:
   /// Stamp `hint` into the request packet's options field.
-  void stamp(net::Packet& request, std::optional<CoreId> hint) {
-    if (!hint.has_value()) {
-      ++skipped_;
-      return;
+  static void stamp(net::Packet& request, std::optional<CoreId> hint) {
+    if (!hint.has_value()) return;
+    // A core id > 31 cannot be expressed in 5 bits: the request goes out
+    // unstamped.
+    if (const auto encoded = net::IpOptions::encode(*hint)) {
+      request.ip_options = *encoded;
     }
-    const auto encoded = net::IpOptions::encode(*hint);
-    if (!encoded.has_value()) {
-      ++unencodable_;  // core id > 31: cannot be expressed in 5 bits
-      return;
-    }
-    request.ip_options = *encoded;
-    ++stamped_;
   }
-
-  u64 stamped() const { return stamped_; }
-  u64 skipped() const { return skipped_; }
-  u64 unencodable() const { return unencodable_; }
-
- private:
-  u64 stamped_ = 0;
-  u64 skipped_ = 0;
-  u64 unencodable_ = 0;
 };
 
 }  // namespace saisim::sais

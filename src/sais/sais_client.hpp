@@ -17,9 +17,8 @@
 // rare), so the pin is implicit.
 #pragma once
 
-#include <memory>
+#include <optional>
 
-#include "apic/routing_policy.hpp"
 #include "net/nic.hpp"
 #include "pfs/pfs_client.hpp"
 #include "sais/hint_messager.hpp"
@@ -27,31 +26,13 @@
 
 namespace saisim::sais {
 
-class SaisClient {
- public:
-  /// Install the SAIs components onto an existing client stack. The
-  /// SaisClient must outlive both `client` and `nic` usage.
-  SaisClient(pfs::PfsClient& client, net::ClientNic& nic) {
-    client.set_request_decorator(
-        [this](net::Packet& p, std::optional<CoreId> hint) {
-          messager_.stamp(p, hint);
-        });
-    nic.set_hint_parser(
-        [this](const net::Packet& p) { return parser_.parse(p); });
-  }
-
-  /// The IMComposer half: the interrupt-routing policy SAIs programs into
-  /// the I/O APIC.
-  static std::unique_ptr<apic::InterruptRoutingPolicy> make_policy() {
-    return std::make_unique<apic::SourceAwarePolicy>();
-  }
-
-  const HintMessager& messager() const { return messager_; }
-  const SrcParser& parser() const { return parser_; }
-
- private:
-  HintMessager messager_;
-  SrcParser parser_;
-};
+/// Install the SAIs components onto an existing client stack.
+inline void install(pfs::PfsClient& client, net::ClientNic& nic) {
+  client.set_request_decorator(
+      [](net::Packet& p, std::optional<CoreId> hint) {
+        HintMessager::stamp(p, hint);
+      });
+  nic.set_hint_parser([](const net::Packet& p) { return SrcParser::parse(p); });
+}
 
 }  // namespace saisim::sais

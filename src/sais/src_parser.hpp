@@ -14,28 +14,10 @@ namespace saisim::sais {
 
 class SrcParser {
  public:
-  std::optional<CoreId> parse(const net::Packet& p) {
-    if (!p.ip_options.has_value()) {
-      ++unhinted_;
-      return std::nullopt;
-    }
-    const auto core = net::IpOptions::parse(*p.ip_options);
-    if (!core.has_value()) {
-      ++malformed_;
-      return std::nullopt;
-    }
-    ++parsed_;
-    return core;
+  static std::optional<CoreId> parse(const net::Packet& p) {
+    if (!p.ip_options.has_value()) return std::nullopt;
+    return net::IpOptions::parse(*p.ip_options);
   }
-
-  u64 parsed() const { return parsed_; }
-  u64 unhinted() const { return unhinted_; }
-  u64 malformed() const { return malformed_; }
-
- private:
-  u64 parsed_ = 0;
-  u64 unhinted_ = 0;
-  u64 malformed_ = 0;
 };
 
 }  // namespace saisim::sais

@@ -96,7 +96,6 @@ class Engine {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   /// Worker threads actually spawned (0 in inline mode and at 1 shard).
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  Time lookahead() const { return lookahead_; }
   Simulation& shard(int rank) { return ctx(rank).sim; }
 
   /// Rank of the shard executing on the current thread: 0..N-1 inside a

@@ -25,24 +25,8 @@ class Log2Histogram {
 
   u64 count() const { return count_; }
   u64 total() const { return total_; }
-  double mean() const {
-    return count_ ? static_cast<double>(total_) / static_cast<double>(count_)
-                  : 0.0;
-  }
 
   u64 bucket(int i) const { return buckets_[static_cast<u64>(i)]; }
-
-  /// Approximate quantile (returns upper edge of the containing bucket).
-  u64 quantile(double q) const {
-    if (count_ == 0) return 0;
-    const u64 target = static_cast<u64>(q * static_cast<double>(count_));
-    u64 seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-      seen += buckets_[static_cast<u64>(i)];
-      if (seen > target) return i >= 63 ? ~0ull : (2ull << i) - 1;
-    }
-    return ~0ull;
-  }
 
  private:
   std::array<u64, kBuckets> buckets_ = {};

@@ -1,9 +1,5 @@
-// Streaming summary statistics (Welford's online algorithm).
+// Streaming count and sum of a sample stream.
 #pragma once
-
-#include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "util/types.hpp"
 
@@ -13,50 +9,15 @@ class Summary {
  public:
   void add(double x) {
     ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
     sum_ += x;
   }
 
   u64 count() const { return n_; }
   double sum() const { return sum_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  void merge(const Summary& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) {
-      *this = o;
-      return;
-    }
-    const double delta = o.mean_ - mean_;
-    const double total = static_cast<double>(n_ + o.n_);
-    m2_ += o.m2_ + delta * delta * static_cast<double>(n_) *
-                       static_cast<double>(o.n_) / total;
-    mean_ = (mean_ * static_cast<double>(n_) +
-             o.mean_ * static_cast<double>(o.n_)) /
-            total;
-    n_ += o.n_;
-    sum_ += o.sum_;
-    min_ = std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-  }
 
  private:
   u64 n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace saisim::stats

@@ -156,6 +156,4 @@ std::string Table::to_json(std::string_view name) const {
   return os.str();
 }
 
-void Table::print(std::ostream& os) const { os << to_text(); }
-
 }  // namespace saisim::stats

@@ -4,7 +4,6 @@
 // paper plots can be read (and diffed) directly from the bench output.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -26,10 +25,6 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   void add_row(std::vector<Cell> cells);
-  u64 rows() const { return rows_.size(); }
-  u64 cols() const { return headers_.size(); }
-  const std::vector<std::string>& headers() const { return headers_; }
-  const Cell& cell(u64 row, u64 col) const { return rows_[row][col]; }
 
   /// Render with aligned columns.
   std::string to_text() const;
@@ -39,8 +34,6 @@ class Table {
   /// Doubles use the shortest round-trip form; non-finite values become
   /// null; strings are escaped per RFC 8259.
   std::string to_json(std::string_view name = {}) const;
-
-  void print(std::ostream& os) const;
 
  private:
   static std::string render_cell(const Cell& c,

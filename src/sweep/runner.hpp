@@ -57,7 +57,6 @@ class SweepRunner {
   explicit SweepRunner(RunnerOptions opts = {});
 
   void set_options(RunnerOptions opts) { opts_ = opts; }
-  const RunnerOptions& options() const { return opts_; }
 
   /// Execute (or fetch from cache) every grid point of `spec`.
   SweepResult run(const SweepSpec& spec);

@@ -29,17 +29,6 @@ SweepSpec& SweepSpec::policies(std::vector<PolicyKind> kinds) {
   return *this;
 }
 
-SweepSpec& SweepSpec::seeds(std::vector<u64> seeds) {
-  Axis a;
-  a.name = "seed";
-  a.values.reserve(seeds.size());
-  for (u64 s : seeds) {
-    a.values.push_back(AxisValue{std::to_string(s),
-                                 [s](ExperimentConfig& c) { c.seed = s; }});
-  }
-  return axis(std::move(a));
-}
-
 u64 SweepSpec::size() const {
   u64 n = 1;
   for (const Axis& a : axes_) n *= a.values.size();

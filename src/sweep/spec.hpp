@@ -108,11 +108,8 @@ class SweepSpec {
   /// The policy axis (labelled with `policy_name`). Remembered so results
   /// can be collapsed into baseline-vs-treatment comparisons.
   SweepSpec& policies(std::vector<PolicyKind> kinds);
-  /// Seed axis, for multi-seed replications of every grid point.
-  SweepSpec& seeds(std::vector<u64> seeds);
 
   const std::string& name() const { return name_; }
-  const ExperimentConfig& base() const { return base_; }
   const std::vector<Axis>& axes() const { return axes_; }
   /// Index of the policy axis, or -1 if `policies()` was never called.
   int policy_axis() const { return policy_axis_; }

@@ -8,7 +8,6 @@
 #include "sweep/cli.hpp"          // IWYU pragma: export
 #include "sweep/cli_config.hpp"   // IWYU pragma: export
 #include "sweep/export.hpp"       // IWYU pragma: export
-#include "sweep/fingerprint.hpp"  // IWYU pragma: export
 #include "sweep/parallel.hpp"     // IWYU pragma: export
 #include "sweep/result_cache.hpp" // IWYU pragma: export
 #include "sweep/runner.hpp"       // IWYU pragma: export

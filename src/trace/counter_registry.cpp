@@ -78,12 +78,4 @@ std::vector<std::pair<std::string, u64>> CounterRegistry::snapshot() const {
   return out;
 }
 
-stats::Table CounterRegistry::to_table() const {
-  stats::Table t({"counter", "value"});
-  for (const auto& [name, value] : snapshot()) {
-    t.add_row({name, static_cast<i64>(value)});
-  }
-  return t;
-}
-
 }  // namespace saisim::trace

@@ -9,13 +9,12 @@
 // the cold path, done once per subsystem per run. Increments and latency
 // records are lock-free relaxed atomics on stable addresses, so concurrent
 // sweep workers can share one registry without contention or UB (the TSan
-// job exercises exactly that). Iteration (`snapshot`, `to_table`) is sorted
+// job exercises exactly that). Iteration (`snapshot`) is sorted
 // by name, so exported metrics are deterministic regardless of registration
 // order.
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "stats/histogram.hpp"
-#include "stats/table.hpp"
 #include "util/reflect.hpp"
 #include "util/types.hpp"
 
@@ -54,13 +52,6 @@ class CounterRegistry {
   class LatencyRecorder {
    public:
     static constexpr int kBuckets = 64;
-
-    void record(u64 v) {
-      const int b = v == 0 ? 0 : static_cast<int>(std::bit_width(v)) - 1;
-      buckets_[static_cast<u64>(b)].fetch_add(1, std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      total_.fetch_add(v, std::memory_order_relaxed);
-    }
 
     /// Folds a per-run Log2Histogram (same bucketing) into this recorder —
     /// the end-of-run barrier merges each subsystem's single-threaded
@@ -105,9 +96,6 @@ class CounterRegistry {
   /// each latency recorder expands to derived integer rows
   /// (name.count/.total/.p50/.p99).
   std::vector<std::pair<std::string, u64>> snapshot() const;
-
-  /// Two-column {"counter", "value"} table of snapshot().
-  stats::Table to_table() const;
 
  private:
   mutable std::mutex mu_;

@@ -23,11 +23,6 @@ void RunCollector::add_run(RunTrace run) {
   runs_.push_back(std::move(run));
 }
 
-u64 RunCollector::runs() const {
-  std::lock_guard lock(mu_);
-  return runs_.size();
-}
-
 void RunCollector::finalize() {
   std::lock_guard lock(mu_);
   if (finalized_) return;

@@ -43,8 +43,6 @@ class RunCollector {
   /// lossless).
   void add_run(RunTrace run);
 
-  u64 runs() const;
-
   /// Writes trace_file / metrics_file per options() and prints the per-run
   /// phase tables to stderr. Idempotent; registered via std::atexit by the
   /// CLI layer and callable directly from tests.

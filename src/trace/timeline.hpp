@@ -87,11 +87,6 @@ struct TelemetryConfig {
   /// Flight-recorder ring size: the most recent trace events kept per
   /// shard for the breach dump.
   u64 flight_recorder_events = 256;
-  /// Also sample per-shard kernel gauges (sim.shard<r>.pending_events).
-  /// Off by default: these series are keyed by shard rank, so unlike every
-  /// model metric they legitimately differ across sim.shards values —
-  /// diagnostics only, never part of the cross-shard-identical CSV.
-  bool kernel_gauges = false;
   TelemetrySloConfig slo{};
 };
 
@@ -101,7 +96,6 @@ void describe(V& v, TelemetryConfig& c) {
   v.field("sample_period", c.sample_period, r::non_negative());
   v.field("flight_recorder_events", c.flight_recorder_events,
           r::in_range(1, 1 << 20));
-  v.field("kernel_gauges", c.kernel_gauges);
   v.group("slo", c.slo);
 }
 
@@ -137,8 +131,6 @@ struct TimelineSeries {
   std::vector<std::string> metrics;        // sorted
   std::vector<std::vector<i64>> values;    // [metric][tick]
   std::vector<SloBreach> breaches;         // sorted by (tick, metric)
-
-  bool empty() const { return ticks == 0 || metrics.empty(); }
   /// Simulated time of sample `tick`, in picoseconds.
   i64 tick_time_ps(u64 tick) const {
     return static_cast<i64>(tick + 1) * period.picoseconds();
@@ -167,7 +159,6 @@ class TimelineSampler {
   void watch(u64 probe, i64 threshold);
 
   bool has_probes() const { return !probes_.empty(); }
-  u64 ticks() const { return ticks_; }
   /// Values the probes' series hold, summed (0 once merged).
   u64 held_samples() const;
   const std::vector<SloBreach>& breaches() const { return breaches_; }

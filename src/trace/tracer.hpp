@@ -80,8 +80,6 @@ class Tracer {
 
   u64 size() const { return size_; }
   u64 dropped() const { return dropped_; }
-  SubsystemMask mask() const { return mask_; }
-  bool ring() const { return ring_; }
 
   /// The i-th retained event in recording order (for a full ring, index 0
   /// is the oldest surviving event, not the first ever recorded).

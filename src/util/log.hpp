@@ -28,7 +28,7 @@ std::optional<LogLevel> log_level_from_name(std::string_view name);
 
 class Log {
  public:
-  static LogLevel level(util::Subsystem s = util::Subsystem::kCore) {
+  static LogLevel level(util::Subsystem s) {
     return levels_[static_cast<int>(s)];
   }
   /// Sets every subsystem to `lvl`.
@@ -38,9 +38,6 @@ class Log {
   }
   static bool enabled(util::Subsystem s, LogLevel lvl) {
     return lvl >= levels_[static_cast<int>(s)];
-  }
-  static bool enabled(LogLevel lvl) {
-    return enabled(util::Subsystem::kCore, lvl);
   }
 
   /// Applies a spec string ("debug" or "net=debug,pfs=trace" or a mix).
@@ -54,9 +51,6 @@ class Log {
   static void init_from_env();
 
   static void write(util::Subsystem s, LogLevel lvl, const std::string& msg);
-  static void write(LogLevel lvl, const std::string& msg) {
-    write(util::Subsystem::kCore, lvl, msg);
-  }
 
  private:
   static LogLevel levels_[util::kNumSubsystems];
@@ -74,7 +68,3 @@ class Log {
       ::saisim::Log::write(subsys, lvl, saisim_log_os.str()); \
     }                                                       \
   } while (0)
-
-// The un-tagged macro logs under the "core" subsystem.
-#define SAISIM_LOG(lvl, stream_expr) \
-  SAISIM_LOG_AT(::saisim::util::Subsystem::kCore, lvl, stream_expr)

@@ -97,8 +97,7 @@ std::string config_to_json(const Config& cfg) {
 }
 
 struct LoadResult {
-  std::vector<std::string> errors;
-  bool ok() const { return errors.empty(); }
+  std::vector<std::string> errors;  // empty on success
 };
 
 /// Applies a flat-key JSON object on top of `cfg`, then validates the

@@ -58,12 +58,6 @@ class Rng {
     return static_cast<u64>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  constexpr i64 range(i64 lo, i64 hi) {
-    assert(lo <= hi);
-    return lo + static_cast<i64>(below(static_cast<u64>(hi - lo) + 1));
-  }
-
   /// Uniform double in [0, 1).
   constexpr double uniform() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

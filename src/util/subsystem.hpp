@@ -30,10 +30,6 @@ inline constexpr const char* kSubsystemNames[kNumSubsystems] = {
     "sweep",
 };
 
-inline constexpr std::string_view subsystem_name(Subsystem s) {
-  return kSubsystemNames[static_cast<u8>(s)];
-}
-
 inline std::optional<Subsystem> subsystem_from_name(std::string_view name) {
   for (int i = 0; i < kNumSubsystems; ++i) {
     if (name == kSubsystemNames[i]) return static_cast<Subsystem>(i);

@@ -14,7 +14,7 @@ std::string Time::to_string() const {
   } else if (v >= 1'000'000) {
     std::snprintf(buf, sizeof buf, "%.6gus", microseconds());
   } else if (v >= 1'000) {
-    std::snprintf(buf, sizeof buf, "%.6gns", nanoseconds());
+    std::snprintf(buf, sizeof buf, "%.6gns", static_cast<double>(v) / 1e3);
   } else {
     std::snprintf(buf, sizeof buf, "%lldps", static_cast<long long>(v));
   }

@@ -92,14 +92,7 @@ class Time {
   static constexpr Time zero() { return Time{0}; }
   static constexpr Time max() { return Time{INT64_MAX}; }
 
-  /// Build from a floating-point second count (used only at config
-  /// boundaries, never in the hot simulation path).
-  static constexpr Time from_seconds(double s) {
-    return Time{static_cast<i64>(s * 1e12)};
-  }
-
   constexpr i64 picoseconds() const { return ps_; }
-  constexpr double nanoseconds() const { return static_cast<double>(ps_) / 1e3; }
   constexpr double microseconds() const { return static_cast<double>(ps_) / 1e6; }
   constexpr double milliseconds() const { return static_cast<double>(ps_) / 1e9; }
   constexpr double seconds() const { return static_cast<double>(ps_) / 1e12; }
@@ -110,10 +103,6 @@ class Time {
   constexpr Time operator-(Time o) const { return Time{ps_ - o.ps_}; }
   constexpr Time& operator+=(Time o) {
     ps_ += o.ps_;
-    return *this;
-  }
-  constexpr Time& operator-=(Time o) {
-    ps_ -= o.ps_;
     return *this;
   }
   constexpr Time operator*(i64 k) const { return Time{ps_ * k}; }
@@ -131,8 +120,6 @@ class Time {
   i64 ps_ = 0;
 };
 
-inline constexpr Time operator*(i64 k, Time t) { return t * k; }
-
 std::ostream& operator<<(std::ostream& os, Time t);
 
 /// A CPU cycle count. Kept distinct from Time so that "cycles on which core
@@ -145,7 +132,6 @@ class Cycles {
 
   constexpr auto operator<=>(const Cycles&) const = default;
   constexpr Cycles operator+(Cycles o) const { return Cycles{n_ + o.n_}; }
-  constexpr Cycles operator-(Cycles o) const { return Cycles{n_ - o.n_}; }
   constexpr Cycles& operator+=(Cycles o) {
     n_ += o.n_;
     return *this;
@@ -156,8 +142,6 @@ class Cycles {
  private:
   i64 n_ = 0;
 };
-
-inline constexpr Cycles operator*(i64 k, Cycles c) { return c * k; }
 
 /// A clock frequency; converts between Cycles and Time exactly
 /// (picoseconds-per-cycle is computed with integer rounding to nearest).

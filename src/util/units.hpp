@@ -13,7 +13,6 @@
 
 namespace saisim {
 
-inline constexpr u64 operator""_B(unsigned long long v) { return v; }
 inline constexpr u64 operator""_KiB(unsigned long long v) { return v << 10; }
 inline constexpr u64 operator""_MiB(unsigned long long v) { return v << 20; }
 inline constexpr u64 operator""_GiB(unsigned long long v) { return v << 30; }

@@ -50,12 +50,9 @@ class BackgroundLoad : public sim::Actor {
     }
   }
 
-  u64 ticks() const { return ticks_; }
-
  private:
   void tick(int core) {
     if (now() >= stop_at_) return;
-    ++ticks_;
     const auto range = hot_sets_[static_cast<u64>(core)];
     cpus_.core(core).submit(cpu::WorkItem{
         .prio = cpu::Priority::kKernel,
@@ -77,7 +74,6 @@ class BackgroundLoad : public sim::Actor {
   BackgroundConfig cfg_;
   std::vector<mem::AddressRange> hot_sets_;
   Time stop_at_ = Time::max();
-  u64 ticks_ = 0;
 };
 
 }  // namespace saisim::workload

@@ -53,7 +53,6 @@ void IorProcess::account_io(u64 bytes, Time at) {
   stats_.bytes_read += bytes;
   ++stats_.reads_completed;
   if (stats_.bytes_read >= cfg_.total_bytes) {
-    finished_ = true;
     stats_.finished_at = at;
     if (on_finished_) on_finished_(stats_);
     return;

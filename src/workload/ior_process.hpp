@@ -107,11 +107,6 @@ struct IorProcessStats {
   u64 migrations = 0;
   Time started_at = Time::zero();
   Time finished_at = Time::zero();
-
-  double bandwidth_mbps() const {
-    const Time elapsed = finished_at - started_at;
-    return throughput_mbps(bytes_read, elapsed);
-  }
 };
 
 class IorProcess : public sim::Actor {
@@ -127,10 +122,7 @@ class IorProcess : public sim::Actor {
   /// consume completes.
   void start(std::function<void(const IorProcessStats&)> on_finished);
 
-  ProcessId pid() const { return pid_; }
-  CoreId home_core() const { return home_; }
   const IorProcessStats& stats() const { return stats_; }
-  bool finished() const { return finished_; }
 
  private:
   void issue_next_read(Time now);
@@ -151,7 +143,6 @@ class IorProcess : public sim::Actor {
 
   u64 next_offset_ = 0;
   IorProcessStats stats_;
-  bool finished_ = false;
   std::function<void(const IorProcessStats&)> on_finished_;
 };
 

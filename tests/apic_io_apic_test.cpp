@@ -76,9 +76,7 @@ TEST_F(IoApicFixture, RoundRobinSpreadsEvenly) {
   std::vector<CoreId> handled;
   for (int i = 0; i < 40; ++i) apic.raise(make_msg(kNoCore, &handled));
   s.run();
-  EXPECT_EQ(apic.stats().per_core[0], 10u);
-  EXPECT_EQ(apic.stats().per_core[3], 10u);
-  EXPECT_NEAR(apic.delivery_imbalance(), 0.0, 1e-12);
+  for (const u64 n : apic.stats().per_core) EXPECT_EQ(n, 10u);
 }
 
 TEST_F(IoApicFixture, SourceAwareConcentratesPeerInterrupts) {
@@ -88,7 +86,6 @@ TEST_F(IoApicFixture, SourceAwareConcentratesPeerInterrupts) {
   for (int i = 0; i < 40; ++i) apic.raise(make_msg(2, nullptr));
   s.run();
   EXPECT_EQ(apic.stats().per_core[2], 40u);
-  EXPECT_GT(apic.delivery_imbalance(), 1.0);
 }
 
 TEST_F(IoApicFixture, SoftirqPricedOnHandlingCore) {

@@ -39,8 +39,8 @@ TEST(ConfigDrift, DescribedLeafCounts) {
   EXPECT_EQ(count_fields<ServerMachineConfig>(), 19u);
   EXPECT_EQ(count_fields<SimKernelConfig>(), 2u);
   EXPECT_EQ(count_fields<trace::TelemetrySloConfig>(), 4u);
-  EXPECT_EQ(count_fields<trace::TelemetryConfig>(), 7u);
-  EXPECT_EQ(count_fields<ExperimentConfig>(), 95u);
+  EXPECT_EQ(count_fields<trace::TelemetryConfig>(), 6u);
+  EXPECT_EQ(count_fields<ExperimentConfig>(), 94u);
   EXPECT_EQ(count_fields<memsim::MemsimConfig>(), 23u);
   EXPECT_EQ(count_fields<realmem::RealMemConfig>(), 8u);
 }
@@ -90,7 +90,7 @@ TEST(ConfigDrift, CompositeCountsAreSumsOfParts) {
                 count_fields<SimKernelConfig>() +
                 count_fields<trace::TelemetryConfig>());
   EXPECT_EQ(count_fields<trace::TelemetryConfig>(),
-            3u /* sample_period, flight_recorder_events, kernel_gauges */ +
+            2u /* sample_period, flight_recorder_events */ +
                 count_fields<trace::TelemetrySloConfig>());
 }
 
@@ -114,14 +114,14 @@ TEST(ConfigDrift, StructSizesMatchDescribedLayout) {
   EXPECT_EQ(sizeof(ServerMachineConfig), 128u);
   EXPECT_EQ(sizeof(SimKernelConfig), 16u);
   EXPECT_EQ(sizeof(trace::TelemetrySloConfig), 32u);
-  EXPECT_EQ(sizeof(trace::TelemetryConfig), 56u);
-  EXPECT_EQ(sizeof(ExperimentConfig), 696u);
+  EXPECT_EQ(sizeof(trace::TelemetryConfig), 48u);
+  EXPECT_EQ(sizeof(ExperimentConfig), 688u);
   EXPECT_EQ(sizeof(memsim::MemsimConfig), 168u);
   EXPECT_EQ(sizeof(realmem::RealMemConfig), 48u);
 }
 
 TEST(ConfigDrift, StatsAndMetricsSizesMatchDescribedLayout) {
-  EXPECT_EQ(sizeof(pfs::PfsClientStats), 736u);
+  EXPECT_EQ(sizeof(pfs::PfsClientStats), 656u);
   EXPECT_EQ(sizeof(pfs::ClientSchedStats), 16u);
   EXPECT_EQ(sizeof(net::NicStats), 32u);
   EXPECT_EQ(sizeof(cpu::CoreAccounting), 56u);

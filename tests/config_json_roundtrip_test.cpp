@@ -25,7 +25,7 @@ void expect_roundtrip_identity(const Config& cfg) {
   const std::string dump1 = r::config_to_json(cfg);
   Config loaded;  // defaults — every key in the dump overwrites them
   const r::LoadResult res = r::config_from_json(loaded, dump1);
-  ASSERT_TRUE(res.ok()) << res.errors.front();
+  ASSERT_TRUE(res.errors.empty()) << res.errors.front();
   EXPECT_EQ(r::config_to_json(loaded), dump1);
   EXPECT_EQ(r::fingerprint_of(loaded), r::fingerprint_of(cfg));
 }
@@ -92,7 +92,7 @@ TEST_P(ConfigJsonReplay, LoadedExperimentReproducesGoldenRun) {
   ExperimentConfig replayed;
   const r::LoadResult res =
       r::config_from_json(replayed, r::config_to_json(original));
-  ASSERT_TRUE(res.ok()) << res.errors.front();
+  ASSERT_TRUE(res.errors.empty()) << res.errors.front();
   expect_same_metrics(run_experiment(original), run_experiment(replayed));
 }
 
@@ -105,7 +105,7 @@ TEST(ConfigJsonRoundtrip, LoadedMemsimReproducesGoldenRun) {
   memsim::MemsimConfig replayed;
   const r::LoadResult res =
       r::config_from_json(replayed, r::config_to_json(original));
-  ASSERT_TRUE(res.ok()) << res.errors.front();
+  ASSERT_TRUE(res.errors.empty()) << res.errors.front();
   const memsim::MemsimResult a = memsim::run_memsim(original);
   const memsim::MemsimResult b = memsim::run_memsim(replayed);
   EXPECT_EQ(std::bit_cast<u64>(a.bandwidth_mbps),

@@ -2,7 +2,7 @@
 //
 // Each test runs a fixed small configuration and compares a bit-exact
 // fingerprint of the resulting metrics against a recorded golden value.
-// Doubles are encoded by their IEEE-754 bit pattern (config_fingerprint
+// Doubles are encoded by their IEEE-754 bit pattern (`fingerprint_of`
 // style), so *any* observable change — a reordered event, a different
 // eviction victim, one extra DRAM queueing picosecond — flips the string.
 //

@@ -30,6 +30,12 @@ struct PeekedFill {
   Cache::Victim victim;
 };
 
+/// The walk's fill of a line the test knows is absent, discarding the way.
+Cache::Victim fill(Cache& c, LineAddr line, bool dirty) {
+  u32 way = 0;
+  return c.fill(line, dirty, way);
+}
+
 PeekedFill would_fill(const Cache& c, LineAddr line) {
   EXPECT_FALSE(c.contains(line));
   Cache copy = c;
@@ -61,10 +67,10 @@ TEST(Cache, LruEvictionWithinSet) {
   Cache c(tiny_cache());
   // Three lines mapping to the same set (4 sets => stride 4 lines).
   const LineAddr a = 0, b = 4, d = 8;
-  c.insert(a, false);  // way 0
-  c.insert(b, false);  // way 1
+  fill(c, a, false);  // way 0
+  fill(c, b, false);  // way 1
   c.touch_way(a, 0, false);  // a is now MRU; b is LRU
-  const Cache::Victim ev = c.insert(d, false);
+  const Cache::Victim ev = fill(c, d, false);
   ASSERT_TRUE(ev);
   EXPECT_EQ(ev.line(), b);
   EXPECT_TRUE(c.contains(a));
@@ -73,9 +79,9 @@ TEST(Cache, LruEvictionWithinSet) {
 
 TEST(Cache, EvictionReportsDirtiness) {
   Cache c(tiny_cache());
-  c.insert(0, true);
-  c.insert(4, false);
-  const Cache::Victim ev = c.insert(8, false);  // evicts LRU == line 0 (dirty)
+  fill(c, 0, true);
+  fill(c, 4, false);
+  const Cache::Victim ev = fill(c, 8, false);  // evicts LRU == line 0 (dirty)
   ASSERT_TRUE(ev);
   EXPECT_EQ(ev.line(), 0u);
   EXPECT_TRUE(ev.dirty());
@@ -83,9 +89,12 @@ TEST(Cache, EvictionReportsDirtiness) {
 
 TEST(Cache, MarkDirtySticks) {
   Cache c(tiny_cache());
-  c.insert(3, false);
+  u32 way = 0;
+  c.fill(3, false, way);
   EXPECT_FALSE(c.is_dirty(3));
-  c.mark_dirty(3);
+  c.touch_way(3, way, true);  // a store hit
+  EXPECT_TRUE(c.is_dirty(3));
+  c.touch_way(3, way, false);  // a later load keeps the line dirty
   EXPECT_TRUE(c.is_dirty(3));
 }
 
@@ -106,8 +115,8 @@ TEST(Cache, InvalidateRemovesAndReportsDirty) {
 // means the directory and the cache disagree, which must abort.
 TEST(Cache, TouchAtAWayNotHoldingTheLineAborts) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
-  c.insert(0, false);     // set 0, way 0
-  c.insert(4, false);     // set 0, way 1
+  fill(c, 0, false);     // set 0, way 0
+  fill(c, 4, false);     // set 0, way 1
   EXPECT_DEATH(c.touch_way(0, 1, false), "owner map out of sync");
   EXPECT_DEATH(c.touch_way(8, 0, true), "owner map out of sync");
   EXPECT_DEATH(c.touch_way(0, 2, false), "owner map out of sync");
@@ -121,7 +130,7 @@ TEST(Cache, EvictingALineTheDirectoryLostAborts) {
   OwnerDirectory dir;
   OwnerDirectory::Cursor at;
   for (const LineAddr line : {LineAddr{0}, LineAddr{4}}) {
-    c.insert(line, false);
+    fill(c, line, false);
     dir.assign_run(at, line, 1, 0);
   }
   // Settle one fill as the walk's fill run does: enter the line, place it,
@@ -145,8 +154,8 @@ TEST(Cache, EvictingALineTheDirectoryLostAborts) {
 
 TEST(Cache, InvalidateAtAWayNotHoldingTheLineAborts) {
   Cache c(tiny_cache());
-  c.insert(0, false);  // set 0, way 0
-  c.insert(4, true);   // set 0, way 1
+  fill(c, 0, false);  // set 0, way 0
+  fill(c, 4, true);   // set 0, way 1
   EXPECT_DEATH(c.invalidate_way(4, 0), "owner map out of sync");
   EXPECT_DEATH(c.invalidate_way(4, 2), "owner map out of sync");
   EXPECT_TRUE(c.invalidate_way(4, 1));
@@ -154,15 +163,9 @@ TEST(Cache, InvalidateAtAWayNotHoldingTheLineAborts) {
   EXPECT_DEATH(c.invalidate_way(4, 1), "owner map out of sync");
 }
 
-TEST(Cache, DoubleInsertAborts) {
-  Cache c(tiny_cache());
-  c.insert(1, false);
-  EXPECT_DEATH(c.insert(1, false), "double insert");
-}
-
 TEST(Cache, CapacityIsRespected) {
   Cache c(tiny_cache());
-  for (LineAddr l = 0; l < 100; ++l) (void)c.insert(l, false);
+  for (LineAddr l = 0; l < 100; ++l) (void)fill(c, l, false);
   EXPECT_EQ(c.resident_lines(), tiny_cache().num_lines());
 }
 
@@ -175,9 +178,9 @@ TEST(Cache, ConfigDerivedQuantities) {
 
 TEST(Cache, ProbeRunConsumesLeadingHitsOnly) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
-  c.insert(0, false);
-  c.insert(1, false);
-  c.insert(2, false);
+  fill(c, 0, false);
+  fill(c, 1, false);
+  fill(c, 2, false);
   // Lines 0..2 resident, line 3 absent: the run stops there.
   EXPECT_EQ(c.probe_run(0, 8, false), 3u);
   // From an absent line, the run is empty.
@@ -186,14 +189,14 @@ TEST(Cache, ProbeRunConsumesLeadingHitsOnly) {
 
 TEST(Cache, ProbeRunWrapsAroundTheSetArray) {
   Cache c(tiny_cache());  // 4 sets: lines 2,3,4,5 span the set wrap at 4.
-  for (LineAddr line = 2; line <= 5; ++line) c.insert(line, false);
+  for (LineAddr line = 2; line <= 5; ++line) fill(c, line, false);
   EXPECT_EQ(c.probe_run(2, 4, false), 4u);
 }
 
 TEST(Cache, ProbeRunMarksDirtyOnHits) {
   Cache c(tiny_cache());
-  c.insert(0, false);
-  c.insert(1, false);
+  fill(c, 0, false);
+  fill(c, 1, false);
   EXPECT_FALSE(c.is_dirty(0));
   EXPECT_EQ(c.probe_run(0, 2, true), 2u);
   EXPECT_TRUE(c.is_dirty(0));
@@ -202,11 +205,11 @@ TEST(Cache, ProbeRunMarksDirtyOnHits) {
 
 TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
   Cache c(tiny_cache());  // 2 ways per set
-  c.insert(0, false);     // set 0, way 0
-  c.insert(4, true);      // set 0, way 1: both ways now full
+  fill(c, 0, false);     // set 0, way 0
+  fill(c, 4, true);      // set 0, way 1: both ways now full
   c.touch_way(4, 1, false);  // make line 4 the more recent way
   EXPECT_EQ(c.probe_run(8, 1, false), 0u);  // set 0, absent
-  // fill() takes the LRU way with no lookup, exactly like insert().
+  // fill() takes the LRU way with no lookup.
   u32 way = 99;
   const Cache::Victim evicted = c.fill(8, false, way);
   EXPECT_EQ(way, 0u);
@@ -220,7 +223,7 @@ TEST(Cache, ProbeRunStopsAtMissThenFillEvictsLru) {
 
 TEST(Cache, FillPrefersInvalidWay) {
   Cache c(tiny_cache());
-  c.insert(0, false);  // set 0, one way still invalid
+  fill(c, 0, false);  // set 0, one way still invalid
   EXPECT_EQ(would_fill(c, 4).way, 1u);
   u32 way = 0;
   EXPECT_FALSE(c.fill(4, false, way));  // fills the empty way
@@ -234,34 +237,34 @@ TEST(Cache, FillPrefersInvalidWay) {
 // every line in its set's LRU way: the head hint consumes the whole run.
 TEST(Cache, ProbeRunTakesTheHeadHint) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
-  for (LineAddr l = 0; l < 8; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 8; ++l) fill(c, l, false);
   EXPECT_EQ(c.probe_run(0, 8, true), 8u);
   for (LineAddr l = 0; l < 8; ++l) EXPECT_TRUE(c.is_dirty(l));
   // Each hit made its line the MRU, so the LRU order is unchanged.
-  EXPECT_EQ(c.insert(8, false).line(), 0u);
+  EXPECT_EQ(fill(c, 8, false).line(), 0u);
 }
 
 // A line in neither hint way stops the run; touch_way() relinks it at the
 // way the owner directory recorded for it.
 TEST(Cache, ProbeRunStopsAtAMiddleWay) {
   Cache c(CacheConfig{.capacity_bytes = 256, .line_bytes = 64, .ways = 4});
-  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);  // order 0 1 2 3
+  for (LineAddr l = 0; l < 4; ++l) fill(c, l, false);  // order 0 1 2 3
   EXPECT_EQ(c.probe_run(1, 1, false), 0u);
   c.touch_way(1, 1, true);  // order 0 2 3 1
   EXPECT_TRUE(c.is_dirty(1));
-  EXPECT_EQ(c.insert(10, false).line(), 0u);
-  EXPECT_EQ(c.insert(11, false).line(), 2u);
+  EXPECT_EQ(fill(c, 10, false).line(), 0u);
+  EXPECT_EQ(fill(c, 11, false).line(), 2u);
 }
 
 TEST(Cache, ConstLookupsDoNotDisturbLru) {
   Cache c(tiny_cache());
-  c.insert(0, false);
-  c.insert(4, false);  // set 0 full; 0 is LRU
+  fill(c, 0, false);
+  fill(c, 4, false);  // set 0 full; 0 is LRU
   const Cache& cc = c;
   // Read-only queries on the LRU line must not refresh it.
   EXPECT_TRUE(cc.contains(0));
   EXPECT_FALSE(cc.is_dirty(0));
-  const Cache::Victim evicted = c.insert(8, false);
+  const Cache::Victim evicted = fill(c, 8, false);
   ASSERT_TRUE(evicted);
   EXPECT_EQ(evicted.line(), 0u);
 }
@@ -279,7 +282,7 @@ CacheConfig one_set(u32 ways) {
 std::vector<LineAddr> eviction_order(Cache& c, LineAddr next, u64 n) {
   std::vector<LineAddr> out;
   while (out.size() < n) {
-    if (const Cache::Victim ev = c.insert(next++, false)) {
+    if (const Cache::Victim ev = fill(c, next++, false)) {
       out.push_back(ev.line());
     }
   }
@@ -312,40 +315,40 @@ TEST(CacheRecency, FullSixtyFourWaySet) {
 
 TEST(CacheRecency, InvalidateHeadKeepsOrder) {
   Cache c(one_set(4));
-  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 4; ++l) fill(c, l, false);
   c.invalidate_way(0, 0);  // head (LRU)
   EXPECT_EQ(would_fill(c, 10).way, 0u);
-  c.insert(10, false);
+  fill(c, 10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 3, 10}));
 }
 
 TEST(CacheRecency, InvalidateTailKeepsOrder) {
   Cache c(one_set(4));
-  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 4; ++l) fill(c, l, false);
   c.touch_way(1, 1, false);  // order 0 2 3 1
   c.invalidate_way(1, 1);    // tail (MRU)
   EXPECT_EQ(would_fill(c, 10).way, 1u);
-  c.insert(10, false);
+  fill(c, 10, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{0, 2, 3, 10}));
 }
 
 TEST(CacheRecency, InvalidateMiddleKeepsOrder) {
   Cache c(one_set(4));
-  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 4; ++l) fill(c, l, false);
   c.invalidate_way(2, 2);
   c.invalidate_way(1, 1);  // ways 1 and 2 free: the refill takes way 1 first
   EXPECT_EQ(would_fill(c, 10).way, 1u);
-  c.insert(10, false);
+  fill(c, 10, false);
   EXPECT_EQ(would_fill(c, 11).way, 2u);
-  c.insert(11, false);
+  fill(c, 11, false);
   EXPECT_EQ(eviction_order(c, 20, 4),
             (std::vector<LineAddr>{0, 3, 10, 11}));
 }
 
 TEST(CacheRecency, InvalidateSoleWayThenRefill) {
   Cache c(one_set(4));
-  c.insert(0, false);
-  c.insert(1, true);
+  fill(c, 0, false);
+  fill(c, 1, true);
   EXPECT_FALSE(c.invalidate_way(0, 0));
   EXPECT_TRUE(c.invalidate_way(1, 1));  // now the sole valid way
   EXPECT_EQ(c.resident_lines(), 0u);
@@ -353,7 +356,7 @@ TEST(CacheRecency, InvalidateSoleWayThenRefill) {
   EXPECT_EQ(c.probe_run(1, 1, false), 0u);
   for (LineAddr l = 10; l < 14; ++l) {
     EXPECT_EQ(would_fill(c, l).way, l - 10);
-    c.insert(l, false);
+    fill(c, l, false);
   }
   EXPECT_EQ(eviction_order(c, 20, 4),
             (std::vector<LineAddr>{10, 11, 12, 13}));
@@ -361,7 +364,7 @@ TEST(CacheRecency, InvalidateSoleWayThenRefill) {
 
 TEST(CacheRecency, ProbeAfterTailInvalidated) {
   Cache c(one_set(4));
-  for (LineAddr l = 0; l < 3; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 3; ++l) fill(c, l, false);
   c.invalidate_way(2, 2);  // the tail, i.e. the lookup hint
   EXPECT_EQ(c.probe_run(2, 1, false), 0u);
   u32 way = 0;
@@ -369,13 +372,13 @@ TEST(CacheRecency, ProbeAfterTailInvalidated) {
   EXPECT_EQ(way, 2u);
   EXPECT_EQ(c.probe_run(0, 1, true), 1u);
   EXPECT_TRUE(c.is_dirty(0));
-  c.insert(3, false);
+  fill(c, 3, false);
   EXPECT_EQ(eviction_order(c, 20, 4), (std::vector<LineAddr>{1, 2, 0, 3}));
 }
 
 TEST(CacheRecency, ProbeRunAcrossAnInvalidatedTail) {
   Cache c(tiny_cache());  // 4 sets x 2 ways
-  for (LineAddr l = 0; l < 4; ++l) c.insert(l, false);
+  for (LineAddr l = 0; l < 4; ++l) fill(c, l, false);
   c.invalidate_way(1, 0);  // set 1 is now empty
   EXPECT_EQ(c.probe_run(0, 4, false), 1u);
   const PeekedFill p = would_fill(c, 1);
@@ -461,8 +464,6 @@ class StampScanCache {
     commit_insert(p, line, dirty);
     return p.evicted;
   }
-
-  void mark_dirty(LineAddr line) { find(line)->dirty = true; }
 
   /// Drop a resident line; returns whether it was dirty.
   bool invalidate(LineAddr line) {
@@ -572,7 +573,7 @@ void model_check(u32 ways, u64 sets, u64 seed) {
         const bool dirty = rng.chance(0.5);
         const auto want = ref.insert(line, dirty);
         ASSERT_NO_FATAL_FAILURE(
-            expect_same_eviction(cache.insert(line, dirty), want, step));
+            expect_same_eviction(fill(cache, line, dirty), want, step));
         if (want) ++evictions;
       }
     } else if (op < 80) {
@@ -585,9 +586,9 @@ void model_check(u32 ways, u64 sets, u64 seed) {
         ASSERT_FALSE(cache.contains(line)) << "step " << step;
       }
     } else if (op < 85) {
-      if (ref.contains(line)) {
-        cache.mark_dirty(line);
-        ref.mark_dirty(line);
+      if (ref.contains(line)) {  // a store hit
+        cache.touch_way(line, ref.way_of(line), true);
+        ref.touch(line, true);
       }
     } else if (op < 95) {
       ASSERT_EQ(cache.contains(line), ref.contains(line)) << "step " << step;
@@ -625,9 +626,8 @@ TEST(AddressSpace, DisjointLineAlignedRanges) {
   const auto b = as.allocate(10);
   EXPECT_EQ(a.base, 0u);
   EXPECT_EQ(b.base, 128u);  // 100 rounded up to two lines
-  EXPECT_FALSE(a.contains(b.base));
-  EXPECT_TRUE(a.contains(99));
-  EXPECT_FALSE(a.contains(100));
+  EXPECT_EQ(a.bytes, 100u);
+  EXPECT_GE(b.base, a.base + a.bytes);  // disjoint
 }
 
 }  // namespace

@@ -14,8 +14,6 @@ TEST(Link, SerializationPlusLatency) {
   s.run();
   // 1500 B at 1 Gb/s = 12 us serialization + 2 us propagation.
   EXPECT_EQ(delivered, Time::us(14));
-  EXPECT_EQ(link.bytes_sent(), 1500u);
-  EXPECT_EQ(link.busy_time(), Time::us(12));
 }
 
 TEST(Link, BackToBackMessagesQueue) {
@@ -29,7 +27,6 @@ TEST(Link, BackToBackMessagesQueue) {
   EXPECT_EQ(deliveries[0], Time::us(12));
   EXPECT_EQ(deliveries[1], Time::us(24));
   EXPECT_EQ(deliveries[2], Time::us(36));
-  EXPECT_GT(link.queue_delay_us().max(), 0.0);
 }
 
 TEST(Link, UnlimitedBandwidthIsLatencyOnly) {

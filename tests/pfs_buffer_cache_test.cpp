@@ -30,10 +30,17 @@ BufferCacheConfig one_set(int ways) {
   return cfg;
 }
 
+/// A demand read as the server issues it; the tests call it on resident
+/// blocks, where it only refreshes LRU and credits a prefetch.
+bool demand(BufferCache& c, u64 block) {
+  u64 forced = 0;
+  return c.lookup_or_fill(block, forced);
+}
+
 TEST(BufferCacheUnit, EvictionIsLruWithinSet) {
   BufferCache c(one_set(4));
   for (u64 b = 0; b < 4; ++b) c.insert(b, false, false);
-  EXPECT_TRUE(c.lookup(0));  // refresh 0: block 1 becomes oldest
+  EXPECT_TRUE(demand(c, 0));  // refresh 0: block 1 becomes oldest
   c.insert(4, false, false);
   EXPECT_TRUE(c.contains(0));
   EXPECT_FALSE(c.contains(1));
@@ -91,8 +98,8 @@ TEST(BufferCacheUnit, ReadaheadUsefulCreditedOncePerPrefetch) {
   u64 forced = 0;
   // A one-block window one stride past block 6: block 7.
   EXPECT_EQ(c.readahead(6, 1, 1, 1, forced), 1u);
-  EXPECT_TRUE(c.lookup(7));
-  EXPECT_TRUE(c.lookup(7));  // second demand hit: no double credit
+  EXPECT_TRUE(demand(c, 7));
+  EXPECT_TRUE(demand(c, 7));  // second demand hit: no double credit
   EXPECT_EQ(c.stats().readahead_issued, 1u);
   EXPECT_EQ(c.stats().readahead_useful, 1u);
 }
@@ -158,9 +165,9 @@ TEST(BufferCacheFlushOrder, CleanBlockReinsertedDirtyJoinsTheTail) {
 TEST(BufferCacheFlushOrder, LookupHitOnTheTailKeepsTheOrder) {
   BufferCache c(one_set(4));
   c.insert(0, true, false);
-  EXPECT_TRUE(c.lookup(0));  // sole entry: head and tail at once
+  EXPECT_TRUE(demand(c, 0));  // sole entry: head and tail at once
   c.insert(1, true, false);
-  EXPECT_TRUE(c.lookup(1));  // the tail stays the tail
+  EXPECT_TRUE(demand(c, 1));  // the tail stays the tail
   c.insert(2, true, false);  // dirty list: 0, 1, 2
   EXPECT_EQ(c.take_dirty(1), 1u);
   EXPECT_FALSE(was_dirty(c, 0));  // now 1, 2, 0
@@ -175,7 +182,7 @@ TEST(BufferCacheFlushOrder, RestampedDirtyHeadMovesToTheTail) {
   c.insert(0, true, false);
   c.insert(1, true, false);
   c.insert(2, true, false);
-  EXPECT_TRUE(c.lookup(0));  // 1, 2, 0
+  EXPECT_TRUE(demand(c, 0));  // 1, 2, 0
   c.insert(1, false, false);  // 2, 0, 1: a clean re-insert re-stamps too
   EXPECT_EQ(c.take_dirty(1), 1u);
   EXPECT_FALSE(was_dirty(c, 2));
@@ -361,9 +368,7 @@ void model_check(const BufferCacheConfig& cfg, u64 seed, u64 take_below = 0) {
   for (int step = 0; step < kSteps; ++step) {
     const u64 block = rng.below(universe);
     const u64 op = rng.below(100);
-    if (op < 20) {
-      ASSERT_EQ(cache.lookup(block), ref.lookup(block)) << "step " << step;
-    } else if (op < 40) {
+    if (op < 40) {
       u64 got = 0, want = 0;
       ASSERT_EQ(cache.lookup_or_fill(block, got),
                 ref.lookup_or_fill(block, want))

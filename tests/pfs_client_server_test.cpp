@@ -80,7 +80,6 @@ TEST_F(PfsFixture, StripConsumerInvokedPerStrip) {
 
 TEST_F(PfsFixture, HintTravelsToServerAndBack) {
   build();
-  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
   CoreId handled_on = kNoCore;
   int handled = 0;
   client->read(1, CoreId{3}, 0, 256ull << 10, nullptr,
@@ -92,28 +91,33 @@ TEST_F(PfsFixture, HintTravelsToServerAndBack) {
   cluster->sim().run();
   EXPECT_EQ(handled, 4);
   EXPECT_EQ(handled_on, 3);  // SrcParser + IMComposer steered to core 3
-  EXPECT_EQ(sais_stack.messager().stamped(), 4u);
-  EXPECT_EQ(sais_stack.parser().parsed(), 4u);
+  EXPECT_EQ(cluster->client(0).io_apic().policy().hinted_routes(), 4u);
 }
 
 TEST_F(PfsFixture, WithoutHintNoOptionsOnWire) {
   build();
-  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
+  int strips = 0;
   client->read(1, std::nullopt, 0, 128ull << 10, nullptr,
                [&](const net::Packet& p, CoreId, Time) {
                  EXPECT_FALSE(p.ip_options.has_value());
+                 ++strips;
                });
   cluster->sim().run();
-  EXPECT_EQ(sais_stack.messager().skipped(), 2u);
+  EXPECT_EQ(strips, 2);
+  EXPECT_EQ(cluster->client(0).io_apic().policy().hinted_routes(), 0u);
 }
 
 TEST_F(PfsFixture, HintBeyondEncodingGoesUnstamped) {
   build();
-  const sais::SaisClient& sais_stack = *cluster->client(0).sais();
-  client->read(1, CoreId{40}, 0, 128ull << 10, nullptr);
+  int strips = 0;
+  client->read(1, CoreId{40}, 0, 128ull << 10, nullptr,
+               [&](const net::Packet& p, CoreId, Time) {
+                 EXPECT_FALSE(p.ip_options.has_value());
+                 ++strips;
+               });
   cluster->sim().run();
-  EXPECT_EQ(sais_stack.messager().unencodable(), 2u);
-  EXPECT_EQ(sais_stack.messager().stamped(), 0u);
+  EXPECT_EQ(strips, 2);
+  EXPECT_EQ(cluster->client(0).io_apic().policy().hinted_routes(), 0u);
 }
 
 TEST_F(PfsFixture, RetransmitRecoversFromRxOverrun) {
@@ -204,7 +208,7 @@ TEST_F(PfsFixture, ReadLatencyStatRecorded) {
   client->read(1, std::nullopt, 0, 128ull << 10, nullptr);
   cluster->sim().run();
   EXPECT_EQ(client->stats().read_latency_us.count(), 1u);
-  EXPECT_GT(client->stats().read_latency_us.mean(), 0.0);
+  EXPECT_GT(client->stats().read_latency_us.sum(), 0.0);
 }
 
 }  // namespace

@@ -149,7 +149,7 @@ void drive_mixed_stream(Harness& h) {
   std::vector<u64> read_offsets;
   Time at = Time::zero();
   for (RequestId req = 1; req <= 240; ++req) {
-    if (!rng.chance(0.4)) at += Time::us(rng.range(1, 400));
+    if (!rng.chance(0.4)) at += Time::us(1 + static_cast<i64>(rng.below(400)));
     const u64 pick = rng.below(10);
     if (pick < 6) {
       const u64 p = pick % 2;

@@ -1,17 +1,24 @@
 # Shared prelude of the smoke scripts. ctest runs each step as
-#   bash tests/smoke/<step>.sh BUILD_DIR SOURCE_DIR
+#   bash tests/smoke/<step>.sh BUILD_DIR SOURCE_DIR TRACING
 # (label `smoke`, so `ctest -L smoke` runs them all); every step drives
 # the built CLI binaries end to end and fails on the first broken check.
+# TRACING is the build's SAISIM_TRACING setting, ON or OFF.
 set -eu
-if [ $# -ne 2 ]; then
-  echo "usage: $0 BUILD_DIR SOURCE_DIR" >&2
+if [ $# -ne 3 ]; then
+  echo "usage: $0 BUILD_DIR SOURCE_DIR ON|OFF" >&2
   exit 2
 fi
 bench=$1/bench
 examples=$1/examples
 tools=$2/tools
+tracing=$3
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# traced: the build records trace events. Without them a --trace file
+# still parses but holds no span slices or instants, so the steps that
+# read those (tools/trace_summary) run only when this holds.
+traced() { [ "$tracing" = ON ]; }
 
 # json_ok FILE: FILE parses as JSON.
 json_ok() { python3 -m json.tool "$1" > /dev/null; }

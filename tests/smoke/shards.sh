@@ -12,7 +12,11 @@ diff "$tmp/bw.shards1.json" "$tmp/bw.shards4.json"
 "$examples/quickstart" --set sim.shards=4 \
   --trace="$tmp/shards.trace.json" \
   --metrics="$tmp/shards.metrics.csv" > /dev/null
-"$tools/trace_summary" --metrics "$tmp/shards.metrics.csv" \
-  "$tmp/shards.trace.json" > "$tmp/summary.txt"
-has "$tmp/summary.txt" 'imbalance \(max/mean executed\)'
-has "$tmp/summary.txt" 'sync_wait'
+json_ok "$tmp/shards.trace.json"
+has "$tmp/shards.metrics.csv" ',sim\.shard3\.sync_wait_ns,'
+if traced; then
+  "$tools/trace_summary" --metrics "$tmp/shards.metrics.csv" \
+    "$tmp/shards.trace.json" > "$tmp/summary.txt"
+  has "$tmp/summary.txt" 'imbalance \(max/mean executed\)'
+  has "$tmp/summary.txt" 'sync_wait'
+fi

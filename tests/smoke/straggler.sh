@@ -13,8 +13,12 @@ json_ok "$tmp/sched.json"
   --set fault.max_jitter=3000000000 \
   --trace="$tmp/sched.trace.json" \
   --metrics="$tmp/sched.metrics.csv" > /dev/null
-"$tools/trace_summary" "$tmp/sched.trace.json" > "$tmp/summary.txt"
-has "$tmp/summary.txt" 'hedged strips'
-"$tools/trace_summary" --metrics "$tmp/sched.metrics.csv" \
-  "$tmp/sched.trace.json" > "$tmp/summary.txt"
-has "$tmp/summary.txt" 'client scheduler'
+json_ok "$tmp/sched.trace.json"
+has "$tmp/sched.metrics.csv" ',pfs\.hedges_issued,'
+if traced; then
+  "$tools/trace_summary" "$tmp/sched.trace.json" > "$tmp/summary.txt"
+  has "$tmp/summary.txt" 'hedged strips'
+  "$tools/trace_summary" --metrics "$tmp/sched.metrics.csv" \
+    "$tmp/sched.trace.json" > "$tmp/summary.txt"
+  has "$tmp/summary.txt" 'client scheduler'
+fi

@@ -8,8 +8,8 @@
 namespace saisim::test {
 
 /// 4 I/O servers with 64 KiB strips; one 4-core 2 GHz client with
-/// unlimited DRAM, source-aware interrupt routing (so the client carries a
-/// SaisClient) and no background load. The seed is a bare
+/// unlimited DRAM, source-aware interrupt routing (so the client stamps
+/// and parses SAIs hints) and no background load. The seed is a bare
 /// sim::Simulation's default.
 inline ExperimentConfig cluster_config() {
   ExperimentConfig cfg;

@@ -13,7 +13,6 @@
 
 #include "core/experiment.hpp"
 #include "memsim/memsim.hpp"
-#include "sweep/fingerprint.hpp"
 #include "util/reflect.hpp"
 
 namespace saisim {
@@ -64,18 +63,18 @@ TEST(FingerprintCollision, NearEqualValuesNeverMerge) {
   ExperimentConfig b = a;
   a.client.nic_bandwidth = Bandwidth::gbit(1.0);
   b.client.nic_bandwidth = Bandwidth::gbit(1.04);
-  EXPECT_NE(sweep::config_fingerprint(a), sweep::config_fingerprint(b));
+  EXPECT_NE(r::fingerprint_of(a), r::fingerprint_of(b));
 
   b = a;
   b.ior.wake_migration_probability =
       std::nextafter(a.ior.wake_migration_probability, 1.0);
-  EXPECT_NE(sweep::config_fingerprint(a), sweep::config_fingerprint(b));
+  EXPECT_NE(r::fingerprint_of(a), r::fingerprint_of(b));
 
   a.server.io.cache_hit_ratio = 0.7;
   b = a;
   b.server.io.cache_hit_ratio =
       std::nextafter(a.server.io.cache_hit_ratio, 0.0);
-  EXPECT_NE(sweep::config_fingerprint(a), sweep::config_fingerprint(b));
+  EXPECT_NE(r::fingerprint_of(a), r::fingerprint_of(b));
 }
 
 // Strong types must be distinguished by value, not just presence: shifting
@@ -85,16 +84,7 @@ TEST(FingerprintCollision, PathPrefixesCannotAlias) {
   ExperimentConfig b = a;
   b.switch_latency = a.switch_latency + Time::ps(1);
   b.link_latency = a.link_latency - Time::ps(1);
-  EXPECT_NE(sweep::config_fingerprint(a), sweep::config_fingerprint(b));
-}
-
-// sweep::config_fingerprint is the same function as the generic one — the
-// sweep runner and the result cache must agree on keys.
-TEST(FingerprintCollision, SweepAliasMatchesGenericFingerprint) {
-  const ExperimentConfig cfg;
-  EXPECT_EQ(sweep::config_fingerprint(cfg), r::fingerprint_of(cfg));
-  const memsim::MemsimConfig mc;
-  EXPECT_EQ(memsim::config_fingerprint(mc), r::fingerprint_of(mc));
+  EXPECT_NE(r::fingerprint_of(a), r::fingerprint_of(b));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "sweep/fingerprint.hpp"
 #include "sweep/spec.hpp"
+#include "util/reflect.hpp"
 
 namespace saisim::sweep {
 namespace {
@@ -72,7 +72,9 @@ TEST(SweepSpec, SeedAxisReplicatesEveryGridPoint) {
   spec.axis("servers", std::vector<int>{4, 8},
             [](int s) { return std::to_string(s); },
             [](ExperimentConfig& c, int s) { c.num_servers = s; })
-      .seeds({1, 2, 3});
+      .axis("seed", std::vector<u64>{1, 2, 3},
+            [](u64 s) { return std::to_string(s); },
+            [](ExperimentConfig& c, u64 s) { c.seed = s; });
   EXPECT_EQ(spec.size(), 6u);
   EXPECT_EQ(spec.point(0).config.seed, 1u);
   EXPECT_EQ(spec.point(2).config.seed, 3u);
@@ -85,7 +87,7 @@ TEST(SweepSpec, SeedAxisReplicatesEveryGridPoint) {
 TEST(Fingerprint, IdenticalConfigsFingerprintEqual) {
   ExperimentConfig a;
   ExperimentConfig b;
-  EXPECT_EQ(config_fingerprint(a), config_fingerprint(b));
+  EXPECT_EQ(util::reflect::fingerprint_of(a), util::reflect::fingerprint_of(b));
 }
 
 // Regression: the old bench cache keyed sweeps by `int(gbit * 10)`, which
@@ -96,33 +98,33 @@ TEST(Fingerprint, NearbyNicBandwidthsDoNotCollide) {
   a.client.nic_bandwidth = Bandwidth::gbit(1.0);
   ExperimentConfig b;
   b.client.nic_bandwidth = Bandwidth::gbit(1.04);
-  EXPECT_NE(config_fingerprint(a), config_fingerprint(b));
+  EXPECT_NE(util::reflect::fingerprint_of(a), util::reflect::fingerprint_of(b));
 }
 
 TEST(Fingerprint, DistinguishesRepresentativeFields) {
   const ExperimentConfig base;
-  const std::string fp = config_fingerprint(base);
+  const std::string fp = util::reflect::fingerprint_of(base);
 
   ExperimentConfig seed = base;
   seed.seed = base.seed + 1;
-  EXPECT_NE(config_fingerprint(seed), fp);
+  EXPECT_NE(util::reflect::fingerprint_of(seed), fp);
 
   ExperimentConfig policy = base;
   policy.policy = PolicyKind::kSourceAware;
-  EXPECT_NE(config_fingerprint(policy), fp);
+  EXPECT_NE(util::reflect::fingerprint_of(policy), fp);
 
   ExperimentConfig transfer = base;
   transfer.ior.transfer_size = base.ior.transfer_size * 2;
-  EXPECT_NE(config_fingerprint(transfer), fp);
+  EXPECT_NE(util::reflect::fingerprint_of(transfer), fp);
 
   ExperimentConfig c2c = base;
   c2c.client.timings.c2c_transfer =
       Cycles{base.client.timings.c2c_transfer.count() + 1};
-  EXPECT_NE(config_fingerprint(c2c), fp);
+  EXPECT_NE(util::reflect::fingerprint_of(c2c), fp);
 
   ExperimentConfig mig = base;
   mig.ior.wake_migration_probability += 0.01;
-  EXPECT_NE(config_fingerprint(mig), fp);
+  EXPECT_NE(util::reflect::fingerprint_of(mig), fp);
 }
 
 }  // namespace

@@ -16,6 +16,14 @@
 namespace saisim::trace {
 namespace {
 
+// One sample, folded in the way a run's end-of-run barrier folds its
+// histograms.
+void record(CounterRegistry::LatencyRecorder& lat, u64 v) {
+  stats::Log2Histogram h;
+  h.add(v);
+  lat.merge(h);
+}
+
 TEST(CounterRegistry, FindOrCreateIsStable) {
   CounterRegistry reg;
   CounterRegistry::Counter& a = reg.counter("nic.rx");
@@ -45,8 +53,8 @@ TEST(CounterRegistry, NamesAreSorted) {
 TEST(CounterRegistry, SnapshotExpandsLatencyRecorders) {
   CounterRegistry reg;
   reg.counter("plain").add(5);
-  reg.latency("lat").record(100);
-  reg.latency("lat").record(200);
+  record(reg.latency("lat"), 100);
+  record(reg.latency("lat"), 200);
   const auto snap = reg.snapshot();
   // name-sorted: lat.count, lat.p50, lat.p99, lat.total, plain
   ASSERT_EQ(snap.size(), 5u);
@@ -58,18 +66,27 @@ TEST(CounterRegistry, SnapshotExpandsLatencyRecorders) {
   EXPECT_EQ(snap[4].second, 5u);
 }
 
+// Recording samples one by one and folding in a Log2Histogram of the same
+// samples give one recorder state: both bucket by floor(log2(v)).
 TEST(CounterRegistry, LatencyQuantileMatchesLog2Histogram) {
   CounterRegistry reg;
   stats::Log2Histogram h;
   CounterRegistry::LatencyRecorder& lat = reg.latency("l");
   for (u64 v : {1u, 2u, 3u, 100u, 1000u, 5000u, 5001u, 100000u}) {
     h.add(v);
-    lat.record(v);
+    record(lat, v);
   }
+  CounterRegistry::LatencyRecorder& folded = reg.latency("folded");
+  folded.merge(h);
   EXPECT_EQ(lat.count(), h.count());
   EXPECT_EQ(lat.total(), h.total());
-  EXPECT_EQ(lat.quantile(0.5), h.quantile(0.5));
-  EXPECT_EQ(lat.quantile(0.99), h.quantile(0.99));
+  for (int i = 0; i < CounterRegistry::LatencyRecorder::kBuckets; ++i) {
+    EXPECT_EQ(lat.bucket(i), h.bucket(i)) << i;
+  }
+  EXPECT_EQ(lat.quantile(0.5), 1023u);     // 5th sample, bucket [512,1023]
+  EXPECT_EQ(lat.quantile(0.99), 131071u);  // 8th sample, bucket 16
+  EXPECT_EQ(folded.quantile(0.5), lat.quantile(0.5));
+  EXPECT_EQ(folded.quantile(0.99), lat.quantile(0.99));
 }
 
 TEST(CounterRegistry, QuantileEdgeCases) {
@@ -81,16 +98,16 @@ TEST(CounterRegistry, QuantileEdgeCases) {
 
   // Single populated bucket: report the bucket midpoint, not the upper
   // edge (record(10) lands in [8,15] → 11, where the old code said 15).
-  reg.latency("one").record(10);
+  record(reg.latency("one"), 10);
   EXPECT_EQ(reg.latency("one").quantile(0.5), 11u);
   EXPECT_EQ(reg.latency("one").quantile(0.99), 11u);
-  reg.latency("zero").record(0);  // bucket 0 spans [0,1] → midpoint 0
+  record(reg.latency("zero"), 0);  // bucket 0 spans [0,1] → midpoint 0
   EXPECT_EQ(reg.latency("zero").quantile(0.99), 0u);
 
   // q >= 1.0 used to fall off the end of the bucket array and return
   // ~0ull; it must clamp to the max populated bucket.
   CounterRegistry::LatencyRecorder& lat = reg.latency("multi");
-  for (u64 v : {1u, 100u, 5000u}) lat.record(v);
+  for (u64 v : {1u, 100u, 5000u}) record(lat, v);
   EXPECT_EQ(lat.quantile(1.0), lat.quantile(0.99));
   EXPECT_NE(lat.quantile(1.0), ~0ull);
 }
@@ -99,19 +116,10 @@ TEST(CounterRegistry, MergeFoldsAHistogramIn) {
   CounterRegistry reg;
   stats::Log2Histogram h;
   for (u64 v = 1; v <= 64; ++v) h.add(v);
-  reg.latency("l").record(7);
+  record(reg.latency("l"), 7);
   reg.latency("l").merge(h);
   EXPECT_EQ(reg.latency("l").count(), 65u);
   EXPECT_EQ(reg.latency("l").total(), 7u + 64u * 65u / 2u);
-}
-
-TEST(CounterRegistry, ToTableHasOneRowPerSnapshotEntry) {
-  CounterRegistry reg;
-  reg.counter("a").add(1);
-  reg.latency("b").record(10);
-  const stats::Table t = reg.to_table();
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_EQ(t.rows(), 5u);  // a + b.{count,p50,p99,total}
 }
 
 // The concurrency contract: registration is mutex-guarded, increments are
@@ -130,7 +138,7 @@ TEST(CounterRegistry, ConcurrentMixedUseIsExact) {
         // names + one per-thread name), the atomic increments and the
         // high-water raise.
         reg.counter("shared").add();
-        reg.latency("lat").record(i + 1);
+        record(reg.latency("lat"), i + 1);
         reg.counter("own." + std::to_string(w)).add(2);
         reg.counter("max").raise_to(i + static_cast<u64>(w));
       }

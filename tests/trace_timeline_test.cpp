@@ -255,7 +255,6 @@ TEST(Tracer, RingModeKeepsTheMostRecentEvents) {
 
 // ---- Full-stack determinism ------------------------------------------
 
-#if defined(SAISIM_TELEMETRY_ENABLED)
 std::string fnv1a_hex(const std::string& s) {
   u64 h = 14695981039346656037ull;
   for (const char c : s) {
@@ -327,7 +326,8 @@ TEST(TimelineDeterminism, SamplingIsMetricsInert) {
   EXPECT_EQ(m_off.slo_breaches, 0u);
   RunTrace capture;
   run_experiment(off, &capture);
-  EXPECT_TRUE(capture.timeline.empty());
+  EXPECT_EQ(capture.timeline.ticks, 0u);
+  EXPECT_TRUE(capture.timeline.metrics.empty());
   EXPECT_EQ(timeline_csv({capture}), "run,label,sample,time_us,metric,value\n");
 }
 
@@ -377,7 +377,6 @@ TEST(TimelineDeterminism, SloBreachUnderSeededStraggler) {
   // excursion, not one per tick.
   EXPECT_LT(m.slo_breaches, capture.timeline.ticks);
 }
-#endif  // SAISIM_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace saisim::trace

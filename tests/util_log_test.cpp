@@ -76,7 +76,7 @@ TEST_F(LogTest, LevelNamesRoundTrip) {
 TEST_F(LogTest, SubsystemNamesRoundTrip) {
   for (u8 s = 0; s < util::kNumSubsystems; ++s) {
     const auto sub = static_cast<util::Subsystem>(s);
-    EXPECT_EQ(util::subsystem_from_name(util::subsystem_name(sub)), sub);
+    EXPECT_EQ(util::subsystem_from_name(util::kSubsystemNames[s]), sub);
   }
   EXPECT_EQ(util::subsystem_from_name("bogus"), std::nullopt);
 }

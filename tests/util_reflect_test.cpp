@@ -185,7 +185,7 @@ TEST(ReflectJson, DumpLoadDumpIsByteIdentical) {
   TestConfig loaded;  // different starting point
   loaded.count = 99;
   const LoadResult res = config_from_json(loaded, dump1);
-  ASSERT_TRUE(res.ok()) << res.errors.front();
+  ASSERT_TRUE(res.errors.empty()) << res.errors.front();
   EXPECT_EQ(config_to_json(loaded), dump1);
   EXPECT_EQ(fingerprint_of(loaded), fingerprint_of(cfg));
 }
@@ -194,7 +194,7 @@ TEST(ReflectJson, PartialFileIsAnOverrideSet) {
   TestConfig cfg;
   const LoadResult res =
       config_from_json(cfg, "{\"inner.knob\": 11, \"flavor\": \"plain\"}");
-  ASSERT_TRUE(res.ok());
+  ASSERT_TRUE(res.errors.empty());
   EXPECT_EQ(cfg.inner.knob, 11);
   EXPECT_EQ(cfg.flavor, Flavor::kPlain);
   EXPECT_EQ(cfg.count, 3) << "untouched fields keep their defaults";
@@ -203,19 +203,19 @@ TEST(ReflectJson, PartialFileIsAnOverrideSet) {
 TEST(ReflectJson, LoadErrorsNameTheKey) {
   TestConfig cfg;
   const LoadResult unknown = config_from_json(cfg, "{\"zzz\": 1}");
-  ASSERT_FALSE(unknown.ok());
+  ASSERT_FALSE(unknown.errors.empty());
   EXPECT_NE(unknown.errors[0].find("zzz"), std::string::npos);
 
   const LoadResult range = config_from_json(cfg, "{\"inner.knob\": 400}");
-  ASSERT_FALSE(range.ok());
+  ASSERT_FALSE(range.errors.empty());
   EXPECT_NE(range.errors[0].find("inner.knob"), std::string::npos);
 
   const LoadResult syntax = config_from_json(cfg, "{\"a\": }");
-  ASSERT_FALSE(syntax.ok());
+  ASSERT_FALSE(syntax.errors.empty());
   EXPECT_NE(syntax.errors[0].find("config JSON"), std::string::npos);
 
   const LoadResult trailing = config_from_json(cfg, "{} extra");
-  ASSERT_FALSE(trailing.ok());
+  ASSERT_FALSE(trailing.errors.empty());
 }
 
 }  // namespace

@@ -35,15 +35,15 @@ TEST(Rng, BelowCoversRange) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
+// below(n) draws from [0, n - 1], both ends included.
 TEST(Rng, RangeInclusive) {
   Rng r(3);
   bool lo = false, hi = false;
   for (int i = 0; i < 5000; ++i) {
-    const i64 v = r.range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    lo |= v == -2;
-    hi |= v == 2;
+    const u64 v = r.below(5);
+    EXPECT_LE(v, 4u);
+    lo |= v == 0;
+    hi |= v == 4;
   }
   EXPECT_TRUE(lo);
   EXPECT_TRUE(hi);

@@ -13,7 +13,7 @@ struct WorkloadFixture : ::testing::Test {
   mem::MemorySystem& memory = cluster.client(0).memory();
   mem::AddressSpace& space = cluster.client(0).address_space();
   pfs::PfsClient* client = &cluster.client(0).pfs();
-  const sais::SaisClient* sais_stack = cluster.client(0).sais();
+  apic::IoApic& io_apic = cluster.client(0).io_apic();
 
   IorConfig small_ior() {
     IorConfig cfg;
@@ -31,23 +31,24 @@ TEST_F(WorkloadFixture, ProcessReadsConfiguredVolume) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->bytes_read, 1ull << 20);
   EXPECT_EQ(stats->reads_completed, 4u);
-  EXPECT_TRUE(proc.finished());
-  EXPECT_GT(stats->bandwidth_mbps(), 0.0);
+  EXPECT_GT(stats->finished_at, stats->started_at);
 }
 
 TEST_F(WorkloadFixture, HintsSentOnlyWhenSaisAware) {
   IorProcess hinted(s, cpus, memory, *client, 1, 2, true, small_ior());
   hinted.start(nullptr);
   s.run();
-  EXPECT_GT(sais_stack->messager().stamped(), 0u);
-  EXPECT_EQ(sais_stack->messager().skipped(), 0u);
+  // The test cluster routes source-aware: a stamped request's strips
+  // interrupt the core its hint names.
+  EXPECT_GT(io_apic.policy().hinted_routes(), 0u);
 
-  const u64 stamped_before = sais_stack->messager().stamped();
+  const u64 hinted_before = io_apic.policy().hinted_routes();
+  const u64 raised_before = io_apic.stats().raised;
   IorProcess plain(s, cpus, memory, *client, 2, 3, false, small_ior());
   plain.start(nullptr);
   s.run();
-  EXPECT_EQ(sais_stack->messager().stamped(), stamped_before);
-  EXPECT_GT(sais_stack->messager().skipped(), 0u);
+  EXPECT_GT(io_apic.stats().raised, raised_before);
+  EXPECT_EQ(io_apic.policy().hinted_routes(), hinted_before);
 }
 
 TEST_F(WorkloadFixture, SaisProcessConsumesOnHomeCoreWithHits) {
@@ -135,7 +136,7 @@ TEST_F(WorkloadFixture, RandomPatternDrawsAlignedOffsetsInRegion) {
   // Observe the offsets through the strip consumer's file offsets.
   proc.start(nullptr);
   s.run();
-  EXPECT_TRUE(proc.finished());
+  EXPECT_GT(proc.stats().finished_at, Time::zero());
   EXPECT_EQ(proc.stats().bytes_read, 1ull << 20);
 }
 
@@ -147,7 +148,7 @@ TEST_F(WorkloadFixture, WakeMigrationMovesTheConsumer) {
   IorProcess proc(s, cpus, memory, *client, 1, 3, true, cfg);
   proc.start(nullptr);
   s.run();
-  EXPECT_TRUE(proc.finished());
+  EXPECT_GT(proc.stats().finished_at, Time::zero());
   EXPECT_GT(proc.stats().migrations, 0u);
   // Stale hints: strips were steered to the pre-migration core, so even
   // the hinted workload now migrates data between caches.
@@ -167,7 +168,6 @@ TEST_F(WorkloadFixture, BackgroundLoadTicksOnEveryCore) {
   BackgroundLoad background(s, cpus, memory, space, bg);
   background.start(Time::ms(20));
   s.run();
-  EXPECT_GE(background.ticks(), 4u * 19u);
   for (int c = 0; c < cpus.num_cores(); ++c) {
     EXPECT_GT(cpus.core(c).accounting().busy_total, Time::zero()) << c;
   }
